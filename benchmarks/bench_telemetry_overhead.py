@@ -1,11 +1,11 @@
-"""Telemetry overhead on the E14 hot loop: instrumentation must stay ≤5%.
+"""Telemetry overhead on the Core XPath hot loop: instrumentation must stay ≤5%.
 
 PR 9 put telemetry on every engine evaluation: two counter increments
 (queries, per-engine dispatch), one histogram observation, one
 slow-query threshold check, and two no-op span hooks
 (``maybe_span(None, ...)``) on the untraced path.  This bench measures
 the wall cost of exactly that per-query bundle and gates it at **5% of
-the per-query evaluation time** on the E14 workload (the id-native Core
+the per-query evaluation time** on E20's workload (the id-native Core
 XPath mixed workload over a 10k-node document) — the contract that the
 observability layer is cheap enough to leave on in production.
 
@@ -25,7 +25,7 @@ from repro.telemetry import Counter, Histogram, MetricsRegistry, SlowQueryLog
 from repro.telemetry.trace import maybe_span
 from repro.xmlmodel import wide_document
 
-#: The E14 mixed Core XPath workload (see bench_idnative_core.py).
+#: The mixed Core XPath workload of E20 (see bench_compiled_kernels.py).
 _WORKLOAD = (
     "//a[child::a]",
     "//a[not(child::a)]",
@@ -113,7 +113,7 @@ def test_telemetry_overhead_is_within_five_percent():
     trace_ratio = traced / untraced if untraced else float("inf")
 
     report(
-        "Telemetry overhead — E14 workload through XPathEngine (wide-10k)",
+        "Telemetry overhead — E20 workload through XPathEngine (wide-10k)",
         "\n".join([
             f"per-query evaluation      : {per_query_eval * 1e6:9.1f} µs",
             f"per-query telemetry bundle: {per_query_telemetry * 1e6:9.3f} µs",

@@ -36,7 +36,6 @@ from repro.evaluation import (
     ContextValueTableEvaluator,
     CoreXPathEvaluator,
     NaiveEvaluator,
-    NodeSetCoreXPathEvaluator,
     SingletonSuccessChecker,
     evaluate,
     evaluate_nodes,
@@ -102,7 +101,6 @@ __all__ = [
     "IdSet",
     "MetricsRegistry",
     "NaiveEvaluator",
-    "NodeSetCoreXPathEvaluator",
     "PlanCache",
     "QueryPlan",
     "QueryRequest",

@@ -10,7 +10,6 @@ from repro.evaluation.api import (
 )
 from repro.evaluation.context import Context, Environment, initial_context
 from repro.evaluation.core import CoreXPathEvaluator
-from repro.evaluation.core_nodeset import NodeSetCoreXPathEvaluator
 from repro.evaluation.cvt import ContextValueTableEvaluator
 from repro.evaluation.naive import NaiveEvaluator
 from repro.evaluation.singleton import (
@@ -37,7 +36,6 @@ __all__ = [
     "Environment",
     "NaiveEvaluator",
     "NodeSet",
-    "NodeSetCoreXPathEvaluator",
     "PlannedEvaluator",
     "SingletonSuccessChecker",
     "XPathValue",

@@ -26,11 +26,13 @@ the final materialisation:
   the result is materialised into nodes exactly once, at the API
   boundary (:meth:`CoreXPathEvaluator.evaluate_nodes`), with no sort.
 
-The PR-1 set-of-node-objects implementation survives as
-:class:`~repro.evaluation.core_nodeset.NodeSetCoreXPathEvaluator`; it is
-the differential-testing baseline and handles the one case ids cannot —
-context nodes outside the indexed tree (attribute nodes) — to which this
-evaluator transparently falls back.
+This is the only Core XPath evaluator and the id-set kernels are the
+only set-at-a-time axis algebra; their oracle is the per-node walk of
+:mod:`repro.xmlmodel.axes` (and ``cvt`` / ``naive`` for whole queries),
+which shares no code with them.  The one input ids cannot express — a
+context node outside the indexed tree (an attribute node) — is answered
+by :class:`~repro.evaluation.cvt.ContextValueTableEvaluator`, one
+evaluation per context node.
 
 The evaluator rejects queries outside Core XPath with
 :class:`~repro.errors.FragmentViolationError`; use the full-XPath
@@ -42,11 +44,13 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.errors import FragmentViolationError, XPathEvaluationError
-from repro.evaluation.setaxes import NAVIGATIONAL_AXES, apply_axis_idset
-from repro.xmlmodel.axes import inverse_axis
+from repro.evaluation.context import Context
+from repro.evaluation.cvt import ContextValueTableEvaluator
+from repro.fragments.classify import violations_core_xpath
+from repro.xmlmodel.axes import CORE_XPATH_AXES, inverse_axis
 from repro.xmlmodel.document import Document
 from repro.xmlmodel.idset import IdSet
-from repro.xmlmodel.nodes import XMLNode
+from repro.xmlmodel.nodes import XMLNode, sort_document_order
 from repro.xpath.ast import (
     BinaryOp,
     FunctionCall,
@@ -82,7 +86,6 @@ class CoreXPathEvaluator:
         # The cache is keyed by id(expr); keep every cached expression alive
         # so ids are never reused by later, structurally different queries.
         self._pinned: dict[int, XPathExpr] = {}
-        self._nodeset_fallback = None
         #: Number of set-at-a-time axis applications performed (cost measure).
         self.axis_applications = 0
 
@@ -109,8 +112,8 @@ class CoreXPathEvaluator:
                 starts = self.index.idset_from_nodes(nodes)
             except KeyError:
                 # A context node without a document-order id (an attribute
-                # node): only the node-set baseline can step from it.
-                return self._fallback().evaluate_nodes(expr, nodes)
+                # node): no kernel can step from it.
+                return self._evaluate_per_node(expr, nodes)
         return self.index.idset_to_node_list(self._evaluate_union(expr, starts))
 
     def evaluate_ids(
@@ -153,12 +156,21 @@ class CoreXPathEvaluator:
     def _root_idset(self) -> IdSet:
         return IdSet.from_sorted([0], self._universe)  # the root's id is 0
 
-    def _fallback(self):
-        if self._nodeset_fallback is None:
-            from repro.evaluation.core_nodeset import NodeSetCoreXPathEvaluator
+    def _evaluate_per_node(self, expr: XPathExpr, nodes: list[XMLNode]) -> list[XMLNode]:
+        """Answer a Core XPath query from contexts that have no id.
 
-            self._nodeset_fallback = NodeSetCoreXPathEvaluator(self.document)
-        return self._nodeset_fallback
+        One context-value-table evaluation per context node, merged into
+        document order.  ``cvt`` accepts all of XPath, so Definition 2.5
+        membership (the check the planner dispatches on) is enforced here.
+        """
+        violations = violations_core_xpath(expr)
+        if violations:
+            raise FragmentViolationError("Core XPath", violations)
+        evaluator = ContextValueTableEvaluator(self.document)
+        selected: list[XMLNode] = []
+        for node in nodes:
+            selected.extend(evaluator.evaluate_nodes(expr, Context(node)))
+        return sort_document_order(selected)
 
     # -- top level ------------------------------------------------------------
 
@@ -187,7 +199,7 @@ class CoreXPathEvaluator:
     def _apply_step(self, step: Step, frontier: IdSet) -> IdSet:
         self._require_navigational(step)
         self.axis_applications += 1
-        reached = apply_axis_idset(self.document, step.axis, frontier)
+        reached = self.index.axis_idset(step.axis, frontier)
         selected = self.index.filter_idset(reached, step.axis, step.node_test.text())
         for predicate in step.predicates:
             if not selected:
@@ -249,15 +261,13 @@ class CoreXPathEvaluator:
             for predicate in step.predicates:
                 satisfying = satisfying & self._condition_set(predicate)
             self.axis_applications += 1
-            witnesses = apply_axis_idset(
-                self.document, inverse_axis(step.axis), satisfying
-            )
+            witnesses = self.index.axis_idset(inverse_axis(step.axis), satisfying)
         return witnesses
 
     # -- validation -----------------------------------------------------------------
 
     def _require_navigational(self, step: Step) -> None:
-        if step.axis not in NAVIGATIONAL_AXES:
+        if step.axis not in CORE_XPATH_AXES:
             raise FragmentViolationError(
                 "Core XPath", [f"axis {step.axis!r} is not part of Core XPath"]
             )

@@ -22,34 +22,31 @@ document order:
   over a contiguous axis interval reduces to a binary search, and a name
   test over an arbitrary id set to a sorted-partition intersection.
 
-Two set-at-a-time surfaces are exposed on top of these arrays:
+Two surfaces are exposed on top of these arrays:
 
-* the **id-native kernels** (:meth:`axis_idset`, :meth:`filter_idset`)
-  take and return :class:`~repro.xmlmodel.idset.IdSet` values — this is
-  the hot path of the id-native Core XPath evaluator, which only
-  materialises nodes once, via :meth:`idset_to_node_list`;
-* the **raw-id / node-set forms** (:meth:`axis_id_set`,
-  :meth:`axis_node_set`, :meth:`step_ids`) work on plain ``set[int]`` /
-  node sets and serve the per-node evaluators and the PR-1 node-set core
-  baseline.
+* the **set-at-a-time kernels** (:meth:`axis_idset`, :meth:`filter_idset`)
+  take and return :class:`~repro.xmlmodel.idset.IdSet` values — the only
+  set-level axis algebra, and the hot path of the Core XPath evaluator,
+  which materialises nodes once, via :meth:`idset_to_node_list`;
+* the **per-node enumerations** (:meth:`axis_ids`, :meth:`step_ids`,
+  :meth:`tag_ids_in_interval`) return ids in axis order for one context
+  node and serve the ``cvt`` / ``naive`` evaluators.
 
 All operations cover the navigational axes only — attribute nodes are
-not tree nodes and keep using the object walk.
+not tree nodes and keep using the object walk of
+:mod:`repro.xmlmodel.axes`, which is also the oracle both surfaces are
+tested against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import XPathEvaluationError
 from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.kernels import KernelBackend, active_backend
 from repro.xmlmodel.nodes import ElementNode, XMLNode
-
-#: The plain-``set``-of-ints form used by the PR-1 node-set axis path;
-#: the id-native kernels below use :class:`IdSet` instead.
-RawIdSet = Set[int]
 
 
 class DocumentIndex:
@@ -180,16 +177,6 @@ class DocumentIndex:
         """Return the node with document-order id ``node_id``."""
         return self.nodes[node_id]
 
-    def nodes_to_ids(self, nodes: Iterable[XMLNode]) -> RawIdSet:
-        """Convert a collection of nodes to a set of ids."""
-        id_by_uid = self._id_by_uid
-        return {id_by_uid[node.uid] for node in nodes}
-
-    def ids_to_nodes(self, ids: Iterable[int]) -> Set[XMLNode]:
-        """Convert a collection of ids to a set of nodes."""
-        nodes = self.nodes
-        return {nodes[i] for i in ids}
-
     def ids_to_node_list(self, ids: Iterable[int]) -> List[XMLNode]:
         """Convert ids to a node list, preserving iteration order."""
         nodes = self.nodes
@@ -198,171 +185,6 @@ class DocumentIndex:
     def contains(self, node: XMLNode) -> bool:
         """Return True if ``node`` is a tree node of the indexed document."""
         return node.uid in self._id_by_uid
-
-    # -- interval predicates ---------------------------------------------------
-
-    def is_ancestor(self, ancestor_id: int, node_id: int) -> bool:
-        """Interval containment test: is ``ancestor_id`` a proper ancestor?"""
-        return ancestor_id < node_id <= self.subtree_end[ancestor_id]
-
-    def descendant_interval(self, node_id: int) -> tuple[int, int]:
-        """Return the half-open id interval ``(lo, hi)`` of proper descendants."""
-        return node_id + 1, self.subtree_end[node_id] + 1
-
-    # -- set-at-a-time axis application ---------------------------------------
-
-    def axis_id_set(self, axis: str, ids: RawIdSet) -> RawIdSet:
-        """Apply a navigational axis to a set of ids; return the result set.
-
-        Every operation is linear in ``|ids| + |result|`` (plus O(|D|) for
-        ``preceding``), with all per-node work done on flat integer arrays.
-        """
-        try:
-            function = self._AXIS_ID_FUNCTIONS[axis]
-        except KeyError:
-            raise XPathEvaluationError(
-                f"axis {axis!r} is not a navigational axis"
-            ) from None
-        return function(self, ids)
-
-    def _self_ids(self, ids: RawIdSet) -> RawIdSet:
-        return set(ids)
-
-    def _child_ids(self, ids: RawIdSet) -> RawIdSet:
-        first_child = self.first_child
-        next_sibling = self.next_sibling
-        result: RawIdSet = set()
-        for i in ids:
-            j = first_child[i]
-            while j != -1:
-                result.add(j)
-                j = next_sibling[j]
-        return result
-
-    def _parent_ids(self, ids: RawIdSet) -> RawIdSet:
-        parent = self.parent
-        return {parent[i] for i in ids if parent[i] != -1}
-
-    def _descendant_ids(self, ids: RawIdSet) -> RawIdSet:
-        """Union of pre-order intervals; nested members are skipped outright.
-
-        Subtree intervals are laminar (nested or disjoint), so after sorting
-        the members every interval either extends the covered prefix or lies
-        entirely inside it.
-        """
-        subtree_end = self.subtree_end
-        result: RawIdSet = set()
-        covered_end = -1
-        for i in sorted(ids):
-            if i <= covered_end:
-                continue
-            end = subtree_end[i]
-            result.update(range(i + 1, end + 1))
-            covered_end = end
-        return result
-
-    def _descendant_or_self_ids(self, ids: RawIdSet) -> RawIdSet:
-        return set(ids) | self._descendant_ids(ids)
-
-    def _ancestor_ids(self, ids: RawIdSet) -> RawIdSet:
-        """Parent-chain walks; stop as soon as a chain joins the result."""
-        parent = self.parent
-        result: RawIdSet = set()
-        for i in ids:
-            j = parent[i]
-            while j != -1 and j not in result:
-                result.add(j)
-                j = parent[j]
-        return result
-
-    def _ancestor_or_self_ids(self, ids: RawIdSet) -> RawIdSet:
-        return set(ids) | self._ancestor_ids(ids)
-
-    def _following_sibling_ids(self, ids: RawIdSet) -> RawIdSet:
-        """Sibling-chain walks; a chain already in the result is closed rightward."""
-        next_sibling = self.next_sibling
-        result: RawIdSet = set()
-        for i in ids:
-            j = next_sibling[i]
-            while j != -1 and j not in result:
-                result.add(j)
-                j = next_sibling[j]
-        return result
-
-    def _preceding_sibling_ids(self, ids: RawIdSet) -> RawIdSet:
-        prev_sibling = self.prev_sibling
-        result: RawIdSet = set()
-        for i in ids:
-            j = prev_sibling[i]
-            while j != -1 and j not in result:
-                result.add(j)
-                j = prev_sibling[j]
-        return result
-
-    def _following_ids(self, ids: RawIdSet) -> RawIdSet:
-        """following(S) = every id past the earliest member's subtree end."""
-        if not ids:
-            return set()
-        cutoff = min(self.subtree_end[i] for i in ids)
-        return set(range(cutoff + 1, self.size))
-
-    def _preceding_ids(self, ids: RawIdSet) -> RawIdSet:
-        """preceding(S) = ids whose subtree closes before the latest member."""
-        if not ids:
-            return set()
-        cutoff = max(ids)
-        subtree_end = self.subtree_end
-        return {j for j in range(cutoff) if subtree_end[j] < cutoff}
-
-    _AXIS_ID_FUNCTIONS = {
-        "self": _self_ids,
-        "child": _child_ids,
-        "parent": _parent_ids,
-        "descendant": _descendant_ids,
-        "descendant-or-self": _descendant_or_self_ids,
-        "ancestor": _ancestor_ids,
-        "ancestor-or-self": _ancestor_or_self_ids,
-        "following": _following_ids,
-        "following-sibling": _following_sibling_ids,
-        "preceding": _preceding_ids,
-        "preceding-sibling": _preceding_sibling_ids,
-    }
-
-    def axis_node_set(self, axis: str, nodes_in: Iterable[XMLNode]) -> Set[XMLNode]:
-        """Apply a navigational axis to a set of nodes; return a node set.
-
-        This is :meth:`axis_id_set` with the id→node conversion fused in:
-        the contiguous-interval axes (``descendant``,
-        ``descendant-or-self``, ``following``) are materialised directly
-        from slices of the document-order node list, skipping the
-        intermediate integer set entirely.
-        """
-        ids = self.nodes_to_ids(nodes_in)
-        nodes = self.nodes
-        if axis == "descendant" or axis == "descendant-or-self":
-            subtree_end = self.subtree_end
-            include_self = axis == "descendant-or-self"
-            result: Optional[Set[XMLNode]] = None
-            covered_end = -1
-            for i in sorted(ids):
-                if i <= covered_end:
-                    # Laminar intervals: i sits inside an earlier member's
-                    # subtree, so its whole subtree (and, for -or-self, the
-                    # node itself) is already in the result.
-                    continue
-                covered_end = subtree_end[i]
-                block = nodes[i if include_self else i + 1 : covered_end + 1]
-                if result is None:
-                    result = set(block)
-                else:
-                    result.update(block)
-            return result if result is not None else set()
-        if axis == "following":
-            if not ids:
-                return set()
-            cutoff = min(self.subtree_end[i] for i in ids)
-            return set(nodes[cutoff + 1 :])
-        return {nodes[i] for i in self.axis_id_set(axis, ids)}
 
     # -- per-node axis enumeration (axis order) --------------------------------
 

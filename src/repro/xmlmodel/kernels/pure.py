@@ -6,8 +6,9 @@ id-native rewrite (PR 2) shipped them, factored out of
 over integer arrays, frozenset membership for sparse set algebra, and a
 byte-table unpack for the bitmask→ids conversion.  It has no third-party
 dependencies — importing it never imports numpy — and it doubles as the
-differential baseline of the backend conformance suite, the same role
-``NodeSetCoreXPathEvaluator`` plays for the evaluators.
+differential baseline of the backend conformance suite, which in turn
+checks every backend against the per-node walk of
+:mod:`repro.xmlmodel.axes`.
 
 Axis kernels take the :class:`~repro.xmlmodel.index.DocumentIndex`
 itself as their per-index state (:func:`index_state` is the identity)

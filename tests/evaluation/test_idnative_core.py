@@ -10,8 +10,11 @@ ride the bitmask path — plus the id-level API surface.
 import pytest
 
 from repro.errors import FragmentViolationError
+from repro.evaluation.api import evaluate
+from repro.evaluation.context import Context
 from repro.evaluation.core import CoreXPathEvaluator
-from repro.evaluation.core_nodeset import NodeSetCoreXPathEvaluator
+from repro.evaluation.cvt import ContextValueTableEvaluator
+from repro.planner import plan_query
 from repro.xmlmodel import chain_document, parse_xml, wide_document
 from repro.xmlmodel.idset import DENSITY_FACTOR, IdSet
 
@@ -63,16 +66,16 @@ class TestDenseSingleTagDocuments:
     def test_wide_single_tag(self):
         document = wide_document(4 * DENSITY_FACTOR, tag="a")
         idnative = CoreXPathEvaluator(document)
-        nodeset = NodeSetCoreXPathEvaluator(document)
+        cvt = ContextValueTableEvaluator(document)
         for query in ("//a", "//a[not(child::a)]", "//a[following-sibling::a]"):
-            assert idnative.evaluate_nodes(query) == nodeset.evaluate_nodes(query)
+            assert idnative.evaluate_nodes(query) == cvt.evaluate_nodes(query)
 
     def test_deep_single_tag(self):
         document = chain_document(4 * DENSITY_FACTOR)
         idnative = CoreXPathEvaluator(document)
-        nodeset = NodeSetCoreXPathEvaluator(document)
+        cvt = ContextValueTableEvaluator(document)
         for query in ("//a[child::a]", "//a/ancestor::a", "//a[not(descendant::a)]"):
-            assert idnative.evaluate_nodes(query) == nodeset.evaluate_nodes(query)
+            assert idnative.evaluate_nodes(query) == cvt.evaluate_nodes(query)
 
     def test_full_universe_frontier_is_dense(self):
         document = wide_document(4 * DENSITY_FACTOR, tag="a")
@@ -95,23 +98,55 @@ class TestIdLevelApi:
         b_ids = evaluator.evaluate_ids("//b")
         assert evaluator.evaluate_ids("child::c", context_ids=b_ids) == [3]
 
-    def test_axis_applications_counter_matches_nodeset(self):
+    def test_axis_applications_counter_is_pinned(self):
         document = parse_xml("<a><b><c/></b><b/></a>")
         query = "//b[child::c and not(child::d)]/descendant::c"
-        idnative = CoreXPathEvaluator(document)
-        nodeset = NodeSetCoreXPathEvaluator(document)
-        idnative.evaluate_nodes(query)
-        nodeset.evaluate_nodes(query)
-        assert idnative.axis_applications == nodeset.axis_applications
+        evaluator = CoreXPathEvaluator(document)
+        evaluator.evaluate_nodes(query)
+        # Three forward steps (// is descendant-or-self::node()/child::b)
+        # plus one inverse-axis pass per condition path.  The ledger's
+        # evaluation.axis_applications_per_query reads this counter.
+        assert evaluator.axis_applications == 5
+
+
+def _attribute_document():
+    """A document and its ``@z`` attribute node (which has no id)."""
+    document = parse_xml('<a x="1" y="2"><b z="3"><c/></b><d/></a>')
+    (z,) = [a for a in document.attributes if a.attr_name == "z"]
+    return document, z
 
 
 class TestFallbacks:
-    def test_attribute_context_uses_nodeset_baseline(self):
-        document = parse_xml('<a x="1"><b/></a>')
-        attribute = document.attributes[0]
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "parent::b",
+            "ancestor::*",
+            "ancestor-or-self::node()",
+            "following::*",
+            "self::node()[parent::b]",
+            "ancestor::*[not(child::d)]",
+        ],
+    )
+    def test_attribute_context_agrees_with_oracles(self, query):
+        document, attribute = _attribute_document()
+        context = Context(attribute)
+        expected = evaluate(query, document, engine="cvt", context=context)
+        assert expected == evaluate(query, document, engine="naive", context=context)
+        assert expected, query  # every row selects something
+        assert evaluate(query, document, engine="auto", context=context) == expected
+        assert evaluate(query, document, engine="core", context=context) == expected
         evaluator = CoreXPathEvaluator(document)
-        nodes = evaluator.evaluate_nodes("parent::a", [attribute])
-        assert [n.tag for n in nodes] == ["a"]
+        assert evaluator.evaluate_nodes(query, [attribute]) == expected
+        assert plan_query(query).run(document, context=context) == expected
+
+    def test_mixed_tree_and_attribute_contexts_are_unioned_in_document_order(self):
+        document, attribute = _attribute_document()
+        (d,) = document.elements_with_tag("d")
+        nodes = CoreXPathEvaluator(document).evaluate_nodes(
+            "ancestor::*", [d, attribute, attribute]
+        )
+        assert [n.tag for n in nodes] == ["a", "b"]
 
     def test_out_of_range_context_ids_rejected(self):
         from repro.errors import XPathEvaluationError
@@ -129,3 +164,13 @@ class TestFallbacks:
             CoreXPathEvaluator(document).evaluate_nodes("//b[position() = 1]")
         with pytest.raises(FragmentViolationError):
             CoreXPathEvaluator(document).evaluate_ids("count(//b)")
+
+    def test_non_core_query_still_rejected_from_attribute_context(self):
+        document, attribute = _attribute_document()
+        evaluator = CoreXPathEvaluator(document)
+        with pytest.raises(FragmentViolationError):
+            evaluator.evaluate_nodes("parent::*[position() = 1]", [attribute])
+        with pytest.raises(FragmentViolationError):
+            evaluator.evaluate_nodes("count(parent::*)", [attribute])
+        with pytest.raises(FragmentViolationError):
+            evaluator.evaluate_nodes("parent::*/attribute::x", [attribute])

@@ -4,24 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation import ContextValueTableEvaluator, CoreXPathEvaluator, NaiveEvaluator
-from repro.evaluation.setaxes import NAVIGATIONAL_AXES, apply_axis_set
 from repro.fragments import is_core_xpath
-from repro.xmlmodel.axes import axis_nodes, inverse_axis
+from repro.xmlmodel.axes import CORE_XPATH_AXES, apply_axis_to_set, axis_nodes, inverse_axis
 
 from tests.properties.strategies import core_xpath_queries, documents
 
 
 class TestAxisAlgebraProperties:
-    @given(documents(max_nodes=30), st.sampled_from(sorted(NAVIGATIONAL_AXES)))
+    @given(documents(max_nodes=30), st.sampled_from(sorted(CORE_XPATH_AXES)))
     @settings(max_examples=40, deadline=None)
     def test_set_axes_agree_with_per_node_axes(self, document, axis):
-        subset = set(document.nodes[::3])
-        expected = set()
-        for node in subset:
-            expected.update(axis_nodes(node, axis))
-        assert apply_axis_set(document, axis, subset) == expected
+        subset = document.nodes[::3]
+        index = document.index
+        reached = index.axis_idset(axis, index.idset_from_nodes(subset))
+        assert index.idset_to_node_list(reached) == apply_axis_to_set(subset, axis)
 
-    @given(documents(max_nodes=25), st.sampled_from(sorted(NAVIGATIONAL_AXES - {"self"})))
+    @given(documents(max_nodes=25), st.sampled_from(sorted(CORE_XPATH_AXES - {"self"})))
     @settings(max_examples=40, deadline=None)
     def test_inverse_axis_is_the_converse_relation(self, document, axis):
         inverse = inverse_axis(axis)

@@ -2,41 +2,45 @@
 
 The indexed axis machinery (interval arithmetic and array-chain sweeps in
 :mod:`repro.xmlmodel.index`) must be observationally identical to the
-object-walk implementations it accelerates — both the set-at-a-time form
-used by the Core XPath evaluator and the per-node, axis-ordered form used
-by the context-value-table and naive evaluators.  Hypothesis drives both
-over random documents, random node subsets and every navigational axis.
+per-node walk of :mod:`repro.xmlmodel.axes` it accelerates — both the
+set-at-a-time kernels used by the Core XPath evaluator and the per-node,
+axis-ordered form used by the context-value-table and naive evaluators.
+Hypothesis drives both over random documents, random node subsets and
+every navigational axis.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation.setaxes import NAVIGATIONAL_AXES, _AXIS_SET_FUNCTIONS
 from repro.xmlmodel import axis_nodes, axis_step, node_test_matches
-from repro.xmlmodel.index import DocumentIndex
+from repro.xmlmodel.axes import CORE_XPATH_AXES, apply_axis_to_set
+from repro.xmlmodel.kernels import available_backends, use_backend
 from tests.properties.strategies import TAGS, documents, documents_with_node_subsets
 
-AXES = sorted(NAVIGATIONAL_AXES)
+AXES = sorted(CORE_XPATH_AXES)
 NODE_TESTS = sorted(TAGS) + ["*", "node()", "text()"]
 
 
 class TestSetAtATimeAgreement:
     @settings(max_examples=60, deadline=None)
-    @given(documents_with_node_subsets(), st.sampled_from(AXES))
-    def test_indexed_set_matches_object_walk(self, document_and_nodes, axis):
-        document, nodes = document_and_nodes
-        indexed = document.index.axis_node_set(axis, nodes)
-        walked = _AXIS_SET_FUNCTIONS[axis](document, nodes)
-        assert indexed == walked
-
-    @settings(max_examples=60, deadline=None)
-    @given(documents_with_node_subsets(), st.sampled_from(AXES))
-    def test_id_level_matches_node_level(self, document_and_nodes, axis):
+    @given(
+        documents_with_node_subsets(),
+        st.sampled_from(AXES),
+        st.sampled_from(NODE_TESTS),
+    )
+    def test_kernels_match_union_of_per_node_walks(
+        self, document_and_nodes, axis, node_test
+    ):
         document, nodes = document_and_nodes
         index = document.index
-        ids = index.nodes_to_ids(nodes)
-        from_ids = index.ids_to_nodes(index.axis_id_set(axis, ids))
-        assert from_ids == index.axis_node_set(axis, nodes)
+        expected = apply_axis_to_set(nodes, axis)
+        expected_filtered = apply_axis_to_set(nodes, axis, node_test)
+        for backend in available_backends():
+            with use_backend(backend):
+                reached = index.axis_idset(axis, index.idset_from_nodes(nodes))
+                assert index.idset_to_node_list(reached) == expected, backend
+                selected = index.filter_idset(reached, axis, node_test)
+                assert index.idset_to_node_list(selected) == expected_filtered, backend
 
 
 class TestPerNodeAgreement:
@@ -71,7 +75,7 @@ class TestIndexStructure:
     def test_intervals_characterise_descendants(self, document):
         index = document.index
         for i, node in enumerate(document.nodes):
-            lo, hi = index.descendant_interval(i)
+            lo, hi = i + 1, index.subtree_end[i] + 1
             expected = list(node.iter_descendants())
             assert index.ids_to_node_list(range(lo, hi)) == expected
 
@@ -82,7 +86,7 @@ class TestIndexStructure:
         index = document.index
         n = index.size
         for x in range(n):
-            lo, hi = index.descendant_interval(x)
+            lo, hi = x + 1, index.subtree_end[x] + 1
             for y in range(n):
                 in_plane = y > x and index.post[y] < index.post[x]
                 assert in_plane == (lo <= y < hi)
@@ -107,7 +111,7 @@ class TestIndexStructure:
         index = document.index
         for tag in TAGS:
             for i in range(index.size):
-                lo, hi = index.descendant_interval(i)
+                lo, hi = i + 1, index.subtree_end[i] + 1
                 expected = [
                     j
                     for j in range(lo, hi)

@@ -2,17 +2,17 @@
 
 For random documents and random Core XPath queries, the id-native
 evaluator must return the same ids under the ``pure`` and ``vectorized``
-backends, and both must agree with the node-set baseline
-(:class:`NodeSetCoreXPathEvaluator`), which never touches the kernel
-backends at all.  A second property drives the raw kernel surface
-(axis application and IdSet algebra) on random id subsets.
+backends, and both must agree with the context-value-table evaluator,
+which never touches the kernel backends at all.  A second property
+drives the raw kernel surface (axis application and IdSet algebra) on
+random id subsets.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro.evaluation.core import CoreXPathEvaluator
-from repro.evaluation.core_nodeset import NodeSetCoreXPathEvaluator
+from repro.evaluation.cvt import ContextValueTableEvaluator
 from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.kernels import available_backends, use_backend
 
@@ -41,8 +41,8 @@ class TestQueriesAgreeAcrossBackends:
 
     @given(documents(max_nodes=25), core_xpath_queries(allow_negation=True))
     @settings(max_examples=40, deadline=None)
-    def test_both_agree_with_nodeset_baseline(self, document, query):
-        baseline = NodeSetCoreXPathEvaluator(document).evaluate_nodes(query)
+    def test_both_agree_with_cvt_baseline(self, document, query):
+        baseline = ContextValueTableEvaluator(document).evaluate_nodes(query)
         expected = [node.order for node in baseline]
         for backend in ("pure", "vectorized"):
             with use_backend(backend):
