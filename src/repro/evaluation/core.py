@@ -28,8 +28,9 @@ the final materialisation:
 
 This is the only Core XPath evaluator and the id-set kernels are the
 only set-at-a-time axis algebra; their oracle is the per-node walk of
-:mod:`repro.xmlmodel.axes` (and ``cvt`` / ``naive`` for whole queries),
-which shares no code with them.  The one input ids cannot express — a
+:mod:`repro.xmlmodel.axes` (and ``naive`` for whole queries), which
+shares no code with them; ``cvt`` applies its large frontiers through
+the same kernels.  The one input ids cannot express — a
 context node outside the indexed tree (an attribute node) — is answered
 by :class:`~repro.evaluation.cvt.ContextValueTableEvaluator`, one
 evaluation per context node.

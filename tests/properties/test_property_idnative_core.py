@@ -1,12 +1,12 @@
-"""Differential suite: id-native core ≡ cvt ≡ naive.
+"""Differential suite: id-native core ≡ naive, and core ≡ cvt.
 
-The id-native :class:`CoreXPathEvaluator` must be observationally
-identical to the context-value-table evaluator — which applies axes one
-context node at a time and shares no code with the id-set kernels — on
-every Core XPath query and from every kind of context (the root, tree
-nodes, attribute nodes), and must match the literal functional-semantics
-:class:`NaiveEvaluator` on the positive fragment (negation-free queries
-keep it fast enough to run under Hypothesis).
+The independent side is the literal functional-semantics
+:class:`NaiveEvaluator`: it applies axes one context node at a time and
+shares no code with the id-set kernels, so the id-native
+:class:`CoreXPathEvaluator` must match it on every Core XPath query.
+The context-value-table evaluator routes large frontiers through the same
+kernels, so ``core ≡ cvt`` — from every kind of context (the root, tree
+nodes, attribute nodes) — is a second agreement, not an independent one.
 """
 
 from hypothesis import assume, given, settings
@@ -88,9 +88,9 @@ class TestIdNativeAgainstCvt:
 
 
 class TestIdNativeAgainstNaive:
-    @given(documents(max_nodes=18), core_xpath_queries(allow_negation=False))
+    @given(documents(max_nodes=18), core_xpath_queries(allow_negation=True))
     @settings(max_examples=30, deadline=None)
-    def test_naive_agrees_on_positive_queries(self, document, query):
+    def test_naive_agrees(self, document, query):
         idnative = CoreXPathEvaluator(document).evaluate_nodes(query)
         naive = NaiveEvaluator(document).evaluate_nodes(query)
         assert _orders(idnative) == _orders(naive)
@@ -107,6 +107,6 @@ class TestDensityTransitions:
         # Repeated evaluation exercises the cached (bitmask-materialised)
         # condition sets; the expected side never touches an id set.
         evaluator = CoreXPathEvaluator(document)
-        expected = _orders(ContextValueTableEvaluator(document).evaluate_nodes(query))
+        expected = _orders(NaiveEvaluator(document).evaluate_nodes(query))
         for _ in range(repeats):
             assert _orders(evaluator.evaluate_nodes(query)) == expected
