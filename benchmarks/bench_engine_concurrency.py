@@ -30,7 +30,7 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.engine import XPathEngine
-from repro.planner import PlanCache, evaluate_many
+from repro.planner import evaluate_many
 from repro.xmlmodel import chain_document, wide_document
 
 #: Hot queries per document shape: few distinct, individually expensive —
@@ -100,10 +100,16 @@ def test_concurrent_results_identical_to_serial(shape):
     """Every worker count returns exactly the serial results, in order."""
     engine, handle, _, requests = _shape_state(shape)
     serial = [result.value for result in engine.evaluate_batch(requests)]
-    legacy = evaluate_many(
-        handle.document, [query for query, _ in requests], cache=PlanCache()
-    )
-    assert serial == legacy
+    # A private engine (own plan cache and counters), the document never
+    # registered: the batch answer must not depend on the shared engine.
+    private, evaluators = XPathEngine(), {}
+    detached = [
+        private.evaluate_detached(
+            query, handle.document, evaluators=evaluators
+        ).value
+        for query, _ in requests
+    ]
+    assert serial == detached
     for workers in WORKER_COUNTS:
         concurrent = engine.evaluate_concurrent(requests, max_workers=workers)
         assert [result.value for result in concurrent] == serial, (shape, workers)

@@ -48,8 +48,6 @@ from repro.planner import (
     QueryPlan,
     evaluate_many,
     evaluate_many_ids,
-    evaluate_many_sharded,
-    evaluate_many_stored,
     get_plan,
     plan_query,
 )
@@ -122,8 +120,6 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "evaluate_many_ids",
-    "evaluate_many_sharded",
-    "evaluate_many_stored",
     "evaluate_nodes",
     "get_plan",
     "load_snapshot",

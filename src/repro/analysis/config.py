@@ -26,7 +26,6 @@ LOCK_ORDER: tuple[str, ...] = (
     "_stripe",          # DocHandle: per-document index/evaluator state
     "_plan_lock",       # XPathEngine: plan-cache access
     "_inflight_lock",   # XPathEngine: single-flight table
-    "_stats_lock",      # XPathEngine: query/store counters
     "_store_lock",      # XPathEngine: attached store + hydration cache
     "_serving_lock",    # XPathEngine: serving pool / network server (RLock)
     "_shutdown_lock",   # XPathServer: background-thread lifecycle
@@ -40,12 +39,6 @@ LOCK_ORDER: tuple[str, ...] = (
 #: attributes outside ``__init__``/``__new__`` must sit lexically inside
 #: ``with self.<lock>``.  This is the registry of shared mutable state.
 SHARED_CLASS_ATTRS: Mapping[tuple[str, str], str] = {
-    # engine/engine.py — counters and caches behind the stats lock
-    ("XPathEngine", "_queries"): "_stats_lock",
-    ("XPathEngine", "_coalesced"): "_stats_lock",
-    ("XPathEngine", "_store_hits"): "_stats_lock",
-    ("XPathEngine", "_store_misses"): "_stats_lock",
-    ("XPathEngine", "_store_loads"): "_stats_lock",
     # engine/engine.py — store attachment state
     ("XPathEngine", "_store"): "_store_lock",
     ("XPathEngine", "_store_mmap"): "_store_lock",

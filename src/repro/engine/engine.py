@@ -57,11 +57,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
 from repro.errors import XPathEvaluationError
 from repro.evaluation.context import Context
-from repro.evaluation.core import CoreXPathEvaluator
-from repro.evaluation.singleton import (
-    DEFAULT_MAX_NEGATION_DEPTH,
-    SingletonSuccessChecker,
-)
+from repro.evaluation.singleton import DEFAULT_MAX_NEGATION_DEPTH
 from repro.evaluation.values import XPathValue
 from repro.engine.registry import DocHandle, DocumentRegistry, RegistryStats
 from repro.engine.result import QueryResult
@@ -77,7 +73,6 @@ from repro.xmlmodel.document import Document
 from repro.xmlmodel.kernels import active_backend
 from repro.xmlmodel.parser import parse_xml
 from repro.xpath.ast import XPathExpr
-from repro.xpath.functions import NODESET, static_type
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.serving import ServingStats, ShardedPool, XPathServer
@@ -313,9 +308,6 @@ class XPathEngine:
         self._store_docs: "weakref.WeakValueDictionary[tuple[str, bool], Document]" = (
             weakref.WeakValueDictionary()
         )
-        self._store_hits = 0
-        self._store_misses = 0
-        self._store_loads = 0
         self._serving: "Optional[ShardedPool]" = None
         self._serving_finalizer = None
         self._network_server = None
@@ -606,9 +598,11 @@ class XPathEngine:
     ) -> QueryResult:
         """Evaluate one query and return a :class:`QueryResult`.
 
-        ``engine="auto"`` (the default) goes through the planner;
-        explicit engine names reproduce the legacy per-engine semantics.
-        ``ids=True`` keeps core-engine node-sets id-native end-to-end.
+        ``engine="auto"`` (the default) walks the plan's fallback chain;
+        an explicit engine name is a one-link chain (its fragment
+        violations propagate).  ``ids=True`` selects no code path — Core
+        answers are carried as ids either way — it only makes a scalar
+        or attribute answer raise here instead of on ``result.ids``.
         ``trace=True`` additionally records per-stage spans
         (``parse→plan→eval→materialise``) on ``result.trace``.
         """
@@ -876,124 +870,40 @@ class XPathEngine:
         self._coalesced_total.inc()
         return result
 
-    def _finish(
-        self,
-        plan: QueryPlan,
-        engine: str,
-        document: Document,
-        cache_hit: bool,
-        start: float,
-        trace: Optional[Trace],
-        **payload,
-    ) -> QueryResult:
-        """Stamp wall time, feed the telemetry sinks, build the result.
-
-        Every evaluation path funnels through here, which is what makes
-        ``wall_time`` unconditionally populated (and the latency
-        histogram and slow-query log complete).
-        """
-        wall = perf_counter() - start
-        self._query_seconds.observe(wall)
-        self.slow_log.record(plan.query, engine, wall)
-        return QueryResult(
-            query=plan.query,
-            engine=engine,
-            document=document,
-            classification=plan.classification,
-            cache_hit=cache_hit,
-            wall_time=wall,
-            trace=trace,
-            **payload,
-        )
-
     def _evaluate_now(
         self, request: QueryRequest, document: Document, evaluators: dict
     ) -> QueryResult:
-        trace = Trace("engine") if request.trace else None
-        start = perf_counter()
-        if request.engine == "auto":
-            plan, cache_hit = self._plan(request.query, trace)
-            payload: dict[str, object] = {}
-            if request.ids:
-                with maybe_span(trace, "eval", engine=plan.engine):
-                    payload["ids"] = plan.run_ids(
-                        document,
-                        context=request.context,
-                        variables=request.variables,
-                        evaluators=evaluators,
-                    )
-            else:
-                with maybe_span(trace, "eval", engine=plan.engine):
-                    payload["value"] = plan.run(
-                        document,
-                        context=request.context,
-                        variables=request.variables,
-                        evaluators=evaluators,
-                    )
-            self._record(plan.engine)
-            return self._finish(
-                plan, plan.engine, document, cache_hit, start, trace, **payload
-            )
-        return self._evaluate_explicit(request, document, evaluators, start, trace)
+        """Plan, execute, stamp: the one function every entry point reaches.
 
-    def _evaluate_explicit(
-        self,
-        request: QueryRequest,
-        document: Document,
-        evaluators: dict,
-        start: float,
-        trace: Optional[Trace] = None,
-    ) -> QueryResult:
-        engine = request.engine
-        if engine not in ENGINE_KINDS:
+        The plan cache doubles as the parse cache, so explicit-engine runs
+        reuse the cached AST (pooled evaluators memoise on one expr object
+        per query text) and inherit the classification metadata; the plan
+        executor treats an explicit engine as a one-link chain.  Stamping
+        wall time here is what makes ``wall_time`` unconditionally
+        populated (and the latency histogram and slow-query log complete).
+        """
+        if request.engine not in ENGINE_KINDS:
             raise XPathEvaluationError(
-                f"unknown engine {engine!r}; choose one of {ENGINE_KINDS} "
+                f"unknown engine {request.engine!r}; choose one of {ENGINE_KINDS} "
                 "(see repro.engine.XPathEngine for the session API)"
             )
-        # The plan cache doubles as the parse cache: explicit-engine runs
-        # reuse the cached AST (so pooled evaluators memoise on one expr
-        # object per query text) and inherit the classification metadata.
+        trace = Trace("engine") if request.trace else None
+        start = perf_counter()
         plan, cache_hit = self._plan(request.query, trace)
-        context, variables = request.context, request.variables
-        if engine == "core" and request.ids and context is None:
-            # Keep the explicit core path id-native for ids=True, exactly
-            # like the auto path: no node objects, no reverse mapping.
-            evaluator = evaluators.get("core")
-            if evaluator is None:
-                evaluator = CoreXPathEvaluator(document)
-            with maybe_span(trace, "eval", engine=engine):
-                ids = evaluator.evaluate_ids(plan.expr)
-            evaluators["core"] = evaluator
-            self._record(engine)
-            return self._finish(
-                plan, engine, document, cache_hit, start, trace, ids=ids
+        engine = plan.engine if request.engine == "auto" else request.engine
+        with maybe_span(trace, "eval", engine=engine):
+            result = plan.execute(
+                document, request.context, request.variables, evaluators,
+                request.engine, self.max_negation_depth,
             )
-        if engine == "singleton":
-            # The planner never dispatches to the checker, so its calling
-            # convention (result shape by static type) lives here.
-            checker = evaluators.get("singleton")
-            if checker is None:
-                checker = SingletonSuccessChecker(
-                    document, max_negation_depth=self.max_negation_depth
-                )
-            kind = static_type(plan.expr)
-            with maybe_span(trace, "eval", engine=engine):
-                if kind == NODESET:
-                    value = checker.evaluate_nodes(plan.expr, context)
-                elif kind == "boolean":
-                    value = checker.evaluate_boolean(plan.expr, context)
-                else:
-                    value = checker.evaluate_number(plan.expr, context)
-            evaluators["singleton"] = checker
-        else:
-            with maybe_span(trace, "eval", engine=engine):
-                value = plan.run_engine(
-                    engine, document, context, variables, evaluators
-                )
+            if request.ids:
+                result.ids  # the ids=True contract: a typed error now, not on access
         self._record(engine)
-        return self._finish(
-            plan, engine, document, cache_hit, start, trace, value=value
-        )
+        wall = perf_counter() - start
+        self._query_seconds.observe(wall)
+        self.slow_log.record(plan.query, engine, wall)
+        result.cache_hit, result.wall_time, result.trace = cache_hit, wall, trace
+        return result
 
 
 _default_engine: Optional[XPathEngine] = None

@@ -6,8 +6,11 @@ answer it got and throws away everything the engine learned while
 producing it (which evaluator ran, whether the plan was cached, how long
 evaluation took).  :class:`QueryResult` keeps the payload *and* that
 metadata together, and converts lazily between the two node-set
-representations (node objects and document-order ids) so the id-native
-fast path stays id-native until a caller actually asks for nodes.
+representations (node objects and document-order ids): a Core XPath
+answer is always carried as ids and materialises nodes only when a
+caller asks for them, a node answer converts to ids only on ``.ids`` —
+so the ``ids=`` flag of the entry points selects no code path, only
+*when* the conversion's typed error is raised.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ class QueryResult:
 
     The payload is reached through :attr:`value` (the legacy union),
     :attr:`nodes` (node-set results only) and :attr:`ids` (document-order
-    ids, computed without materialising nodes when the id-native core
-    path produced them).
+    ids, computed without materialising nodes when the core engine
+    produced them).  :meth:`repro.planner.plan.QueryPlan.execute` builds
+    the result; the engine stamps ``cache_hit``, ``wall_time`` and
+    ``trace`` on it.
     """
 
     __slots__ = (
@@ -134,10 +139,11 @@ class QueryResult:
     def ids(self) -> list[int]:
         """The node-set payload as document-order ids.
 
-        Results produced by the id-native core path return their ids
-        directly; node-materialised results convert at this boundary
-        (attribute nodes have no id and raise, exactly like
-        :meth:`~repro.planner.plan.QueryPlan.run_ids`).
+        Results produced by the core engine return their ids directly;
+        node results convert at this boundary.  This is the one place
+        the ``ids=True`` contract is enforced, for every engine kind: a
+        scalar answer, or attribute nodes (which have no id), raise
+        :class:`~repro.errors.XPathEvaluationError`.
         """
         if self._ids is None:
             index = self._document.index

@@ -2,7 +2,6 @@
 
 from repro.evaluation.api import (
     ENGINES,
-    PlannedEvaluator,
     evaluate,
     evaluate_nodes,
     make_evaluator,
@@ -36,7 +35,6 @@ __all__ = [
     "Environment",
     "NaiveEvaluator",
     "NodeSet",
-    "PlannedEvaluator",
     "SingletonSuccessChecker",
     "XPathValue",
     "arithmetic",

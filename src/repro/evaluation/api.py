@@ -52,55 +52,6 @@ from repro.xpath.ast import XPathExpr
 ENGINES = ("cvt", "naive", "core", "singleton", "auto")
 
 
-class PlannedEvaluator:
-    """The evaluator object for ``engine="auto"``: a planner-backed callable.
-
-    Binds a document (and optional construction-time variable bindings,
-    like the other evaluator classes) to the process-default engine's
-    planner, so it slots into any code written against the
-    ``make_evaluator(...)`` protocol: call it (or its :meth:`evaluate`
-    method) with a query and it runs the auto-dispatched plan, returning
-    results in the legacy convention.
-    """
-
-    def __init__(
-        self,
-        document: Document,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-    ) -> None:
-        self.document = document
-        self.variables = dict(variables or {})
-        # Evaluator instances reused across this object's calls; dropped
-        # with it (the default engine never retains the document).
-        self._evaluators: dict[str, object] = {}
-
-    def evaluate(
-        self,
-        query: XPathExpr | str,
-        context: Optional[Context] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-    ) -> XPathValue | list[XMLNode] | bool:
-        """Plan ``query`` via the default engine and evaluate it.
-
-        Call-time ``variables`` override the construction-time bindings.
-        """
-        from repro.engine import default_engine
-
-        bindings = self.variables if variables is None else variables
-        return default_engine().evaluate_detached(
-            query,
-            self.document,
-            context=context,
-            variables=bindings or None,
-            evaluators=self._evaluators,
-        ).value
-
-    __call__ = evaluate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PlannedEvaluator document={self.document!r}>"
-
-
 def make_evaluator(
     document: Document,
     engine: str = "cvt",
@@ -109,9 +60,10 @@ def make_evaluator(
 ):
     """Instantiate the evaluator object for ``engine`` on ``document``.
 
-    ``engine="auto"`` returns a :class:`PlannedEvaluator` — the default
-    engine's planner bound to ``document`` — so every member of
-    :data:`ENGINES` produces a working evaluator object.
+    The one place evaluators are constructed outside this package
+    (:meth:`repro.planner.plan.QueryPlan.execute` calls it).  ``"auto"``
+    is a plan over these engines, not an evaluator class: run it with
+    ``evaluate(..., engine="auto")`` or a :class:`repro.engine.XPathEngine`.
     """
     if engine == "cvt":
         return ContextValueTableEvaluator(document, variables)
@@ -121,13 +73,10 @@ def make_evaluator(
         return CoreXPathEvaluator(document)
     if engine == "singleton":
         return SingletonSuccessChecker(document, max_negation_depth=max_negation_depth)
-    if engine == "auto":
-        # The planner never dispatches to the singleton checker, so
-        # max_negation_depth plays no role on this path.
-        return PlannedEvaluator(document, variables)
     raise XPathEvaluationError(
-        f"unknown engine {engine!r}; choose one of {ENGINES} "
-        "(or use repro.engine.XPathEngine, which owns evaluators itself)"
+        f"unknown engine {engine!r}; choose one of {ENGINES[:-1]} "
+        '("auto" is a plan over these, run by evaluate() and '
+        "repro.engine.XPathEngine, not an evaluator class)"
     )
 
 

@@ -12,12 +12,11 @@ it.  This package turns that observation into infrastructure:
 * :mod:`repro.planner.batch` — :func:`evaluate_many` /
   :func:`evaluate_many_ids`: many queries against one document share a
   single :class:`~repro.xmlmodel.index.DocumentIndex` and per-engine
-  evaluator instances (:func:`evaluate_many_stored` is the same for a
-  document hydrated from a :class:`~repro.store.CorpusStore` snapshot —
-  no parse, no index build).  These (and the default cache accessors)
-  are thin wrappers over the process-default
-  :class:`repro.engine.XPathEngine`, which owns the plan cache and the
-  evaluator pools.
+  evaluator instances.  These (and the default cache accessors) are
+  views over the process-default :class:`repro.engine.XPathEngine`,
+  which owns the plan cache and the evaluator pools (and, through
+  ``evaluate_batch`` with :class:`~repro.store.StoreKey` documents, the
+  store-hydrated batch).
 """
 
 from repro.planner.batch import (
@@ -25,8 +24,6 @@ from repro.planner.batch import (
     default_plan_cache,
     evaluate_many,
     evaluate_many_ids,
-    evaluate_many_sharded,
-    evaluate_many_stored,
     get_plan,
 )
 from repro.planner.cache import CacheStats, PlanCache
@@ -41,8 +38,6 @@ __all__ = [
     "default_plan_cache",
     "evaluate_many",
     "evaluate_many_ids",
-    "evaluate_many_sharded",
-    "evaluate_many_stored",
     "get_plan",
     "plan_query",
 ]

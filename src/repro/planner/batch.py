@@ -6,22 +6,20 @@ compiles (or recalls) a plan per query, forces the shared
 query runs, and reuses evaluator instances across the whole batch so
 context-value tables accumulate instead of being rebuilt.
 
-Since the :class:`~repro.engine.XPathEngine` façade landed, the plan
-cache and counters live on the process-default engine
-(:func:`repro.engine.default_engine`) rather than in module globals: the
-functions here are thin wrappers that keep the historic
-list-of-bare-values signature.  They evaluate *detached* — the engine
-never retains the document, so transient documents stay collectable
-exactly as before the façade existed; register documents with an engine
-(`engine.add`) to opt into cross-call evaluator pooling.  Passing an
-explicit ``cache`` opts out of the default engine entirely and runs the
-batch against that cache alone (no stats) — mainly for tests that need
+The plan cache and counters live on the process-default engine
+(:func:`repro.engine.default_engine`), not in module globals: the
+functions here are views that keep the historic list-of-bare-values
+signature over one loop of
+:meth:`~repro.engine.XPathEngine.evaluate_detached` — the engine never
+retains the document, so transient documents stay collectable; register
+documents with an engine (`engine.add`) to opt into cross-call evaluator
+pooling, and construct a private :class:`~repro.engine.XPathEngine` for
 isolated counters.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from repro.evaluation.context import Context
 from repro.evaluation.values import XPathValue
@@ -30,6 +28,9 @@ from repro.planner.plan import QueryPlan
 from repro.xmlmodel.document import Document
 from repro.xmlmodel.nodes import XMLNode
 from repro.xpath.ast import XPathExpr
+
+if TYPE_CHECKING:  # pragma: no cover - the engine package imports this one
+    from repro.engine.result import QueryResult
 
 
 def default_plan_cache() -> PlanCache:
@@ -52,18 +53,30 @@ def clear_plan_cache() -> None:
     default_engine().clear_plan_cache()
 
 
-def get_plan(
-    query: XPathExpr | str, cache: Optional[PlanCache] = None
-) -> QueryPlan:
-    """Return the (cached) plan for ``query``.
-
-    Uses the process-default engine's cache unless ``cache`` is given.
-    """
-    if cache is not None:
-        return cache.plan(query)
+def get_plan(query: XPathExpr | str) -> QueryPlan:
+    """Return the (cached) plan for ``query`` from the process-default engine."""
     from repro.engine import default_engine
 
     return default_engine().get_plan(query)
+
+
+def _detached(
+    document: Document,
+    queries: Iterable[XPathExpr | str],
+    context: Optional[Context],
+    variables: Optional[Mapping[str, XPathValue]],
+) -> "Iterator[QueryResult]":
+    """The one batch loop: a result per query, sharing all per-document work."""
+    from repro.engine import default_engine
+
+    engine = default_engine()
+    document.index  # build the shared index before the first query
+    evaluators: dict[str, object] = {}  # shared for the batch, then dropped
+    for query in queries:
+        yield engine.evaluate_detached(
+            query, document, context=context, variables=variables,
+            evaluators=evaluators,
+        )
 
 
 def evaluate_many(
@@ -71,7 +84,6 @@ def evaluate_many(
     queries: Iterable[XPathExpr | str],
     context: Optional[Context] = None,
     variables: Optional[Mapping[str, XPathValue]] = None,
-    cache: Optional[PlanCache] = None,
 ) -> list[XPathValue | list[XMLNode] | bool]:
     """Evaluate ``queries`` against ``document``, sharing all per-document work.
 
@@ -91,22 +103,7 @@ def evaluate_many(
     ...  evaluate_many(document, ["//b", "//b[child::c]", "count(//b)"])]
     [2, 1, 2.0]
     """
-    if cache is not None:
-        return _evaluate_many_with_cache(
-            document, queries, cache, context, variables, ids=False
-        )
-    from repro.engine import default_engine
-
-    engine = default_engine()
-    document.index  # build the shared index before the first query
-    evaluators: dict[str, object] = {}  # shared for the batch, then dropped
-    return [
-        engine.evaluate_detached(
-            query, document, context=context, variables=variables,
-            evaluators=evaluators,
-        ).value
-        for query in queries
-    ]
+    return [r.value for r in _detached(document, queries, context, variables)]
 
 
 def evaluate_many_ids(
@@ -114,139 +111,15 @@ def evaluate_many_ids(
     queries: Iterable[XPathExpr | str],
     context: Optional[Context] = None,
     variables: Optional[Mapping[str, XPathValue]] = None,
-    cache: Optional[PlanCache] = None,
 ) -> list[list[int]]:
     """Like :func:`evaluate_many`, but return document-order ids per query.
 
-    Core XPath queries stay id-native end-to-end — no node objects are
-    materialised at all — which makes this the preferred form for callers
+    The ``.ids`` of the same results :func:`evaluate_many` takes the
+    ``.value`` of: Core XPath answers are carried as ids, so no node
+    objects are materialised at all — the preferred form for callers
     that post-process results positionally (serving layers, join
-    pipelines).  Queries must all produce node-sets; a scalar-producing
-    query raises :class:`~repro.errors.XPathEvaluationError`.
+    pipelines).  Queries must all produce node-sets; a scalar- or
+    attribute-producing query raises
+    :class:`~repro.errors.XPathEvaluationError`.
     """
-    if cache is not None:
-        return _evaluate_many_with_cache(
-            document, queries, cache, context, variables, ids=True
-        )
-    from repro.engine import default_engine
-
-    engine = default_engine()
-    document.index  # build the shared index before the first query
-    evaluators: dict[str, object] = {}  # shared for the batch, then dropped
-    return [
-        engine.evaluate_detached(
-            query, document, context=context, variables=variables,
-            evaluators=evaluators, ids=True,
-        ).ids
-        for query in queries
-    ]
-
-
-def evaluate_many_stored(
-    store,
-    key: str,
-    queries: Iterable[XPathExpr | str],
-    context: Optional[Context] = None,
-    variables: Optional[Mapping[str, XPathValue]] = None,
-    ids: bool = False,
-    mmap: bool = False,
-) -> list:
-    """Hydrate ``key`` from a corpus store and evaluate the batch on it.
-
-    The zero-rebuild batch path: the document (and its evaluation-ready
-    index) comes out of ``store`` as a snapshot load — no XML parse, no
-    index construction — and is registered with the process-default
-    engine keyed by its snapshot hash, so consecutive batches against the
-    same key share the hydration, its evaluator pools and the compiled
-    plans.  With ``ids=True`` results are document-order id lists (the
-    id-native wire format); otherwise the :meth:`QueryPlan.run` value
-    convention applies.
-
-    Examples
-    --------
-    >>> import tempfile
-    >>> from repro.store import CorpusStore
-    >>> with tempfile.TemporaryDirectory() as root:
-    ...     entry = CorpusStore(root).put("<a><b/><b><c/></b></a>", key="doc")
-    ...     evaluate_many_stored(CorpusStore(root), "doc", ["//b", "//b[child::c]"], ids=True)
-    [[2, 3], [3]]
-    """
-    from repro.engine import default_engine
-
-    engine = default_engine()
-    handle = engine.add_from_store(key, store=store, mmap=mmap)
-    results = [
-        engine.evaluate(
-            query, handle, context=context, variables=variables, ids=ids
-        )
-        for query in queries
-    ]
-    return [result.ids if ids else result.value for result in results]
-
-
-def evaluate_many_sharded(
-    store,
-    requests: Iterable[tuple],
-    workers: int = 4,
-    ids: bool = False,
-    mmap: bool = True,
-    start_method: Optional[str] = None,
-) -> list:
-    """Evaluate ``(query, store key)`` pairs across worker processes.
-
-    The one-shot form of the cross-process serving tier
-    (:class:`repro.serving.ShardedPool`): documents are sharded over
-    ``workers`` processes by snapshot content hash, each worker hydrates
-    its shard from ``store`` (mmap'd — no parse, no index build) and
-    keeps its own plan cache, and queries/results travel as the
-    id-native wire format — the cross-process analogue of
-    :func:`evaluate_many_ids`'s batch contract.  Results come back in
-    input order under the usual conventions (``ids=True``: document-order
-    id lists; otherwise :meth:`QueryPlan.run` values, with node-sets
-    materialised from a parent-side hydration of the same snapshot).
-
-    Keeping a pool warm across many batches is the engine's job —
-    :meth:`repro.engine.XPathEngine.serve` — this function pays worker
-    startup per call.
-
-    Examples
-    --------
-    >>> import tempfile
-    >>> from repro.store import CorpusStore
-    >>> with tempfile.TemporaryDirectory() as root:
-    ...     store = CorpusStore(root)
-    ...     _ = store.put("<a><b/><b><c/></b></a>", key="doc")
-    ...     _ = store.put("<r><x/><x/></r>", key="other")
-    ...     (evaluate_many_sharded(
-    ...          store, [("//b", "doc"), ("//b[child::c]", "doc")],
-    ...          workers=2, ids=True,
-    ...      ), evaluate_many_sharded(store, [("count(//x)", "other")]))
-    ([[2, 3], [3]], [2.0])
-    """
-    from repro.serving import ShardedPool
-
-    with ShardedPool(
-        store, workers=workers, mmap=mmap, start_method=start_method
-    ) as pool:
-        results = pool.evaluate_batch(requests, ids=ids)
-        return [result.ids if ids else result.value for result in results]
-
-
-def _evaluate_many_with_cache(
-    document: Document,
-    queries: Iterable[XPathExpr | str],
-    cache: PlanCache,
-    context: Optional[Context],
-    variables: Optional[Mapping[str, XPathValue]],
-    ids: bool,
-) -> list:
-    """The engine-free batch path used when an explicit cache is supplied."""
-    document.index  # build the shared index before the first query
-    evaluators: dict[str, object] = {}
-    runner = "run_ids" if ids else "run"
-    return [
-        getattr(cache.plan(query), runner)(
-            document, context=context, variables=variables, evaluators=evaluators
-        )
-        for query in queries
-    ]
+    return [r.ids for r in _detached(document, queries, context, variables)]

@@ -27,23 +27,24 @@ Plans hold no document state: the same plan object can be run against any
 number of documents, and per-document acceleration lives in the
 :class:`~repro.xmlmodel.index.DocumentIndex` each document carries.
 
-``core``-engine plans stay id-native end-to-end: :meth:`QueryPlan.run`
-evaluates on :class:`~repro.xmlmodel.idset.IdSet` frontiers and
-materialises node objects exactly once, at the plan boundary, while
-:meth:`QueryPlan.run_ids` skips materialisation entirely and hands back
-document-order ids.
+Every entry point reaches one executor, :meth:`QueryPlan.execute`: it
+owns evaluator construction and reuse, the fallback chain and each
+engine's calling convention.  ``core``-engine answers are carried as
+document-order ids; :meth:`QueryPlan.run` and :meth:`QueryPlan.run_ids`
+are the ``.value`` and ``.ids`` views of the
+:class:`~repro.engine.result.QueryResult` it returns, which materialises
+nodes (or converts nodes to ids) only when asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, Optional
+from typing import TYPE_CHECKING, Mapping, MutableMapping, Optional
 
 from repro.errors import FragmentViolationError
+from repro.evaluation.api import make_evaluator
 from repro.evaluation.context import Context
-from repro.evaluation.core import CoreXPathEvaluator
-from repro.evaluation.cvt import ContextValueTableEvaluator
-from repro.evaluation.naive import NaiveEvaluator
+from repro.evaluation.singleton import DEFAULT_MAX_NEGATION_DEPTH
 from repro.evaluation.values import NodeSet, XPathValue
 from repro.fragments.classify import (
     DEFAULT_NESTING_BOUND,
@@ -55,7 +56,11 @@ from repro.telemetry.trace import Trace, maybe_span
 from repro.xmlmodel.document import Document
 from repro.xmlmodel.nodes import XMLNode
 from repro.xpath.ast import XPathExpr
+from repro.xpath.functions import BOOLEAN, NODESET, static_type
 from repro.xpath.parser import parse
+
+if TYPE_CHECKING:  # pragma: no cover - the engine package imports this module
+    from repro.engine.result import QueryResult
 
 #: The auto-dispatch preference order, cheapest sound evaluator first.
 AUTO_ENGINE_CHAIN = ("core", "cvt", "naive")
@@ -110,80 +115,13 @@ class QueryPlan:
         variables: Optional[Mapping[str, XPathValue]] = None,
         evaluators: Optional[MutableMapping[str, object]] = None,
     ) -> XPathValue | list[XMLNode] | bool:
-        """Evaluate the plan against ``document``.
+        """Evaluate the plan against ``document``; the ``.value`` of :meth:`execute`.
 
         Node-set results come back as a list of nodes in document order,
         scalars as plain ``float`` / ``str`` / ``bool`` — the same
         convention as :func:`repro.evaluation.api.evaluate`.
-
-        ``evaluators`` is an optional per-document engine→evaluator cache:
-        batch callers pass one mapping for a whole workload so the
-        context-value tables (and the core evaluator's condition sets)
-        accumulate across queries instead of being rebuilt per query.
         """
-        last_error: Optional[FragmentViolationError] = None
-        for engine in self.engine_chain:
-            try:
-                return self._execute(engine, document, context, variables, evaluators)
-            except FragmentViolationError as error:
-                last_error = error
-        raise last_error  # unreachable while "naive" accepts full XPath
-
-    def run_engine(
-        self,
-        engine: str,
-        document: Document,
-        context: Optional[Context] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        evaluators: Optional[MutableMapping[str, object]] = None,
-    ) -> XPathValue | list[XMLNode] | bool:
-        """Run exactly ``engine`` on this plan's query — no fallback chain.
-
-        This is the single home of the per-engine execution conventions
-        (evaluator reuse from the ``evaluators`` mapping, the stale
-        variable-bindings guard, node-set materialisation): both the
-        auto-dispatch chain of :meth:`run` and the explicit-engine path
-        of :class:`repro.engine.XPathEngine` go through it.
-        """
-        return self._execute(engine, document, context, variables, evaluators)
-
-    def _execute(
-        self,
-        engine: str,
-        document: Document,
-        context: Optional[Context],
-        variables: Optional[Mapping[str, XPathValue]],
-        evaluators: Optional[MutableMapping[str, object]],
-    ) -> XPathValue | list[XMLNode] | bool:
-        evaluator = evaluators.get(engine) if evaluators is not None else None
-        if engine == "core":
-            if evaluator is None:
-                evaluator = CoreXPathEvaluator(document)
-            if context is None:
-                # Stay on ids end-to-end; materialise nodes exactly once,
-                # here at the plan boundary.
-                ids = evaluator.evaluate_ids(self.expr)
-                result = document.index.ids_to_node_list(ids)
-            else:
-                result = evaluator.evaluate_nodes(self.expr, [context.node])
-        else:
-            if evaluator is not None and evaluator.env.variables != dict(
-                variables or {}
-            ):
-                # Variable bindings are frozen into an evaluator at
-                # construction; reusing one under different bindings would
-                # silently answer with the old values.
-                evaluator = None
-            if evaluator is None:
-                evaluator_class = (
-                    ContextValueTableEvaluator if engine == "cvt" else NaiveEvaluator
-                )
-                evaluator = evaluator_class(document, variables)
-            value = evaluator.evaluate(self.expr, context)
-            result = list(value.nodes) if isinstance(value, NodeSet) else value
-        if evaluators is not None:
-            evaluators[engine] = evaluator
-        return result
+        return self.execute(document, context, variables, evaluators).value
 
     def run_ids(
         self,
@@ -192,46 +130,109 @@ class QueryPlan:
         variables: Optional[Mapping[str, XPathValue]] = None,
         evaluators: Optional[MutableMapping[str, object]] = None,
     ) -> list[int]:
-        """Evaluate the plan and return document-order ids instead of nodes.
+        """Evaluate the plan and return document-order ids; the ``.ids`` of :meth:`execute`.
 
-        For ``core``-engine plans this is fully id-native (no node objects
-        are touched); for richer engines the node-set result is converted
-        to ids at this boundary.  Raises
-        :class:`~repro.errors.XPathEvaluationError` if the query produces
-        a scalar rather than a node-set.
+        Raises :class:`~repro.errors.XPathEvaluationError` if the query
+        produces a scalar, or nodes without an id (attribute nodes).
 
         >>> from repro.xmlmodel import parse_xml
         >>> plan = plan_query("//b")
         >>> plan.run_ids(parse_xml("<a><b/><c><b/></c></a>"))
         [2, 4]
         """
-        if self.engine == "core" and context is None:
-            evaluator = evaluators.get("core") if evaluators is not None else None
-            if evaluator is None:
-                evaluator = CoreXPathEvaluator(document)
-            try:
-                ids = evaluator.evaluate_ids(self.expr)
-            except FragmentViolationError:
-                pass  # classifier/evaluator disagreement: fall through to run()
-            else:
-                if evaluators is not None:
-                    evaluators["core"] = evaluator
-                return ids
-        result = self.run(document, context, variables, evaluators)
-        from repro.errors import XPathEvaluationError
+        return self.execute(document, context, variables, evaluators).ids
 
-        if not isinstance(result, list):
-            raise XPathEvaluationError(
-                f"query produced a {type(result).__name__}, not a node-set"
-            )
-        index = document.index
-        try:
-            return [index.id_of(node) for node in result]
-        except KeyError:
-            raise XPathEvaluationError(
-                "result contains nodes without a document-order id "
-                "(attribute nodes); use run() for this query"
-            ) from None
+    def execute(
+        self,
+        document: Document,
+        context: Optional[Context] = None,
+        variables: Optional[Mapping[str, XPathValue]] = None,
+        evaluators: Optional[MutableMapping[str, object]] = None,
+        engine: str = "auto",
+        max_negation_depth: int = DEFAULT_MAX_NEGATION_DEPTH,
+    ) -> "QueryResult":
+        """Run this plan's query and return its answer (no timing metadata).
+
+        The one executor every entry point reaches: ``engine="auto"``
+        walks :attr:`engine_chain`, retrying with the next, strictly more
+        general engine when an evaluator rejects the query as outside its
+        fragment; an explicit engine is a one-link chain, so its
+        :class:`~repro.errors.FragmentViolationError` propagates.  The
+        answer is carried as whatever the evaluator produced — ids for
+        ``core`` from the root, nodes or a scalar otherwise — and the
+        :class:`~repro.engine.result.QueryResult` converts on demand.
+
+        ``evaluators`` is an optional per-document engine→evaluator cache:
+        batch callers pass one mapping for a whole workload so the
+        context-value tables (and the core evaluator's condition sets)
+        accumulate across queries instead of being rebuilt per query.
+        ``max_negation_depth`` reaches only a ``singleton`` checker built
+        here.
+        """
+        from repro.engine.result import QueryResult  # engine imports planner
+
+        chain = self.engine_chain if engine == "auto" else (engine,)
+        for kind in chain:
+            try:
+                payload = self._evaluate(
+                    kind, document, context, variables, evaluators,
+                    max_negation_depth,
+                )
+                break
+            except FragmentViolationError:
+                if kind == chain[-1]:  # unreachable on auto: "naive" accepts full XPath
+                    raise
+        return QueryResult(
+            self.query, chain[0], document,
+            classification=self.classification, **payload,
+        )
+
+    def _evaluate(
+        self,
+        kind: str,
+        document: Document,
+        context: Optional[Context],
+        variables: Optional[Mapping[str, XPathValue]],
+        evaluators: Optional[MutableMapping[str, object]],
+        max_negation_depth: int,
+    ) -> dict[str, object]:
+        """One engine's calling convention: ``{"ids": …}`` or ``{"value": …}``."""
+        evaluator = evaluators.get(kind) if evaluators is not None else None
+        if (
+            evaluator is not None
+            and kind in ("cvt", "naive")
+            and evaluator.env.variables != dict(variables or {})
+        ):
+            # Variable bindings are frozen into an evaluator at
+            # construction; reusing one under different bindings would
+            # silently answer with the old values.
+            evaluator = None
+        if evaluator is None:
+            evaluator = make_evaluator(document, kind, variables, max_negation_depth)
+        if kind == "core" and context is None:
+            # Stay on ids: nodes are materialised only if a caller asks.
+            payload = {"ids": evaluator.evaluate_ids(self.expr)}
+        else:
+            if kind == "core":
+                value = evaluator.evaluate_nodes(self.expr, [context.node])
+            elif kind == "singleton":
+                # The checker decides one typed question at a time, so the
+                # result shape follows the query's static type.
+                result_type = static_type(self.expr)
+                if result_type == NODESET:
+                    value = evaluator.evaluate_nodes(self.expr, context)
+                elif result_type == BOOLEAN:
+                    value = evaluator.evaluate_boolean(self.expr, context)
+                else:
+                    value = evaluator.evaluate_number(self.expr, context)
+            else:
+                value = evaluator.evaluate(self.expr, context)
+                if isinstance(value, NodeSet):
+                    value = list(value.nodes)
+            payload = {"value": value}
+        if evaluators is not None:
+            evaluators[kind] = evaluator
+        return payload
 
     def explain(self) -> str:
         """Return a human-readable description of the plan."""

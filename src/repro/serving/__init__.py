@@ -14,9 +14,9 @@ Entry points, highest level first:
 * :meth:`repro.engine.XPathEngine.serve` /
   :meth:`~repro.engine.XPathEngine.evaluate_sharded` — the engine façade
   treats the pool as one more dispatch backend and merges its stats;
-* :func:`repro.planner.evaluate_many_sharded` — the one-shot batch form;
 * :class:`ShardedPool` — the backend itself, for callers that manage
-  worker lifecycle explicitly;
+  worker lifecycle explicitly (``with ShardedPool(store) as pool:
+  pool.evaluate_batch(...)`` is the one-shot batch form);
 * :class:`XPathServer` / :class:`ServingClient` — the network tier: an
   asyncio TCP front door multiplexing many client connections onto one
   supervised pool (same frames, plus admission control and a JSON shim),

@@ -116,6 +116,34 @@ def _result_from(message: "wire.Message", query: str, key: str):
     )
 
 
+def _expect(message: "wire.Message", expected: int, request: str) -> "wire.Message":
+    """The reply check every operation shares: ``expected`` frame or raise."""
+    if message.type == expected:
+        return message
+    if message.type == wire.MSG_ERROR:
+        raise rebuild_error(*message.error)
+    raise ServingError(
+        f"server answered {request} with frame type {message.type}"
+    )
+
+
+_METRICS_FORMATS = {
+    "json": wire.METRICS_JSON,
+    "prometheus": wire.METRICS_PROMETHEUS,
+}
+
+
+def _metrics_format_code(format: object) -> int:
+    """Map a metrics format name to its wire code; ``ValueError`` if unknown."""
+    code = _METRICS_FORMATS.get(format) if isinstance(format, str) else None
+    if code is None:
+        raise ValueError(
+            f"unknown metrics format {format!r}; "
+            f"choose one of {sorted(_METRICS_FORMATS)}"
+        )
+    return code
+
+
 class _BatchState:
     """Shared reply-correlation bookkeeping for both client flavours."""
 
@@ -314,70 +342,55 @@ class ServingClient:
 
     # -- operations --------------------------------------------------------
 
+    def _request(self, frame: bytes, expected: int, name: str) -> "wire.Message":
+        """One operation round-trip: send ``frame``, check the reply type."""
+        self._require_open()
+        self._send_frame(frame)
+        return _expect(self._read_message(), expected, name)
+
     def ping(self, seq: int = 0) -> tuple[int, float]:
         """Liveness probe; returns ``(server_pid, round_trip_seconds)``."""
-        self._require_open()
         started = time.perf_counter()
-        self._send_frame(wire.encode_ping(seq))
-        message = self._read_message()
+        message = self._request(wire.encode_ping(seq), wire.MSG_PONG, "PING")
         elapsed = time.perf_counter() - started
-        if message.type != wire.MSG_PONG or message.seq != seq:
+        if message.seq != seq:
             raise ServingError(
-                f"server answered PING with frame type {message.type}"
+                f"server answered PING {seq} with PONG {message.seq}"
             )
         return message.pid, elapsed
 
     def server_stats(self) -> dict:
         """The server's STATS payload (server counters + pool counters)."""
-        self._require_open()
-        self._send_frame(wire.encode_stats_request())
-        message = self._read_message()
-        if message.type != wire.MSG_STATS_REPLY:
-            if message.type == wire.MSG_ERROR:
-                raise rebuild_error(*message.error)
-            raise ServingError(
-                f"server answered STATS with frame type {message.type}"
-            )
-        return message.payload
+        return self._request(
+            wire.encode_stats_request(), wire.MSG_STATS_REPLY, "STATS"
+        ).payload
 
     def server_metrics(self, format: str = "json") -> str:
         """The server's METRICS exposition body as text.
 
         ``format`` is ``"json"`` (the families document of
         :func:`repro.telemetry.render_json`) or ``"prometheus"`` (the
-        classic text exposition format, scrape-ready).
+        classic text exposition format, scrape-ready); anything else is
+        a :class:`ValueError`.
         """
-        self._require_open()
-        fmt = (
-            wire.METRICS_PROMETHEUS
-            if format == "prometheus"
-            else wire.METRICS_JSON
-        )
-        self._send_frame(wire.encode_metrics_request(fmt))
-        message = self._read_message()
-        if message.type != wire.MSG_METRICS_REPLY:
-            if message.type == wire.MSG_ERROR:
-                raise rebuild_error(*message.error)
-            raise ServingError(
-                f"server answered METRICS with frame type {message.type}"
-            )
-        return message.body
+        return self._request(
+            wire.encode_metrics_request(_metrics_format_code(format)),
+            wire.MSG_METRICS_REPLY, "METRICS",
+        ).body
 
     # -- lifecycle ---------------------------------------------------------
 
     def drain(self) -> int:
         """Client-initiated graceful close; returns requests served here.
 
-        Sends ``DRAIN``, reads until the server's ``DRAINED`` receipt
-        (the count of requests this connection was served), closes.
+        Sends ``DRAIN``, reads the server's ``DRAINED`` receipt (the
+        count of requests this connection was served), closes.
         """
-        self._require_open()
-        self._send_frame(wire.encode_drain())
-        while True:
-            message = self._read_message()
-            if message.type == wire.MSG_DRAINED:
-                self.close()
-                return message.served
+        served = self._request(
+            wire.encode_drain(), wire.MSG_DRAINED, "DRAIN"
+        ).served
+        self.close()
+        return served
 
     def close(self) -> None:
         """Close the socket (idempotent)."""
@@ -492,69 +505,50 @@ class AsyncServingClient:
                 break
         return state.finish(return_errors)
 
+    async def _request(
+        self, frame: bytes, expected: int, name: str
+    ) -> "wire.Message":
+        """One operation round-trip: send ``frame``, check the reply type."""
+        self._require_open()
+        self._writer.write(wire.encode_framed(frame))
+        await self._writer.drain()
+        return _expect(await self._read_message(), expected, name)
+
     async def ping(self, seq: int = 0) -> tuple[int, float]:
         """Liveness probe; returns ``(server_pid, round_trip_seconds)``."""
-        self._require_open()
         started = time.perf_counter()
-        self._writer.write(wire.encode_framed(wire.encode_ping(seq)))
-        await self._writer.drain()
-        message = await self._read_message()
+        message = await self._request(
+            wire.encode_ping(seq), wire.MSG_PONG, "PING"
+        )
         elapsed = time.perf_counter() - started
-        if message.type != wire.MSG_PONG or message.seq != seq:
+        if message.seq != seq:
             raise ServingError(
-                f"server answered PING with frame type {message.type}"
+                f"server answered PING {seq} with PONG {message.seq}"
             )
         return message.pid, elapsed
 
     async def server_stats(self) -> dict:
         """The server's STATS payload (server counters + pool counters)."""
-        self._require_open()
-        self._writer.write(wire.encode_framed(wire.encode_stats_request()))
-        await self._writer.drain()
-        message = await self._read_message()
-        if message.type != wire.MSG_STATS_REPLY:
-            if message.type == wire.MSG_ERROR:
-                raise rebuild_error(*message.error)
-            raise ServingError(
-                f"server answered STATS with frame type {message.type}"
-            )
+        message = await self._request(
+            wire.encode_stats_request(), wire.MSG_STATS_REPLY, "STATS"
+        )
         return message.payload
 
     async def server_metrics(self, format: str = "json") -> str:
-        """The server's METRICS exposition body as text.
-
-        ``format`` is ``"json"`` (the families document of
-        :func:`repro.telemetry.render_json`) or ``"prometheus"`` (the
-        classic text exposition format, scrape-ready).
-        """
-        self._require_open()
-        fmt = (
-            wire.METRICS_PROMETHEUS
-            if format == "prometheus"
-            else wire.METRICS_JSON
+        """The server's METRICS exposition body; see :meth:`ServingClient.server_metrics`."""
+        message = await self._request(
+            wire.encode_metrics_request(_metrics_format_code(format)),
+            wire.MSG_METRICS_REPLY, "METRICS",
         )
-        self._writer.write(wire.encode_framed(wire.encode_metrics_request(fmt)))
-        await self._writer.drain()
-        message = await self._read_message()
-        if message.type != wire.MSG_METRICS_REPLY:
-            if message.type == wire.MSG_ERROR:
-                raise rebuild_error(*message.error)
-            raise ServingError(
-                f"server answered METRICS with frame type {message.type}"
-            )
         return message.body
 
     async def drain(self) -> int:
         """Client-initiated graceful close; returns requests served here."""
-        self._require_open()
-        self._writer.write(wire.encode_framed(wire.encode_drain()))
-        await self._writer.drain()
-        while True:
-            message = await self._read_message()
-            if message.type == wire.MSG_DRAINED:
-                served = message.served
-                await self.aclose()
-                return served
+        message = await self._request(
+            wire.encode_drain(), wire.MSG_DRAINED, "DRAIN"
+        )
+        await self.aclose()
+        return message.served
 
     async def aclose(self) -> None:
         """Close the connection (idempotent)."""

@@ -28,11 +28,16 @@ A connection declares its protocol with its first byte:
 * ``{`` — the **JSON shim** for curl/netcat-style clients: one JSON
   object per line in (``{"key": K, "query": Q}``, optional ``"ids"``,
   ``"trace"`` and ``"seq"``; ``{"op": "ping"}``; ``{"op": "stats"}``;
-  ``{"op": "metrics"}`` with optional ``"format": "prometheus"``;
+  ``{"op": "metrics"}`` with optional ``"format": "json"|"prometheus"``
+  (anything else answers a ``WireError`` line);
   ``{"op": "trace"}`` for the ring buffer of completed traced
   requests), one JSON object per line out (``{"seq":…, "ids": […]}`` /
   ``{"value": …}`` / ``{"error": {"type":…, "message":…}}`` /
   ``{"overloaded": true, …}``).
+
+Both protocols share one request path — admit → job → dispatcher →
+settle — and differ only in the per-connection encoder that turns a
+result, error, overload, stats, metrics or drained receipt into bytes.
 
 Admission control and backpressure
 ----------------------------------
@@ -96,10 +101,12 @@ import queue
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Optional, Union
 
 from repro.errors import ReproError
 from repro.serving import wire
+from repro.serving.client import _metrics_format_code
 from repro.serving.pool import ServingError, ShardedPool
 from repro.telemetry.exposition import (
     gauge_family,
@@ -120,52 +127,31 @@ DEFAULT_BATCH_MAX = 128
 TRACE_BUFFER = 64
 
 
-class _QueryJob:
-    """One admitted request travelling to the dispatcher thread."""
+class _Job:
+    """One request travelling to the dispatcher thread.
 
-    __slots__ = ("query", "key", "ids", "trace", "future", "loop")
+    Either a query (``collect`` is None; ``query``/``key``/``ids``/``trace``
+    say what to evaluate) or a STATS/METRICS collection (``collect`` is
+    the payload builder, run on the dispatcher thread because assembling
+    it talks to the pool, a single-dispatcher backend).
+    """
 
-    def __init__(self, query, key, ids, trace, future, loop) -> None:
+    __slots__ = ("future", "loop", "collect", "query", "key", "ids", "trace")
+
+    def __init__(
+        self, future, loop, collect=None, query=None, key=None,
+        ids=False, trace=False,
+    ) -> None:
+        self.future = future
+        self.loop = loop
+        self.collect = collect
         self.query = query
         self.key = key
         self.ids = ids
         self.trace = trace
-        self.future = future
-        self.loop = loop
 
     def resolve(self, result) -> None:
         """Hand the result (or exception object) back to the event loop."""
-        self.loop.call_soon_threadsafe(_set_future, self.future, result)
-
-
-class _StatsJob:
-    """A STATS request travelling to the dispatcher thread."""
-
-    __slots__ = ("future", "loop")
-
-    def __init__(self, future, loop) -> None:
-        self.future = future
-        self.loop = loop
-
-    def resolve(self, result) -> None:
-        self.loop.call_soon_threadsafe(_set_future, self.future, result)
-
-
-class _MetricsJob:
-    """A METRICS request travelling to the dispatcher thread.
-
-    Resolved off the loop like :class:`_StatsJob` — assembling the
-    exposition talks to the pool (a single-dispatcher backend).
-    """
-
-    __slots__ = ("format", "future", "loop")
-
-    def __init__(self, format, future, loop) -> None:
-        self.format = format
-        self.future = future
-        self.loop = loop
-
-    def resolve(self, result) -> None:
         self.loop.call_soon_threadsafe(_set_future, self.future, result)
 
 
@@ -174,11 +160,98 @@ def _set_future(future: "asyncio.Future", result) -> None:
         future.set_result(result)
 
 
+class _BinaryEncoder:
+    """Replies as stream-framed ``RPW1`` frames (``seq`` is the correlation)."""
+
+    @staticmethod
+    def answer(seq, key, result, trace: Optional[dict]) -> bytes:
+        if result.is_node_set:
+            frame = wire.encode_result_ids(seq, result.ids)
+        else:
+            frame = wire.encode_result_value(seq, result.value)
+        if trace is None:
+            return wire.encode_framed(frame)
+        # The trace frame precedes its result frame, mirroring the
+        # worker→pool hop.
+        return wire.encode_framed(wire.encode_trace(seq, trace)) + (
+            wire.encode_framed(frame)
+        )
+
+    @staticmethod
+    def error(error: Exception, seq=0, key=None) -> bytes:
+        return wire.encode_framed(
+            wire.encode_error(seq, type(error).__name__, str(error))
+        )
+
+    @staticmethod
+    def overloaded(seq, inflight: int, capacity: int) -> bytes:
+        return wire.encode_framed(wire.encode_overloaded(seq, inflight, capacity))
+
+    @staticmethod
+    def stats(payload: dict) -> bytes:
+        return wire.encode_framed(wire.encode_stats_reply(payload))
+
+    @staticmethod
+    def metrics(format: int, body: str) -> bytes:
+        return wire.encode_framed(wire.encode_metrics_reply(format, body))
+
+    @staticmethod
+    def drained(served: int) -> bytes:
+        return wire.encode_framed(wire.encode_drained(served, os.getpid()))
+
+
+class _JsonEncoder:
+    """Replies as one JSON object per line (the curl/netcat shim)."""
+
+    @staticmethod
+    def line(payload: dict) -> bytes:
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    @classmethod
+    def answer(cls, seq, key, result, trace: Optional[dict]) -> bytes:
+        payload = {"seq": seq, "key": key}
+        if result.is_node_set:
+            payload["ids"] = result.ids
+        else:
+            payload["value"] = result.value
+        if trace is not None:
+            payload["trace"] = trace
+        return cls.line(payload)
+
+    @classmethod
+    def error(cls, error: Exception, **correlation) -> bytes:
+        return cls.line({**correlation, "error": {
+            "type": type(error).__name__, "message": str(error),
+        }})
+
+    @classmethod
+    def overloaded(cls, seq, inflight: int, capacity: int) -> bytes:
+        return cls.line({
+            "seq": seq, "overloaded": True,
+            "inflight": inflight, "capacity": capacity,
+        })
+
+    @classmethod
+    def stats(cls, payload: dict) -> bytes:
+        return cls.line({"stats": payload})
+
+    @classmethod
+    def metrics(cls, format: int, body: str) -> bytes:
+        # Prometheus text rides inside the JSON line as a string.
+        if format == wire.METRICS_PROMETHEUS:
+            return cls.line({"metrics": body})
+        return cls.line({"metrics": json.loads(body)})
+
+    @classmethod
+    def drained(cls, served: int) -> bytes:
+        return cls.line({"drained": served})
+
+
 class _Connection:
     """Per-connection state: writer serialisation, flush tracking."""
 
     __slots__ = (
-        "reader", "writer", "peer", "mode", "lock", "pending",
+        "reader", "writer", "peer", "encoder", "lock", "pending",
         "flushed", "served", "errors", "closing", "eof",
     )
 
@@ -187,7 +260,7 @@ class _Connection:
         self.writer = writer
         peername = writer.get_extra_info("peername")
         self.peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        self.mode = "?"
+        self.encoder = None             # set once the first byte names the protocol
         self.lock = asyncio.Lock()      # one in-order write stream per client
         self.pending = 0                # responses owed to this client
         self.flushed = asyncio.Event()  # set whenever pending == 0
@@ -592,14 +665,12 @@ class XPathServer:
                     stop = True
                     break
                 batch.append(extra)
-            stats_jobs = [j for j in batch if isinstance(j, _StatsJob)]
-            metrics_jobs = [j for j in batch if isinstance(j, _MetricsJob)]
             for wants_ids, wants_trace in (
                 (False, False), (True, False), (False, True), (True, True)
             ):
                 group = [
                     j for j in batch
-                    if isinstance(j, _QueryJob)
+                    if j.collect is None
                     and j.ids is wants_ids
                     and j.trace is wants_trace
                 ]
@@ -623,25 +694,17 @@ class XPathServer:
                     results = [error] * len(group)
                 for one, result in zip(group, results):
                     one.resolve(result)
-            for one in stats_jobs:
+            for one in batch:
+                if one.collect is None:
+                    continue
                 try:
                     with self._dispatch_lock:
-                        payload = self._stats_payload()
+                        payload = one.collect()
                     one.resolve(payload)
                 except ReproError as error:
                     one.resolve(error)
                 except Exception as error:
-                    logger.exception("stats collection failed untyped")
-                    one.resolve(error)
-            for one in metrics_jobs:
-                try:
-                    with self._dispatch_lock:
-                        body = self._metrics_payload(one.format)
-                    one.resolve(body)
-                except ReproError as error:
-                    one.resolve(error)
-                except Exception as error:
-                    logger.exception("metrics collection failed untyped")
+                    logger.exception("stats/metrics collection failed untyped")
                     one.resolve(error)
 
     def _stats_payload(self) -> dict:
@@ -739,11 +802,11 @@ class XPathServer:
                     raise wire.WireError(
                         f"bad stream preamble {(first + rest)!r}"
                     )
-                conn.mode = "binary"
+                conn.encoder = _BinaryEncoder
                 logger.info("connect client=%s mode=binary", conn.peer)
                 await self._serve_binary(conn)
             elif first == b"{":
-                conn.mode = "json"
+                conn.encoder = _JsonEncoder
                 logger.info("connect client=%s mode=json", conn.peer)
                 await self._serve_json(conn, first)
             else:
@@ -814,15 +877,18 @@ class XPathServer:
             frame = await conn.reader.readexactly(wire.framed_length(header))
             message = wire.decode(frame)
             if message.type == wire.MSG_QUERY:
-                await self._handle_query(conn, message)
+                await self._submit(
+                    conn, message.seq, message.key, message.query,
+                    message.ids_only, message.wants_trace,
+                )
             elif message.type == wire.MSG_PING:
                 await self._write(conn, wire.encode_framed(
                     wire.encode_pong(message.seq, os.getpid())
                 ))
             elif message.type == wire.MSG_STATS:
-                await self._handle_stats(conn)
+                await self._answer_stats(conn)
             elif message.type == wire.MSG_METRICS:
-                await self._handle_metrics(conn, message.flags)
+                await self._answer_metrics(conn, message.flags)
             elif message.type == wire.MSG_DRAIN:
                 # Client-initiated graceful close: flush what it is owed,
                 # acknowledge with its served count, stop reading.
@@ -837,37 +903,35 @@ class XPathServer:
                     "request was expected"
                 )
 
-    async def _handle_query(self, conn: _Connection, message) -> None:
-        server_trace = Trace("server") if message.wants_trace else None
+    # -- the request path (both protocols) ---------------------------------
+
+    async def _submit(self, conn, seq, key, query, ids, wants_trace) -> None:
+        """Admit one query, hand it to the dispatcher, settle it off-path."""
+        server_trace = Trace("server") if wants_trace else None
         with maybe_span(server_trace, "admit"):
             admitted = self._admit()
         if not admitted:
             logger.warning(
-                "overloaded client=%s seq=%d inflight=%d capacity=%d",
-                conn.peer, message.seq, self._inflight, self.max_inflight,
+                "overloaded client=%s seq=%s inflight=%d capacity=%d",
+                conn.peer, seq, self._inflight, self.max_inflight,
             )
-            await self._write(conn, wire.encode_framed(
-                wire.encode_overloaded(
-                    message.seq, self._inflight, self.max_inflight
-                )
+            await self._write(conn, conn.encoder.overloaded(
+                seq, self._inflight, self.max_inflight
             ))
             return
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        job = _QueryJob(
-            message.query, message.key, message.ids_only,
-            message.wants_trace, future, loop,
-        )
         conn.pending += 1
         conn.flushed.clear()
-        self._jobs.put(job)
+        self._jobs.put(_Job(
+            future, loop, query=query, key=key, ids=ids, trace=wants_trace
+        ))
         asyncio.ensure_future(
-            self._finish_query(
-                conn, message.seq, message.key, future, server_trace
-            )
+            self._settle(conn, seq, key, future, server_trace)
         )
 
-    async def _finish_query(self, conn, seq, key, future, server_trace=None) -> None:
+    async def _settle(self, conn, seq, key, future, server_trace) -> None:
+        """Await one admitted query's answer and write it to its client."""
         started = time.perf_counter()
         try:
             result = await future
@@ -881,36 +945,25 @@ class XPathServer:
                     offset=started - server_trace.started,
                     duration=time.perf_counter() - started,
                 )
-                if (
-                    not isinstance(result, Exception)
-                    and result.trace is not None
-                ):
-                    server_trace.add_child(result.trace)
             if isinstance(result, Exception):
                 status = f"error:{type(result).__name__}"
-                frame = wire.encode_error(
-                    seq, type(result).__name__, str(result)
-                )
+                data = conn.encoder.error(result, seq=seq, key=key)
                 self._errors_total.inc()
                 conn.errors += 1
-            elif result.is_node_set:
-                frame = wire.encode_result_ids(seq, result.ids)
             else:
-                frame = wire.encode_result_value(seq, result.value)
-            if status == "ok":
+                if server_trace is not None and result.trace is not None:
+                    server_trace.add_child(result.trace)
+                data = conn.encoder.answer(
+                    seq, key, result,
+                    None if server_trace is None else server_trace.to_dict(),
+                )
                 self._served_total.inc()
                 conn.served += 1
             write_begun = time.perf_counter()
-            if server_trace is not None and status == "ok":
-                # The trace frame precedes its result frame, mirroring
-                # the worker→pool hop.
-                await self._write(conn, wire.encode_framed(
-                    wire.encode_trace(seq, server_trace.to_dict())
-                ))
-            await self._write(conn, wire.encode_framed(frame))
+            await self._write(conn, data)
             if server_trace is not None:
                 # The write span lands only in the server-side ring
-                # buffer: it cannot precede the writes it measures.
+                # buffer: it cannot precede the write it measures.
                 server_trace.add_span(
                     "write",
                     offset=write_begun - server_trace.started,
@@ -923,46 +976,40 @@ class XPathServer:
             if conn.pending == 0:
                 conn.flushed.set()
             logger.info(
-                "query client=%s seq=%d key=%s status=%s wall_ms=%.2f",
+                "query client=%s seq=%s key=%s status=%s wall_ms=%.2f",
                 conn.peer, seq, key, status,
                 (time.perf_counter() - started) * 1e3,
             )
 
-    async def _handle_stats(self, conn: _Connection) -> None:
+    async def _answer_collected(self, conn, collect, encode) -> None:
+        """Run ``collect`` on the dispatcher thread, write ``encode`` of it."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        self._jobs.put(_StatsJob(future, loop))
+        self._jobs.put(_Job(future, loop, collect=collect))
         payload = await future
         if isinstance(payload, Exception):
-            frame = wire.encode_error(
-                0, type(payload).__name__, str(payload)
-            )
+            data = conn.encoder.error(payload)
         else:
-            frame = wire.encode_stats_reply(payload)
-        await self._write(conn, wire.encode_framed(frame))
+            data = encode(payload)
+        await self._write(conn, data)
 
-    async def _handle_metrics(self, conn: _Connection, format: int) -> None:
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._jobs.put(_MetricsJob(format, future, loop))
-        body = await future
-        if isinstance(body, Exception):
-            frame = wire.encode_error(0, type(body).__name__, str(body))
-        else:
-            frame = wire.encode_metrics_reply(format, body)
-        await self._write(conn, wire.encode_framed(frame))
+    async def _answer_stats(self, conn: _Connection) -> None:
+        await self._answer_collected(
+            conn, self._stats_payload, conn.encoder.stats
+        )
+
+    async def _answer_metrics(self, conn: _Connection, format: int) -> None:
+        await self._answer_collected(
+            conn,
+            partial(self._metrics_payload, format),
+            partial(conn.encoder.metrics, format),
+        )
 
     async def _send_drained(self, conn: _Connection) -> None:
+        if conn.encoder is None:
+            return  # closed before its first byte named a protocol
         try:
-            if conn.mode == "binary":
-                await self._write(conn, wire.encode_framed(
-                    wire.encode_drained(conn.served, os.getpid())
-                ))
-            elif conn.mode == "json":
-                await self._write(
-                    conn,
-                    (json.dumps({"drained": conn.served}) + "\n").encode(),
-                )
+            await self._write(conn, conn.encoder.drained(conn.served))
         except (ConnectionError, OSError):  # pragma: no cover - gone client
             pass
 
@@ -983,150 +1030,44 @@ class XPathServer:
             request = json.loads(text)
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
+            op = request.get("op")
+            if op == "metrics":
+                fmt = _metrics_format_code(request.get("format", "json"))
         except ValueError as error:
-            await self._write_json(conn, {
-                "error": {"type": "WireError", "message": str(error)}
-            })
+            await self._write(conn, _JsonEncoder.error(wire.WireError(str(error))))
             return
-        op = request.get("op")
         if op == "ping":
-            await self._write_json(conn, {"pong": True, "pid": os.getpid()})
+            await self._write(
+                conn, _JsonEncoder.line({"pong": True, "pid": os.getpid()})
+            )
             return
         if op == "stats":
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            self._jobs.put(_StatsJob(future, loop))
-            payload = await future
-            if isinstance(payload, Exception):
-                payload = {"error": {
-                    "type": type(payload).__name__, "message": str(payload)
-                }}
-            else:
-                payload = {"stats": payload}
-            await self._write_json(conn, payload)
+            await self._answer_stats(conn)
             return
         if op == "metrics":
-            fmt = (
-                wire.METRICS_PROMETHEUS
-                if request.get("format") == "prometheus"
-                else wire.METRICS_JSON
-            )
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            self._jobs.put(_MetricsJob(fmt, future, loop))
-            body = await future
-            if isinstance(body, Exception):
-                payload = {"error": {
-                    "type": type(body).__name__, "message": str(body)
-                }}
-            elif fmt == wire.METRICS_PROMETHEUS:
-                # Prometheus text rides inside the JSON line as a string.
-                payload = {"metrics": body}
-            else:
-                payload = {"metrics": json.loads(body)}
-            await self._write_json(conn, payload)
+            await self._answer_metrics(conn, fmt)
             return
         if op == "trace":
             # The ring buffer of completed traced requests, newest last.
-            await self._write_json(conn, {"traces": list(self._traces)})
+            await self._write(
+                conn, _JsonEncoder.line({"traces": list(self._traces)})
+            )
             return
         seq = request.get("seq")
         key = request.get("key")
         query = request.get("query")
         if not isinstance(key, str) or not isinstance(query, str):
-            await self._write_json(conn, {"seq": seq, "error": {
-                "type": "WireError",
-                "message": 'request needs string "key" and "query" fields',
-            }})
+            await self._write(conn, _JsonEncoder.error(
+                wire.WireError('request needs string "key" and "query" fields'),
+                seq=seq,
+            ))
             return
-        wants_trace = bool(request.get("trace", False))
-        server_trace = Trace("server") if wants_trace else None
-        with maybe_span(server_trace, "admit"):
-            admitted = self._admit()
-        if not admitted:
-            logger.warning(
-                "overloaded client=%s seq=%s inflight=%d capacity=%d",
-                conn.peer, seq, self._inflight, self.max_inflight,
-            )
-            await self._write_json(conn, {
-                "seq": seq, "overloaded": True,
-                "inflight": self._inflight, "capacity": self.max_inflight,
-            })
-            return
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        job = _QueryJob(
-            query, key, bool(request.get("ids", False)), wants_trace,
-            future, loop,
+        await self._submit(
+            conn, seq, key, query,
+            bool(request.get("ids", False)), bool(request.get("trace", False)),
         )
-        conn.pending += 1
-        conn.flushed.clear()
-        self._jobs.put(job)
-        asyncio.ensure_future(
-            self._finish_json_query(conn, seq, key, future, server_trace)
-        )
-
-    async def _finish_json_query(
-        self, conn, seq, key, future, server_trace=None
-    ) -> None:
-        started = time.perf_counter()
-        try:
-            result = await future
-        finally:
-            self._release()
-        status = "ok"
-        try:
-            if server_trace is not None:
-                server_trace.add_span(
-                    "server-dispatch",
-                    offset=started - server_trace.started,
-                    duration=time.perf_counter() - started,
-                )
-                if (
-                    not isinstance(result, Exception)
-                    and result.trace is not None
-                ):
-                    server_trace.add_child(result.trace)
-            if isinstance(result, Exception):
-                status = f"error:{type(result).__name__}"
-                payload = {"seq": seq, "key": key, "error": {
-                    "type": type(result).__name__, "message": str(result)
-                }}
-                self._errors_total.inc()
-                conn.errors += 1
-            elif result.is_node_set:
-                payload = {"seq": seq, "key": key, "ids": result.ids}
-            else:
-                payload = {"seq": seq, "key": key, "value": result.value}
-            if status == "ok":
-                self._served_total.inc()
-                conn.served += 1
-            if server_trace is not None and status == "ok":
-                payload["trace"] = server_trace.to_dict()
-            write_begun = time.perf_counter()
-            await self._write_json(conn, payload)
-            if server_trace is not None:
-                server_trace.add_span(
-                    "write",
-                    offset=write_begun - server_trace.started,
-                    duration=time.perf_counter() - write_begun,
-                )
-                self._traces.append(server_trace.to_dict())
-        finally:
-            self._request_seconds.observe(time.perf_counter() - started)
-            conn.pending -= 1
-            if conn.pending == 0:
-                conn.flushed.set()
-            logger.info(
-                "query client=%s seq=%s key=%s status=%s wall_ms=%.2f",
-                conn.peer, seq, key, status,
-                (time.perf_counter() - started) * 1e3,
-            )
 
     # -- writes ------------------------------------------------------------
-
-    async def _write_json(self, conn: _Connection, payload: dict) -> None:
-        await self._write(conn, (json.dumps(payload) + "\n").encode("utf-8"))
 
     async def _write(self, conn: _Connection, data: bytes) -> None:
         """One bounded write; a client that cannot drain it is aborted."""

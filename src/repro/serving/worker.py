@@ -203,10 +203,12 @@ def _answer(
 ) -> tuple[bytes, Optional[bytes]]:
     """Evaluate one QUERY message and encode its reply frame(s).
 
-    Node-set results go out as sorted int32 id arrays, scalars as typed
-    scalars; under :data:`~repro.serving.wire.FLAG_IDS` the evaluation
-    itself runs id-native (``evaluate_many_ids`` semantics — a scalar
-    query is an error).  Any exception becomes an ``ERROR`` frame.
+    One ``engine.evaluate`` call: node-set results go out as sorted int32
+    id arrays (Core answers are carried as ids, so no node object is
+    built just to be re-encoded), scalars as typed scalars; under
+    :data:`~repro.serving.wire.FLAG_IDS` the engine enforces the
+    ``ids=True`` contract — a scalar query is an error.  Any exception
+    becomes an ``ERROR`` frame.
 
     Returns ``(reply, trace_frame)``: under
     :data:`~repro.serving.wire.FLAG_TRACE` the second element is a TRACE
@@ -216,29 +218,15 @@ def _answer(
     """
     from repro.store import StoreKey
     from repro.telemetry.trace import Trace, maybe_span
-    from repro.xpath.functions import NODESET, static_type
 
     trace = Trace("worker") if message.wants_trace else None
     try:
         handle = engine.add(StoreKey(message.key))
-        if message.ids_only:
-            with maybe_span(trace, "worker-eval"):
-                result = engine.evaluate(
-                    message.query, handle, ids=True, trace=message.wants_trace
-                )
-        else:
-            # Pick the id-native path whenever the query's static type
-            # says the answer is a node-set, so node objects are never
-            # materialised just to be re-encoded as ids.
-            plan = engine.get_plan(message.query)
-            wants_ids = static_type(plan.expr) == NODESET
-            with maybe_span(trace, "worker-eval"):
-                result = engine.evaluate(
-                    message.query,
-                    handle,
-                    ids=wants_ids,
-                    trace=message.wants_trace,
-                )
+        with maybe_span(trace, "worker-eval"):
+            result = engine.evaluate(
+                message.query, handle, ids=message.ids_only,
+                trace=message.wants_trace,
+            )
         if result.is_node_set:
             reply = wire.encode_result_ids(message.seq, result.ids)
         else:

@@ -150,6 +150,33 @@ class TestAgainstTheRealTree:
         assert main([str(SRC)]) == 0
         assert "0 finding(s)" in capsys.readouterr().err
 
+    def test_every_shared_attr_row_names_live_state(self):
+        """A registry row guards nothing once its attribute or lock is gone:
+        each class must still assign both on ``self`` somewhere in ``src/``."""
+        import ast
+
+        from repro.analysis.config import SHARED_CLASS_ATTRS
+
+        assigned: dict[str, set[str]] = {}
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    assigned.setdefault(node.name, set()).update(
+                        target.attr
+                        for target in ast.walk(node)
+                        if isinstance(target, ast.Attribute)
+                        and isinstance(target.ctx, ast.Store)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    )
+        stale = [
+            (cls, name)
+            for (cls, attr), lock in SHARED_CLASS_ATTRS.items()
+            for name in (attr, lock)
+            if name not in assigned.get(cls, ())
+        ]
+        assert stale == []
+
     def copy_serving(self, tmp_path, mutate=None):
         files = {}
         for name in ("wire.py", "worker.py", "server.py", "client.py"):

@@ -19,22 +19,22 @@ class TestLockDiscipline:
         text = textwrap.dedent(
             """
             class XPathEngine:
-                def bump(self):
-                    self._queries += 1
+                def detach(self):
+                    self._store = None
             """
         )
         [finding] = analyze_source(text, path=ENGINE)
         assert finding.rule == "lock-discipline"
-        assert "self._queries" in finding.message
-        assert "_stats_lock" in finding.message
+        assert "self._store" in finding.message
+        assert "_store_lock" in finding.message
 
     def test_locked_shared_write_is_clean(self):
         text = textwrap.dedent(
             """
             class XPathEngine:
-                def bump(self):
-                    with self._stats_lock:
-                        self._queries += 1
+                def detach(self):
+                    with self._store_lock:
+                        self._store = None
             """
         )
         assert rules_fired(text, ENGINE) == []
@@ -44,7 +44,7 @@ class TestLockDiscipline:
             """
             class XPathEngine:
                 def __init__(self):
-                    self._queries = 0
+                    self._store = None
             """
         )
         assert rules_fired(text, ENGINE) == []
@@ -53,9 +53,9 @@ class TestLockDiscipline:
         text = textwrap.dedent(
             """
             class XPathEngine:
-                def bump(self):
+                def detach(self):
                     with self._plan_lock:
-                        self._queries += 1
+                        self._store = None
             """
         )
         assert rules_fired(text, ENGINE) == ["lock-discipline"]
@@ -64,8 +64,8 @@ class TestLockDiscipline:
         text = textwrap.dedent(
             """
             class XPathEngine:
-                def bump(self):
-                    self._queries += 1
+                def detach(self):
+                    self._store = None
             """
         )
         assert rules_fired(text, "src/repro/xmlmodel/engineish.py") == []
@@ -75,14 +75,14 @@ class TestLockDiscipline:
             """
             class XPathEngine:
                 def wrong(self):
-                    with self._stats_lock:
+                    with self._store_lock:
                         with self._lock:
                             pass
             """
         )
         [finding] = analyze_source(text, path=ENGINE)
         assert finding.rule == "lock-discipline"
-        assert "acquires '_lock' while holding '_stats_lock'" in finding.message
+        assert "acquires '_lock' while holding '_store_lock'" in finding.message
 
     def test_hierarchy_inward_nesting_is_clean(self):
         text = textwrap.dedent(
@@ -90,15 +90,15 @@ class TestLockDiscipline:
             class XPathEngine:
                 def right(self):
                     with self._lock:
-                        with self._stats_lock:
+                        with self._store_lock:
                             pass
             """
         )
         assert rules_fired(text, ENGINE) == []
 
     def test_single_statement_multi_item_order_is_checked(self):
-        bad = "def f(self):\n    with self._stats_lock, self._lock:\n        pass\n"
-        good = "def f(self):\n    with self._lock, self._stats_lock:\n        pass\n"
+        bad = "def f(self):\n    with self._store_lock, self._lock:\n        pass\n"
+        good = "def f(self):\n    with self._lock, self._store_lock:\n        pass\n"
         assert rules_fired(bad, ENGINE) == ["lock-discipline"]
         assert rules_fired(good, ENGINE) == []
 
@@ -107,7 +107,7 @@ class TestLockDiscipline:
             """
             class XPathEngine:
                 def outer(self):
-                    with self._stats_lock:
+                    with self._store_lock:
                         def inner(self):
                             with self._lock:
                                 pass

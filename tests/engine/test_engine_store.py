@@ -146,23 +146,16 @@ class TestStoreKeyRouting:
         assert XPathEngine().stats().store is None
 
 
-class TestEvaluateManyStored:
-    @pytest.fixture(autouse=True)
-    def _fresh_default_engine(self):
-        # evaluate_many_stored goes through the process-default engine;
-        # leave later tests a pristine one (no attached tmp store, zeroed
-        # store counters).
-        from repro.engine import reset_default_engine
+class TestStoreHydratedBatch:
+    """``evaluate_batch`` over ``StoreKey`` documents is the store-hydrated batch."""
 
-        reset_default_engine()
-        yield
-        reset_default_engine()
-
-    def test_ids_and_values(self, store):
-        from repro.planner import evaluate_many_stored
-
-        assert evaluate_many_stored(
-            store, "one", ["//b", "//b[child::c]"], ids=True
-        ) == [[2, 3], [3]]
-        values = evaluate_many_stored(store, "one", ["count(//b)"])
-        assert values == [2.0]
+    def test_ids_and_values(self, engine):
+        key = StoreKey("one")
+        results = engine.evaluate_batch(
+            [("//b", key), ("//b[child::c]", key)], ids=True
+        )
+        assert [result.ids for result in results] == [[2, 3], [3]]
+        [count] = engine.evaluate_batch([("count(//b)", key)])
+        assert count.value == 2.0
+        # one snapshot load serves the whole batch and the one after it
+        assert engine.stats().store.loads == 1

@@ -32,16 +32,27 @@ class TestMakeEvaluator:
             make_evaluator(DOC, "quantum")
         assert "XPathEngine" in str(excinfo.value)
 
-    def test_auto_engine_returns_planner_backed_callable(self):
-        evaluator = make_evaluator(DOC, "auto")
-        assert [n.tag for n in evaluator("/child::r/child::a[child::b]")] == ["a"]
-        assert evaluator.evaluate("count(//a)") == 2.0
+    def test_auto_is_a_plan_not_an_evaluator_class(self):
+        with pytest.raises(XPathEvaluationError) as excinfo:
+            make_evaluator(DOC, "auto")
+        assert "XPathEngine" in str(excinfo.value)
+        nodes = evaluate("/child::r/child::a[child::b]", DOC, engine="auto")
+        assert [n.tag for n in nodes] == ["a"]
+        assert evaluate("count(//a)", DOC, engine="auto") == 2.0
 
-    def test_auto_engine_keeps_construction_time_variables(self):
-        evaluator = make_evaluator(DOC, "auto", variables={"x": 21.0})
-        assert evaluator("$x * 2") == 42.0
-        # Call-time bindings override, as with a fresh cvt evaluator.
-        assert evaluator("$x * 2", variables={"x": 4.0}) == 8.0
+    def test_shared_evaluators_never_answer_with_stale_bindings(self):
+        from repro.engine import default_engine
+
+        evaluators = {}
+
+        def doubled(x):
+            return default_engine().evaluate_detached(
+                "$x * 2", DOC, variables={"x": x}, evaluators=evaluators
+            ).value
+
+        assert doubled(21.0) == 42.0
+        # New bindings replace the pooled evaluator, as with a fresh cvt one.
+        assert doubled(4.0) == 8.0
 
     def test_engines_constant_is_complete(self):
         assert set(ENGINES) == {"cvt", "naive", "core", "singleton", "auto"}

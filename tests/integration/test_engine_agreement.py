@@ -9,15 +9,19 @@ generated random documents, and the book catalogue fixture.
 import pytest
 
 from repro.bench import elementtree_count
+from repro.engine import XPathEngine
+from repro.errors import FragmentViolationError, XPathEvaluationError
 from repro.evaluation import (
+    Context,
     ContextValueTableEvaluator,
     CoreXPathEvaluator,
     NaiveEvaluator,
     SingletonSuccessChecker,
+    evaluate,
 )
 from repro.fragments import is_core_xpath, is_pwf, is_pxpath
-from repro.planner import PlanCache, evaluate_many, plan_query
-from repro.xmlmodel import auction_document, random_document
+from repro.planner import evaluate_many, evaluate_many_ids, plan_query
+from repro.xmlmodel import auction_document, parse_xml, random_document
 
 CORE_QUERIES = [
     "/descendant::open_auction[child::bidder]",
@@ -102,10 +106,127 @@ class TestPlannerAutoDispatch:
 
     def test_batch_dispatch_agrees_with_direct_engines(self, document):
         queries = CORE_QUERIES + PWF_QUERIES
-        results = evaluate_many(document, queries, cache=PlanCache())
+        results = evaluate_many(document, queries)
         for query, planned in zip(queries, results):
             direct = ContextValueTableEvaluator(document).evaluate_nodes(query)
             assert [n.order for n in planned] == [n.order for n in direct], query
+
+
+SMALL = '<a x="1"><b/><b><c/></b></a>'
+
+#: Engines whose fragment excludes the query reject it before any answer exists.
+OUTSIDE_FRAGMENT = {
+    ("core", "count(//b)"), ("core", "//@x"), ("singleton", "count(//b)"),
+}
+
+
+class TestIdsContractAcrossEngines:
+    """``ids=True`` means the same for every engine kind: ``evaluate``
+    itself raises the typed error for a scalar or attribute answer."""
+
+    @pytest.mark.parametrize("engine", ["auto", "cvt", "naive", "core", "singleton"])
+    @pytest.mark.parametrize("query", ["count(//b)", "//@x"])
+    def test_scalar_and_attribute_answers_raise_in_evaluate(self, engine, query):
+        session = XPathEngine()
+        document = session.add(SMALL)
+        expected = (
+            FragmentViolationError
+            if (engine, query) in OUTSIDE_FRAGMENT
+            else XPathEvaluationError
+        )
+        with pytest.raises(expected):
+            session.evaluate(query, document, engine=engine, ids=True)
+
+    @pytest.mark.parametrize("engine", ["auto", "cvt", "naive", "core", "singleton"])
+    def test_node_set_ids_are_the_same_everywhere(self, engine):
+        session = XPathEngine()
+        result = session.evaluate("//b", session.add(SMALL), engine=engine, ids=True)
+        assert result.ids == [2, 3]
+        assert [node.tag for node in result.nodes] == ["b", "b"]
+
+
+class TestEntryPointsAgree:
+    """Every way in reaches the same executor: same answers, by value
+    and by id, from no context, a tree node and an attribute node."""
+
+    QUERIES = [
+        "descendant-or-self::node()/child::b",
+        "parent::a/child::b",
+        "//b[child::c]",
+        "count(//b)",
+        "//@x",
+    ]
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return parse_xml(SMALL)
+
+    @pytest.fixture(scope="class", params=["none", "tree", "attribute"])
+    def context(self, request, small):
+        a = small.root.children[0]
+        return {
+            "none": None,
+            "tree": Context(a),
+            "attribute": Context(a.attributes[0]),
+        }[request.param]
+
+    @staticmethod
+    def ids_or_error(take_ids):
+        try:
+            return take_ids()
+        except XPathEvaluationError:
+            return XPathEvaluationError
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_values_agree(self, small, context, query):
+        session = XPathEngine()
+        handle = session.add(small)
+        expected = plan_query(query).run(small, context=context)
+        answers = {
+            "engine.evaluate": session.evaluate(query, handle, context=context).value,
+            "evaluate_detached": session.evaluate_detached(
+                query, small, context=context
+            ).value,
+            "evaluate_batch": session.evaluate_batch(
+                [(query, handle)], context=context
+            )[0].value,
+            "evaluate_concurrent": session.evaluate_concurrent(
+                [(query, handle)], context=context
+            )[0].value,
+            "free evaluate": evaluate(query, small, engine="auto", context=context),
+            "evaluate_many": evaluate_many(small, [query], context=context)[0],
+        }
+        assert answers == dict.fromkeys(answers, expected)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_ids_agree(self, small, context, query):
+        session = XPathEngine()
+        handle = session.add(small)
+        plan = plan_query(query)
+        expected = self.ids_or_error(lambda: plan.run_ids(small, context=context))
+        if expected is not XPathEvaluationError:
+            assert small.index.ids_to_node_list(expected) == plan.run(
+                small, context=context
+            )
+        answers = {
+            "engine.evaluate": lambda: session.evaluate(
+                query, handle, context=context, ids=True
+            ).ids,
+            "evaluate_detached": lambda: session.evaluate_detached(
+                query, small, context=context, ids=True
+            ).ids,
+            "evaluate_batch": lambda: session.evaluate_batch(
+                [(query, handle)], context=context, ids=True
+            )[0].ids,
+            "evaluate_concurrent": lambda: session.evaluate_concurrent(
+                [(query, handle)], context=context, ids=True
+            )[0].ids,
+            "evaluate_many_ids": lambda: evaluate_many_ids(
+                small, [query], context=context
+            )[0],
+        }
+        answers = {name: self.ids_or_error(take) for name, take in answers.items()}
+        assert answers == dict.fromkeys(answers, expected)
 
 
 class TestAgreementWithElementTree:

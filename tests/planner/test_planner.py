@@ -6,7 +6,6 @@ from repro.errors import XPathEvaluationError
 from repro.evaluation import Context, evaluate
 from repro.planner import (
     AUTO_ENGINE_CHAIN,
-    PlanCache,
     QueryPlan,
     evaluate_many,
     get_plan,
@@ -133,25 +132,27 @@ class TestPlanRunIds:
 class TestEvaluateMany:
     def test_matches_individual_evaluation(self):
         queries = ["//a", "count(//a)", "//a[child::b]", "string(//c)"]
-        results = evaluate_many(DOC, queries, cache=PlanCache())
+        results = evaluate_many(DOC, queries)
         expected = [evaluate(query, DOC, engine="auto") for query in queries]
         assert results == expected
 
     def test_builds_shared_index_up_front(self):
         document = parse_xml("<r><a/><a/></r>")
         assert not document.has_index
-        evaluate_many(document, ["//a"], cache=PlanCache())
+        evaluate_many(document, ["//a"])
         assert document.has_index
 
-    def test_uses_supplied_cache_even_when_empty(self):
-        cache = PlanCache(maxsize=4)
-        evaluate_many(DOC, ["//a", "//a"], cache=cache)
+    def test_one_miss_then_hits_on_the_default_cache(self):
+        from repro.engine import reset_default_engine
+
+        cache = reset_default_engine().plan_cache
+        evaluate_many(DOC, ["//a", "//a"])
         stats = cache.stats()
         assert stats.misses == 1
         assert stats.hits == 1
 
     def test_empty_query_list(self):
-        assert evaluate_many(DOC, [], cache=PlanCache()) == []
+        assert evaluate_many(DOC, []) == []
 
 
 class TestAutoEngineThroughApi:
@@ -165,9 +166,14 @@ class TestAutoEngineThroughApi:
         assert plan_a is plan_b
         assert isinstance(plan_a, QueryPlan)
 
-    def test_make_evaluator_auto_is_planner_backed(self):
-        from repro.evaluation import PlannedEvaluator, make_evaluator
+    def test_detached_auto_with_a_shared_evaluator_mapping(self):
+        """The default engine's planner bound to a document and one
+        caller-held evaluator mapping."""
+        from repro.engine import default_engine
 
-        evaluator = make_evaluator(DOC, "auto")
-        assert isinstance(evaluator, PlannedEvaluator)
-        assert evaluator("//a[child::b]") == evaluate("//a[child::b]", DOC, engine="auto")
+        evaluators = {}
+        result = default_engine().evaluate_detached(
+            "//a[child::b]", DOC, evaluators=evaluators
+        )
+        assert result.value == evaluate("//a[child::b]", DOC, engine="auto")
+        assert set(evaluators) == {"core"}

@@ -166,6 +166,16 @@ class TestRoutingAndWarmup:
             assert sum(stats.dispatch.values()) == len(requests)
             assert "worker process(es)" in stats.describe()
 
+    @pytest.mark.parametrize(
+        "query,ids", [("count(//b)", False), ("//b", False), ("//b", True)]
+    )
+    def test_one_plan_lookup_per_request(self, store, query, ids):
+        with ShardedPool(store, workers=1) as pool:
+            for _ in range(10):
+                pool.evaluate(query, "letters", ids=ids)
+            stats = pool.stats()
+            assert (stats.plan_hits, stats.plan_misses) == (9, 1)
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_workers_exit(self, store):

@@ -206,6 +206,18 @@ class TestBinaryProtocol:
         with pytest.raises(ServingError, match="closed"):
             client.evaluate("//b", "letters")
 
+    def test_operations_share_one_reply_check(self):
+        from repro.errors import XPathSyntaxError
+        from repro.serving.client import _expect
+
+        pong = wire.decode(wire.encode_pong(3, 7))
+        assert _expect(pong, wire.MSG_PONG, "PING") is pong
+        error = wire.decode(wire.encode_error(0, "XPathSyntaxError", "boom"))
+        with pytest.raises(XPathSyntaxError, match="boom"):
+            _expect(error, wire.MSG_STATS_REPLY, "STATS")
+        with pytest.raises(ServingError, match="STATS"):
+            _expect(pong, wire.MSG_STATS_REPLY, "STATS")
+
 
 class TestJsonShim:
     def test_query_and_scalar_lines(self, server):

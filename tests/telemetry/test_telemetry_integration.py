@@ -201,6 +201,31 @@ class TestMetricsExposition:
         )
         assert "# TYPE repro_server_requests_total counter" in reply["metrics"]
 
+    def test_unknown_format_is_refused_on_both_sides_of_the_wire(self, server):
+        import asyncio
+
+        from repro.serving import AsyncServingClient
+
+        _, (host, port) = server
+        with ServingClient(host, port) as client:
+            with pytest.raises(ValueError, match="bogus"):
+                client.server_metrics("bogus")
+            client.ping()  # nothing was sent: the conversation is intact
+
+        async def refused():
+            async with await AsyncServingClient.connect(host, port) as client:
+                with pytest.raises(ValueError, match="bogus"):
+                    await client.server_metrics("bogus")
+                return await client.server_metrics("prometheus")
+
+        assert "repro_server_requests_total" in asyncio.run(refused())
+        bad, good = json_roundtrip(
+            host, port,
+            [{"op": "metrics", "format": "bogus"}, {"op": "metrics", "format": "json"}],
+        )
+        assert bad["error"]["type"] == "WireError" and "bogus" in bad["error"]["message"]
+        assert good["metrics"]["families"]
+
     def test_stats_view_matches_registry(self, server):
         server_obj, (host, port) = server
         with ServingClient(host, port) as client:
