@@ -136,22 +136,27 @@ ASYNC_ESCAPES: frozenset[str] = frozenset(
 )
 
 #: Frozen attribute → modules allowed to write it (the owning type's
-#: hydration paths).  ``IdSet`` slots and the snapshot-backed
-#: ``DocumentIndex`` arrays are immutable everywhere else: the zero-copy
-#: mmap path shares them between processes on that promise.  (``parent``
-#: is deliberately absent: the name collides with the mutable
-#: ``XMLNode.parent`` link, so the codec's write to it is covered by the
-#: index-build modules being the only ones that touch ``DocumentIndex``.)
+#: hydration paths).  ``IdSet`` slots and the snapshot-backed document
+#: columns (``Columns`` and their ``DocumentIndex`` aliases) are immutable
+#: everywhere else: the zero-copy mmap path shares them between processes
+#: on that promise.  (``parent`` is deliberately absent: the name collides
+#: with the mutable ``XMLNode.parent`` link, so writes to it are covered
+#: by the column modules being the only ones that touch these objects.)
+_COLUMN_MODULES = (
+    "repro/xmlmodel/columns.py",  # where they are built
+    "repro/xmlmodel/index.py",  # which aliases them
+    "repro/store/codec.py",  # which reads them back from snapshot bytes
+)
 FROZEN_ATTRS: Mapping[str, tuple[str, ...]] = {
     "universe": ("repro/xmlmodel/idset.py",),
     "_bits": ("repro/xmlmodel/idset.py",),
     "_ids": ("repro/xmlmodel/idset.py", "repro/engine/result.py"),
-    "subtree_end": ("repro/xmlmodel/index.py", "repro/store/codec.py"),
-    "post": ("repro/xmlmodel/index.py", "repro/store/codec.py"),
-    "first_child": ("repro/xmlmodel/index.py", "repro/store/codec.py"),
-    "next_sibling": ("repro/xmlmodel/index.py", "repro/store/codec.py"),
-    "prev_sibling": ("repro/xmlmodel/index.py", "repro/store/codec.py"),
-    "element_ids": ("repro/xmlmodel/index.py", "repro/store/codec.py"),
+    "subtree_end": _COLUMN_MODULES,
+    "post": _COLUMN_MODULES,
+    "first_child": _COLUMN_MODULES,
+    "next_sibling": _COLUMN_MODULES,
+    "prev_sibling": _COLUMN_MODULES,
+    "element_ids": _COLUMN_MODULES,
 }
 
 #: Functions that are serving *loops*: one uncaught exception kills a

@@ -107,8 +107,8 @@ class DocumentRegistry:
         """Register ``document`` (idempotent) and return its handle.
 
         The document's index is forced under the handle's stripe lock, so
-        exactly one thread pays the O(|D|) build even under a concurrent
-        stampede for the same fresh document.
+        a concurrent stampede for the same fresh document ends up sharing
+        one index — and with it one set of partition and kernel caches.
         """
         if not isinstance(document, Document):
             raise TypeError(f"expected a Document, got {type(document).__name__}")

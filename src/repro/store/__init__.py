@@ -1,12 +1,13 @@
-"""Persistent index snapshots and the corpus store.
+"""Persistent column snapshots and the corpus store.
 
 The subsystem has two layers plus an engine hook:
 
 * :mod:`repro.store.codec` — :func:`dump_snapshot` / :func:`load_snapshot`
-  turn a :class:`~repro.xmlmodel.document.Document` *including its
-  evaluation-ready* :class:`~repro.xmlmodel.index.DocumentIndex` into
-  deterministic framed bytes and back, with no XML parsing and no index
-  reconstruction on load (eager copies or zero-copy/mmap views);
+  turn the :class:`~repro.xmlmodel.columns.Columns` of a
+  :class:`~repro.xmlmodel.document.Document` into deterministic framed
+  bytes and back, with no XML parsing, no structure derivation and no
+  node objects in either direction (eager copies or zero-copy/mmap
+  views, validated at load);
 * :mod:`repro.store.corpus` — :class:`CorpusStore`, a content-hash-keyed
   snapshot directory (manifest + atomic writes) with
   ``put``/``get``/``list``/``stat``;

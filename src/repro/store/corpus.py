@@ -4,8 +4,8 @@ The store is the persistence layer a serving process points an
 :class:`~repro.engine.XPathEngine` at (``engine.attach_store(store)``):
 documents go in once via :meth:`CorpusStore.put`, and every later
 process — or the same process after an LRU eviction — hydrates them back
-with :meth:`CorpusStore.get` at snapshot-load speed instead of paying
-parse + index construction again.
+with :meth:`CorpusStore.get` at snapshot-load speed — the snapshot's
+columns become the document's, no parse, no node objects.
 
 Layout::
 
@@ -171,9 +171,12 @@ class CorpusStore:
                 key: entries[key].to_json() for key in sorted(entries)
             },
         }
+        # No ``indent``: it selects the pure-Python encoder, several times
+        # slower, on a file every ``put`` rewrites (``repro store ls`` is
+        # the human-readable view).
         _atomic_write(
             self._manifest_path,
-            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
+            json.dumps(payload, sort_keys=True).encode("utf-8"),
         )
         # Invalidate rather than prime: stat-ing the replaced file here
         # could stamp our entries with a concurrent writer's mtime and
@@ -209,9 +212,9 @@ class CorpusStore:
         entry = StoreEntry(
             key=key if key is not None else content_hash,
             hash=content_hash,
-            nodes=len(document.nodes),
+            nodes=len(document.columns.kinds),
             bytes=len(blob),
-            root_tag=getattr(document.root.document_element(), "tag", None),
+            root_tag=document.root_tag,
         )
         path = self._snapshot_path(content_hash)
         with self._lock:
@@ -259,13 +262,15 @@ class CorpusStore:
         """Load the document stored under ``key`` (or a raw content hash).
 
         With ``mmap=True`` the snapshot file is memory-mapped and the
-        index arrays stay zero-copy views over it — the mapping lives as
-        long as the document references it, and its pages are shared
-        between every process that maps the same snapshot.  The eager
-        path digest-checks the bytes against the content hash before
-        decoding (the mmap path skips the digest to keep cold pages
-        untouched); corruption of any kind surfaces as
-        :class:`StoreError`, never a raw decode exception.
+        document's columns stay zero-copy views over it — the mapping
+        lives as long as the document references it, and its pages are
+        shared between every process that maps the same snapshot.  The
+        eager path digest-checks the bytes against the content hash
+        before decoding; the mmap path skips the digest and relies on the
+        codec's structural validation.  Corruption of any kind surfaces
+        as :class:`StoreError` or
+        :class:`~repro.store.codec.SnapshotError`, never a raw decode
+        exception.  Neither path builds node objects.
         """
         entry = self.stat(key)
         path = self._snapshot_path(entry.hash)
@@ -277,7 +282,7 @@ class CorpusStore:
                     mapping = mmap_module.mmap(
                         handle.fileno(), 0, access=mmap_module.ACCESS_READ
                     )
-                # The document's index holds views into `mapping`, which
+                # The document's columns are views into `mapping`, which
                 # keeps the mapping (and its pages) alive via refcount.
                 document = load_snapshot(mapping, lazy=True)
             else:

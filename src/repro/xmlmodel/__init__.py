@@ -11,6 +11,7 @@ from repro.xmlmodel.axes import (
     node_test_matches,
     principal_node_type,
 )
+from repro.xmlmodel.columns import ColumnBuilder, Columns
 from repro.xmlmodel.document import Document, DocumentBuilder, build_tree
 from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.index import DocumentIndex
@@ -41,6 +42,8 @@ __all__ = [
     "AXIS_NAMES",
     "CORE_XPATH_AXES",
     "AttributeNode",
+    "ColumnBuilder",
+    "Columns",
     "CommentNode",
     "Document",
     "DocumentBuilder",

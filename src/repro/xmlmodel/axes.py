@@ -145,6 +145,11 @@ def _preceding_sibling(node: XMLNode) -> Iterator[XMLNode]:
 def _following(node: XMLNode) -> Iterator[XMLNode]:
     """All nodes after ``node`` in document order, excluding descendants."""
     current = node
+    if isinstance(node, AttributeNode) and node.parent is not None:
+        # An attribute comes before its owner's children in document order
+        # (XPath 1.0 §5) and they are not its descendants.
+        current = node.parent
+        yield from current.iter_descendants()
     while current is not None:
         for sibling in _following_sibling(current):
             yield from sibling.iter_descendants_or_self()

@@ -1,17 +1,32 @@
-"""The :class:`Document` wrapper over a node tree.
+"""The :class:`Document`: flat columns, and a node tree built on demand.
 
-A ``Document`` owns a frozen node tree: document-order positions have been
-assigned, per-tag indexes built, and the node population ("dom" in the
-paper's terminology) fixed.  All evaluators operate on documents rather
-than on bare nodes so that they can rely on these precomputed structures —
-the linear-time Core XPath algorithm, in particular, depends on being able
-to enumerate ``dom`` and to compare document order in constant time.
+A ``Document`` is a frozen XML document.  Its substance is a
+:class:`~repro.xmlmodel.columns.Columns` value — one entry per tree node
+in document order — which is what the XML scanner emits, what a snapshot
+stores and what the id-native evaluators read through
+:attr:`Document.index`.  The tree of :class:`~repro.xmlmodel.nodes.XMLNode`
+objects (``root`` / ``nodes`` / ``attributes``) is a second, derived form:
+a document parsed from text or loaded from a snapshot builds it the first
+time somebody asks for a node, once, and keeps it, so node identity per
+document is stable.  A document made from a
+:class:`DocumentBuilder` tree starts from the nodes and derives the same
+columns when it freezes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+import threading
+from typing import Iterator, Optional
 
+from repro.xmlmodel.columns import (
+    KIND_COMMENT,
+    KIND_ELEMENT,
+    KIND_PI,
+    KIND_ROOT,
+    KIND_TEXT,
+    ColumnBuilder,
+    Columns,
+)
 from repro.xmlmodel.index import DocumentIndex
 from repro.xmlmodel.nodes import (
     AttributeNode,
@@ -22,61 +37,232 @@ from repro.xmlmodel.nodes import (
     RootNode,
     TextNode,
     XMLNode,
+    _node_counter,
 )
+
+_KIND_OF_TYPE = {
+    NodeType.ROOT: KIND_ROOT,
+    NodeType.ELEMENT: KIND_ELEMENT,
+    NodeType.TEXT: KIND_TEXT,
+    NodeType.COMMENT: KIND_COMMENT,
+    NodeType.PROCESSING_INSTRUCTION: KIND_PI,
+}
+
+
+class NodeTree:
+    """The node objects of one document, as built by one materialisation."""
+
+    __slots__ = ("nodes", "attributes", "id_by_uid")
+
+    def __init__(
+        self,
+        nodes: list[XMLNode],
+        attributes: list[AttributeNode],
+        id_by_uid: dict[int, int],
+    ) -> None:
+        #: Tree nodes in document order; a node's position is its id.
+        self.nodes = nodes
+        #: Attribute nodes in document order.
+        self.attributes = attributes
+        #: ``uid`` → id for the tree nodes (attributes have no id).
+        self.id_by_uid = id_by_uid
 
 
 class Document:
-    """A frozen XML document tree with document-order and tag indexes.
+    """A frozen XML document: columns, an index over them, nodes on demand.
 
     Parameters
     ----------
     root:
-        The :class:`RootNode` of the tree.  The constructor freezes the
+        The :class:`RootNode` of a node tree.  The constructor freezes the
         tree: it assigns ``order`` to every node (root, elements, text,
-        comments, processing instructions and attributes) and builds the
-        indexes used by the evaluators.
+        comments, processing instructions and attributes) and derives the
+        document's columns from it.
+
+    Documents that come from :func:`~repro.xmlmodel.parser.parse_xml` or a
+    snapshot are built by :meth:`from_columns` instead and hold no node
+    objects until ``root``, ``nodes``, ``attributes``, ``elements_with_tag``
+    or a node-returning method of the index is used:
+
+    >>> from repro.xmlmodel import parse_xml
+    >>> from repro.evaluation.core import CoreXPathEvaluator
+    >>> document = parse_xml("<a><b/><b><c/></b></a>")
+    >>> document.has_nodes
+    False
+    >>> CoreXPathEvaluator(document).evaluate_ids("//b[child::c]")
+    [3]
+    >>> document.has_nodes          # the id-native path never needed one
+    False
+    >>> document.index.node_of(3).tag
+    'b'
+    >>> document.has_nodes
+    True
+    >>> document.nodes[3] is document.index.node_of(3)
+    True
     """
 
     def __init__(self, root: RootNode) -> None:
         if not isinstance(root, RootNode):
             raise TypeError("Document requires a RootNode")
-        self.root = root
-        self._nodes: list[XMLNode] = []
-        self._attributes: list[AttributeNode] = []
-        self._elements_by_tag: dict[str, list[ElementNode]] = {}
+        self._adopt(*self._freeze(root))
+
+    @classmethod
+    def from_columns(cls, columns: Columns) -> "Document":
+        """A document over ``columns``; its node tree is built on first use."""
+        document = cls.__new__(cls)
+        document._adopt(columns, None)
+        return document
+
+    def _adopt(self, columns: Columns, tree: Optional[NodeTree]) -> None:
+        #: The document as flat columns (read-only).
+        self.columns = columns
+        self._tree = tree
+        self._tree_lock = threading.Lock()
         self._index: Optional[DocumentIndex] = None
-        self._freeze()
 
-    # -- construction helpers ------------------------------------------------
+    # -- the two derivations: nodes → columns, columns → nodes ---------------------
 
-    def _freeze(self) -> None:
-        """Assign document order and build indexes.
+    def _freeze(self, root: RootNode) -> tuple[Columns, NodeTree]:
+        """Assign document order and derive the columns from the node tree.
 
         Attribute nodes are ordered directly after their owning element and
         before that element's children, following the XPath data model.
         """
-        counter = 0
-        stack: list[XMLNode] = [self.root]
-        ordered: list[XMLNode] = []
+        builder = ColumnBuilder()  # its root is already open
+        nodes: list[XMLNode] = []
         attributes: list[AttributeNode] = []
+        id_by_uid: dict[int, int] = {}
+        order = 0
+        stack: list[Optional[XMLNode]] = [root]
         while stack:
             node = stack.pop()
-            node.order = counter
-            counter += 1
+            if node is None:
+                builder.close()
+                continue
+            node.order = order
+            order += 1
             node.document = self
-            ordered.append(node)
-            if isinstance(node, ElementNode):
-                for attribute in node.attributes:
-                    attribute.order = counter
-                    counter += 1
-                    attribute.document = self
-                    attributes.append(attribute)
-                self._elements_by_tag.setdefault(node.tag, []).append(node)
+            id_by_uid[node.uid] = len(nodes)
+            nodes.append(node)
+            if node is not root:
+                if isinstance(node, ElementNode):
+                    for attribute in node.attributes:
+                        attribute.order = order
+                        order += 1
+                        attribute.document = self
+                        attributes.append(attribute)
+                    builder.open(
+                        KIND_ELEMENT,
+                        node.tag,
+                        None,
+                        [(a.attr_name, a.value) for a in node.attributes],
+                    )
+                elif isinstance(node, ProcessingInstructionNode):
+                    builder.open(KIND_PI, node.target, node.data)
+                else:
+                    builder.open(
+                        _KIND_OF_TYPE[node.node_type], None, getattr(node, "text", None)
+                    )
+                stack.append(None)
             stack.extend(reversed(node.children))
-        self._nodes = ordered
-        self._attributes = attributes
+        return builder.finish(), NodeTree(nodes, attributes, id_by_uid)
+
+    def _materialise(self) -> NodeTree:
+        """The node tree, built from the columns by whichever caller is first.
+
+        One linear pass under a once-only lock, so concurrent first
+        touches all see the same node objects.  Nodes are stored in
+        pre-order, so every parent id precedes its children and links can
+        be patched as objects come into existence; ``__new__`` + direct
+        slot writes skip the constructors' bookkeeping — the columns
+        already describe a frozen, validated tree.
+        """
+        with self._tree_lock:
+            if self._tree is None:
+                self._tree = self._build_tree()
+            return self._tree
+
+    def _build_tree(self) -> NodeTree:
+        columns = self.columns
+        kinds = columns.kinds
+        parent = columns.parent
+        names = columns.names
+        texts = columns.texts
+        attr_offsets = columns.attr_offsets
+        attr_names = columns.attr_names
+        attr_values = columns.attr_values
+        strings = columns.strings
+        n = len(kinds)
+        nodes: list[XMLNode] = [None] * n  # type: ignore[list-item]
+        attributes: list[AttributeNode] = []
+        id_by_uid: dict[int, int] = {}
+        order = 0
+        node: XMLNode
+        for i in range(n):
+            kind = kinds[i]
+            if kind == KIND_ELEMENT:
+                node = ElementNode.__new__(ElementNode)
+                node.node_type = NodeType.ELEMENT
+                node.tag = strings[names[i]]
+                node_attributes: list[AttributeNode] = []
+                node.attributes = node_attributes
+            elif kind == KIND_TEXT:
+                node = TextNode.__new__(TextNode)
+                node.node_type = NodeType.TEXT
+                node.text = strings[texts[i]]
+            elif kind == KIND_ROOT:
+                node = RootNode.__new__(RootNode)
+                node.node_type = NodeType.ROOT
+            elif kind == KIND_COMMENT:
+                node = CommentNode.__new__(CommentNode)
+                node.node_type = NodeType.COMMENT
+                node.text = strings[texts[i]]
+            else:
+                node = ProcessingInstructionNode.__new__(ProcessingInstructionNode)
+                node.node_type = NodeType.PROCESSING_INSTRUCTION
+                node.target = strings[names[i]]
+                node.data = strings[texts[i]]
+            node.children = []
+            node.order = order
+            order += 1
+            node.uid = uid = next(_node_counter)
+            node.document = self
+            id_by_uid[uid] = i
+            parent_id = parent[i]
+            if parent_id == -1:
+                node.parent = None
+            else:
+                parent_node = nodes[parent_id]
+                node.parent = parent_node
+                parent_node.children.append(node)
+            nodes[i] = node
+            if kind == KIND_ELEMENT:
+                for j in range(attr_offsets[i], attr_offsets[i + 1]):
+                    attribute = AttributeNode.__new__(AttributeNode)
+                    attribute.node_type = NodeType.ATTRIBUTE
+                    attribute.attr_name = strings[attr_names[j]]
+                    attribute.value = strings[attr_values[j]]
+                    attribute.parent = node
+                    attribute.children = []
+                    attribute.order = order
+                    order += 1
+                    attribute.uid = next(_node_counter)
+                    attribute.document = self
+                    node_attributes.append(attribute)
+                    attributes.append(attribute)
+        return NodeTree(nodes, attributes, id_by_uid)
 
     # -- node populations ------------------------------------------------------
+
+    @property
+    def has_nodes(self) -> bool:
+        """True once the node tree exists (see the class docstring)."""
+        return self._tree is not None
+
+    @property
+    def root(self) -> RootNode:
+        """The conceptual root node (builds the node tree on first use)."""
+        return (self._tree or self._materialise()).nodes[0]  # type: ignore[return-value]
 
     @property
     def nodes(self) -> list[XMLNode]:
@@ -84,18 +270,19 @@ class Document:
 
         Attribute nodes are excluded, matching the paper's ``dom`` which
         ranges over tree nodes; they remain reachable via the attribute axis.
+        Builds the node tree on first use.
         """
-        return self._nodes
+        return (self._tree or self._materialise()).nodes
 
     @property
     def attributes(self) -> list[AttributeNode]:
-        """All attribute nodes in document order."""
-        return self._attributes
+        """All attribute nodes in document order (builds the node tree on first use)."""
+        return (self._tree or self._materialise()).attributes
 
     @property
     def elements(self) -> list[ElementNode]:
         """All element nodes in document order."""
-        return [node for node in self._nodes if isinstance(node, ElementNode)]
+        return [node for node in self.nodes if isinstance(node, ElementNode)]
 
     def dom(self) -> list[XMLNode]:
         """Return the paper's ``dom``: the root plus all element nodes.
@@ -107,18 +294,18 @@ class Document:
         """
         return [
             node
-            for node in self._nodes
+            for node in self.nodes
             if node.node_type in (NodeType.ROOT, NodeType.ELEMENT)
         ]
 
     @property
     def index(self) -> DocumentIndex:
-        """The :class:`DocumentIndex` for this document, built on first use.
+        """The :class:`DocumentIndex` over this document's columns.
 
-        Building costs one O(|D|) pass and is cached for the lifetime of
-        the document, so every evaluator (and every query in a batch)
-        shares the same arrays.  A node's id in the index is its pre-order
-        rank among the tree nodes (attributes have no id).
+        Made on first use and cached for the lifetime of the document, so
+        every evaluator (and every query in a batch) shares the same
+        arrays, partition sets and kernel state.  A node's id in the index
+        is its pre-order rank among the tree nodes (attributes have no id).
 
         Examples
         --------
@@ -128,37 +315,48 @@ class Document:
         False
         >>> document.index.size == len(document.nodes)
         True
-        >>> document.index is document.index    # built once, then cached
+        >>> document.index is document.index    # made once, then cached
         True
         """
         if self._index is None:
-            self._index = DocumentIndex(self._nodes)
+            self._index = DocumentIndex(self)
         return self._index
 
     @property
     def has_index(self) -> bool:
-        """True if the document index has already been built."""
+        """True if the document index has already been made."""
         return self._index is not None
 
     def elements_with_tag(self, tag: str) -> list[ElementNode]:
         """Return all elements with the given tag, in document order."""
-        return list(self._elements_by_tag.get(tag, []))
+        nodes = self.nodes
+        return [nodes[i] for i in self.columns.ids_by_tag.get(tag, ())]  # type: ignore[misc]
+
+    @property
+    def root_tag(self) -> Optional[str]:
+        """The document element's tag (``None`` if the root has no element
+        child), read from the columns."""
+        columns = self.columns
+        child = columns.first_child[0]
+        while child != -1:
+            if columns.kinds[child] == KIND_ELEMENT:
+                return columns.strings[columns.names[child]]
+            child = columns.next_sibling[child]
+        return None
 
     @property
     def size(self) -> int:
         """The number of nodes in the document (|D| in the paper)."""
-        return len(self._nodes) + len(self._attributes)
+        return len(self.columns.kinds) + len(self.columns.attr_names)
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[XMLNode]:
-        return iter(self._nodes)
+        return iter(self.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        doc_elem = self.root.document_element()
-        tag = doc_elem.tag if doc_elem is not None else None
-        return f"<Document root_tag={tag!r} size={self.size}>"
+        return f"<Document root_tag={self.root_tag!r} size={self.size}>"
 
 
 class DocumentBuilder:

@@ -3,9 +3,10 @@
 The evaluators in :mod:`repro.evaluation` spend nearly all of their time
 applying axes.  The object-walk implementations traverse ``parent`` /
 ``children`` pointers and hash node objects into Python sets, which is
-linear but with a heavy constant.  :class:`DocumentIndex` precomputes, in
-one O(|D|) pass, a handful of flat integer arrays over the tree nodes in
-document order:
+linear but with a heavy constant.  :class:`DocumentIndex` works on the
+document's :class:`~repro.xmlmodel.columns.Columns` instead — flat integer
+arrays over the tree nodes in document order, filled by the XML scanner
+(or read straight out of a snapshot) in one O(|D|) pass:
 
 * ``pre`` / ``post`` — pre- and post-order ranks.  Because tree nodes are
   stored in pre-order, a node's id *is* its pre-order rank, and the
@@ -32,6 +33,11 @@ Two surfaces are exposed on top of these arrays:
   :meth:`tag_ids_in_interval`) return ids in axis order for one context
   node and serve the ``cvt`` / ``naive`` evaluators.
 
+Neither surface touches a node object: node tests read the ``kinds`` /
+``names`` columns.  Only the id ↔ node conversions (:attr:`nodes`,
+:meth:`node_of`, :meth:`id_of`, :meth:`ids_to_node_list`, …) need the
+node tree, and the first of them to run has the owning document build it.
+
 All operations cover the navigational axes only — attribute nodes are
 not tree nodes and keep using the object walk of
 :mod:`repro.xmlmodel.axes`, which is also the oracle both surfaces are
@@ -40,28 +46,41 @@ tested against.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from repro.errors import XPathEvaluationError
+from repro.xmlmodel.columns import KIND_COMMENT, KIND_ELEMENT, KIND_PI, KIND_TEXT
 from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.kernels import KernelBackend, active_backend
-from repro.xmlmodel.nodes import ElementNode, XMLNode
+from repro.xmlmodel.nodes import XMLNode
+
+if TYPE_CHECKING:  # import cycle: document.py imports this module
+    from repro.xmlmodel.document import Document, NodeTree
+
+#: Kind byte selected by each parameterless kind test.
+_KIND_OF_TEST = {
+    "text()": KIND_TEXT,
+    "comment()": KIND_COMMENT,
+    "processing-instruction()": KIND_PI,
+}
 
 
 class DocumentIndex:
-    """Flat-array index over the tree nodes of a frozen document.
+    """Axis kernels and node tests over the columns of a frozen document.
 
     Parameters
     ----------
-    nodes:
-        The document's tree nodes in document (pre-order) order, root
-        first — exactly ``Document.nodes``.  Attribute nodes must not be
-        included.
+    document:
+        The document whose :attr:`~repro.xmlmodel.document.Document.columns`
+        to work on.  The index aliases the structure columns (no copy) and
+        keeps only a weak reference to the document itself, so a document
+        nobody else holds is freed by reference counting alone.
 
     Examples
     --------
-    Normally obtained via :attr:`repro.xmlmodel.document.Document.index`:
+    Obtained via :attr:`repro.xmlmodel.document.Document.index`:
 
     >>> from repro.xmlmodel import parse_xml
     >>> from repro.xmlmodel.idset import IdSet
@@ -75,7 +94,7 @@ class DocumentIndex:
     """
 
     __slots__ = (
-        "nodes",
+        "columns",
         "size",
         "parent",
         "subtree_end",
@@ -88,82 +107,50 @@ class DocumentIndex:
         "_ids_by_kind",
         "_test_idsets",
         "_kernel_states",
-        "_id_by_uid",
+        "_owner",
+        "_tree",
     )
 
-    def __init__(self, nodes: Sequence[XMLNode]) -> None:
-        n = len(nodes)
-        self.nodes: List[XMLNode] = list(nodes)
-        self.size = n
-        self.parent = [-1] * n
-        self.subtree_end = [0] * n
-        self.post = [0] * n
-        self.first_child = [-1] * n
-        self.next_sibling = [-1] * n
-        self.prev_sibling = [-1] * n
-        self.ids_by_tag: dict[str, list[int]] = {}
-        self.element_ids: list[int] = []
-        self._ids_by_kind: dict[str, list[int]] = {}
+    def __init__(self, document: "Document") -> None:
+        columns = document.columns
+        self.columns = columns
+        self.size = len(columns.kinds)
+        self.parent = columns.parent
+        self.subtree_end = columns.subtree_end
+        self.post = columns.post
+        self.first_child = columns.first_child
+        self.next_sibling = columns.next_sibling
+        self.prev_sibling = columns.prev_sibling
+        self.ids_by_tag = columns.ids_by_tag
+        self.element_ids = columns.element_ids
+        self._ids_by_kind = columns.ids_by_kind
         self._test_idsets: dict[Tuple[str, str], IdSet] = {}
         self._kernel_states: dict[str, Any] = {}
-        self._id_by_uid: dict[int, int] = {}
-
-        id_by_uid = self._id_by_uid
-        for i, node in enumerate(nodes):
-            id_by_uid[node.uid] = i
-
-        parent = self.parent
-        first_child = self.first_child
-        next_sibling = self.next_sibling
-        prev_sibling = self.prev_sibling
-        for i, node in enumerate(nodes):
-            if node.parent is not None:
-                parent[i] = id_by_uid[node.parent.uid]
-            if node.children:
-                child_ids = [id_by_uid[child.uid] for child in node.children]
-                first_child[i] = child_ids[0]
-                for left, right in zip(child_ids, child_ids[1:]):
-                    next_sibling[left] = right
-                    prev_sibling[right] = left
-            if isinstance(node, ElementNode):
-                self.ids_by_tag.setdefault(node.tag, []).append(i)
-                self.element_ids.append(i)
-            else:
-                self._ids_by_kind.setdefault(node.node_type.value, []).append(i)
-
-        # Descendants form a contiguous pre-order interval; the subtree of i
-        # ends where the next node at depth <= depth[i] begins.  A single
-        # reverse sweep fills both the interval ends and the post-order ranks.
-        subtree_end = self.subtree_end
-        for i in range(n - 1, -1, -1):
-            end = i
-            child = first_child[i]
-            if child != -1:
-                last = child
-                while next_sibling[last] != -1:
-                    last = next_sibling[last]
-                end = subtree_end[last]
-            subtree_end[i] = end
-
-        post = self.post
-        counter = 0
-        stack: list[tuple[int, bool]] = [(0, False)] if n else []
-        while stack:
-            i, expanded = stack.pop()
-            if expanded:
-                post[i] = counter
-                counter += 1
-                continue
-            stack.append((i, True))
-            child = first_child[i]
-            children = []
-            while child != -1:
-                children.append(child)
-                child = next_sibling[child]
-            for child in reversed(children):
-                stack.append((child, False))
+        self._owner = weakref.ref(document)
+        # A tree that already exists is held strongly: its nodes point back
+        # at the document, which keeps it alive while this index hands them out.
+        self._tree: Optional["NodeTree"] = document._tree
 
     # -- id/node conversion --------------------------------------------------
+
+    def _materialise(self) -> "NodeTree":
+        """Have the owning document build its node tree (once) and keep it."""
+        document = self._owner()
+        if document is None:
+            # Only this index outlived the document it was made for; any
+            # document over the same columns is that document again.
+            from repro.xmlmodel.document import Document
+
+            document = Document.from_columns(self.columns)
+            document._index = self
+            self._owner = weakref.ref(document)
+        tree = self._tree = document._materialise()
+        return tree
+
+    @property
+    def nodes(self) -> List[XMLNode]:
+        """The tree nodes in document order (builds the node tree on first use)."""
+        return (self._tree or self._materialise()).nodes
 
     def id_of(self, node: XMLNode) -> int:
         """Return the document-order id of ``node``.
@@ -171,20 +158,20 @@ class DocumentIndex:
         Raises :class:`KeyError` for nodes outside the indexed tree
         (attribute nodes, nodes of another document).
         """
-        return self._id_by_uid[node.uid]
+        return (self._tree or self._materialise()).id_by_uid[node.uid]
 
     def node_of(self, node_id: int) -> XMLNode:
         """Return the node with document-order id ``node_id``."""
-        return self.nodes[node_id]
+        return (self._tree or self._materialise()).nodes[node_id]
 
     def ids_to_node_list(self, ids: Iterable[int]) -> List[XMLNode]:
         """Convert ids to a node list, preserving iteration order."""
-        nodes = self.nodes
+        nodes = (self._tree or self._materialise()).nodes
         return [nodes[i] for i in ids]
 
     def contains(self, node: XMLNode) -> bool:
         """Return True if ``node`` is a tree node of the indexed document."""
-        return node.uid in self._id_by_uid
+        return node.uid in (self._tree or self._materialise()).id_by_uid
 
     # -- per-node axis enumeration (axis order) --------------------------------
 
@@ -268,18 +255,32 @@ class DocumentIndex:
                     node_test, self.subtree_end[node_id] + 1, self.size
                 )
         ids = self.axis_ids(node_id, axis)
-        nodes = self.nodes
+        kinds = self.columns.kinds
         if node_test == "*":
-            return [j for j in ids if isinstance(nodes[j], ElementNode)]
+            return [j for j in ids if kinds[j] == KIND_ELEMENT]
         if not node_test.endswith(")"):
-            return [
-                j
-                for j in ids
-                if isinstance(nodes[j], ElementNode) and nodes[j].tag == node_test
-            ]
-        from repro.xmlmodel.axes import node_test_matches
+            # Name tests select elements, the principal node type of every
+            # navigational axis; PI targets live in the same column.
+            partition = self.ids_by_tag.get(node_test)
+            if not partition:
+                return []
+            names = self.columns.names
+            name = names[partition[0]]
+            return [j for j in ids if names[j] == name and kinds[j] == KIND_ELEMENT]
+        kind = _KIND_OF_TEST.get(node_test)
+        if kind is not None:
+            return [j for j in ids if kinds[j] == kind]
+        return self._with_pi_target(ids, node_test)
 
-        return [j for j in ids if node_test_matches(nodes[j], axis, node_test)]
+    def _with_pi_target(self, ids: Iterable[int], node_test: str) -> List[int]:
+        """The members of ``ids`` passing ``processing-instruction('target')``."""
+        if not node_test.startswith("processing-instruction("):
+            return []
+        target = node_test[len("processing-instruction(") : -1].strip("'\"")
+        kinds, names, strings = (
+            self.columns.kinds, self.columns.names, self.columns.strings,
+        )
+        return [j for j in ids if kinds[j] == KIND_PI and strings[names[j]] == target]
 
     def tag_ids_in_interval(self, tag: str, lo: int, hi: int) -> List[int]:
         """Return the ids of ``tag`` elements with ``lo <= id < hi`` (sorted).
@@ -308,7 +309,7 @@ class DocumentIndex:
 
     def idset_from_nodes(self, nodes_in: Iterable[XMLNode]) -> IdSet:
         """Convert nodes to an :class:`IdSet` (KeyError for non-tree nodes)."""
-        id_by_uid = self._id_by_uid
+        id_by_uid = (self._tree or self._materialise()).id_by_uid
         return IdSet.from_iterable(
             (id_by_uid[node.uid] for node in nodes_in), self.size
         )
@@ -321,7 +322,7 @@ class DocumentIndex:
         materialisation of the id-native evaluation path (and a Python-int
         boundary: backend array results are converted here in bulk).
         """
-        nodes = self.nodes
+        nodes = (self._tree or self._materialise()).nodes
         members = ids.ids
         if isinstance(members, range):
             return nodes[members.start : members.stop]
@@ -461,10 +462,9 @@ class DocumentIndex:
             result = IdSet.from_sorted(
                 backend.prepare_sorted(self.element_ids), self.size
             )
-        elif node_test in ("text()", "comment()", "processing-instruction()"):
-            kind = node_test[:-2]
+        elif node_test in _KIND_OF_TEST:
             result = IdSet.from_sorted(
-                backend.prepare_sorted(self._ids_by_kind.get(kind, [])),
+                backend.prepare_sorted(self._ids_by_kind[_KIND_OF_TEST[node_test]]),
                 self.size,
             )
         elif node_test.endswith(")"):
@@ -489,13 +489,7 @@ class DocumentIndex:
         partition = self.test_idset(node_test)
         if partition is not None:
             return ids & partition
-        from repro.xmlmodel.axes import node_test_matches
-
-        nodes = self.nodes
-        return IdSet.from_sorted(
-            [i for i in ids if node_test_matches(nodes[i], axis, node_test)],
-            self.size,
-        )
+        return IdSet.from_sorted(self._with_pi_target(ids, node_test), self.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DocumentIndex size={self.size} tags={len(self.ids_by_tag)}>"

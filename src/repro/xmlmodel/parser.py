@@ -8,10 +8,16 @@ and decimal / hexadecimal character references.  Namespace declarations are
 treated as ordinary attributes and prefixes are kept as part of names,
 which is all the paper's constructions require.
 
-The implementation is a small hand-written scanner rather than a wrapper
+The implementation is a token-at-a-time scanner rather than a wrapper
 around :mod:`xml.etree` so that the whole evaluation pipeline — from bytes
 to query answers — is built by this repository; ElementTree is only used in
-the test-suite as an independent cross-check.
+the test-suite as an independent cross-check.  One compiled regular
+expression recognises a whole piece of markup (start tag with its
+attributes, end tag, comment, CDATA section, processing instruction),
+``str.find`` delimits character data, and every token goes straight into a
+:class:`~repro.xmlmodel.columns.ColumnBuilder`: parsing constructs no node
+objects, and nesting depth is bounded by memory, not by the interpreter
+stack.
 """
 
 from __future__ import annotations
@@ -19,11 +25,39 @@ from __future__ import annotations
 import re
 
 from repro.errors import XMLParseError
-from repro.xmlmodel.document import Document, DocumentBuilder
+from repro.xmlmodel.columns import (
+    KIND_COMMENT,
+    KIND_ELEMENT,
+    KIND_PI,
+    KIND_TEXT,
+    ColumnBuilder,
+)
+from repro.xmlmodel.document import Document
 
-_NAME_START = re.compile(r"[A-Za-z_:]")
-_NAME_CHARS = re.compile(r"[-A-Za-z0-9_:.·]")
-_WHITESPACE = " \t\r\n"
+_NAME = r"[A-Za-z_:][-A-Za-z0-9_:.·]*"
+_WS = r"[ \t\r\n]*"
+_ATTRIBUTE = re.compile(rf"{_WS}({_NAME}){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)')")
+_ATTRIBUTES = rf"(?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"]*\"|'[^']*'))*"
+
+#: One piece of markup, anchored at its ``<``.  The alternatives' groups
+#: are numbered below, and ``lastindex`` — the last group of whichever
+#: alternative matched — tells them apart.  The lookahead after the tag
+#: name keeps the engine from backtracking into it and reading
+#: ``<ax="1">`` as ``<a x="1">``.
+_MARKUP = re.compile(
+    rf"<(?:({_NAME})(?![-A-Za-z0-9_:.·])({_ATTRIBUTES}){_WS}(/?)>"
+    rf"|/({_NAME}){_WS}>"
+    rf"|!--(.*?)-->"
+    rf"|!\[CDATA\[(.*?)\]\]>"
+    rf"|\?({_NAME})(.*?)\?>)",
+    re.DOTALL,
+)
+(_TAG, _ATTRIBUTE_TEXT, _SELF_CLOSING, _END_TAG,
+ _COMMENT, _CDATA, _TARGET, _PI_BODY) = range(1, 9)
+_REFERENCE = re.compile(r"&([^;]*)(;?)")
+_ANGLE_BRACKET = re.compile(r"[<>]")
+_NAME_AT = re.compile(_NAME)
+_WS_AT = re.compile(_WS)
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -34,81 +68,49 @@ _PREDEFINED_ENTITIES = {
 }
 
 
-class _Scanner:
-    """Character-level scanner with position tracking for error messages."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def eof(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.length else ""
-
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in _WHITESPACE:
-            self.pos += 1
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise XMLParseError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def read_until(self, terminator: str) -> str:
-        end = self.text.find(terminator, self.pos)
-        if end < 0:
-            raise XMLParseError(f"unterminated construct, missing {terminator!r}", self.pos)
-        chunk = self.text[self.pos : end]
-        self.pos = end + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
-        if self.eof() or not _NAME_START.match(self.peek()):
-            raise XMLParseError("expected a name", self.pos)
-        start = self.pos
-        self.pos += 1
-        while self.pos < self.length and _NAME_CHARS.match(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-
 def _decode_references(text: str, position: int) -> str:
-    """Expand entity and character references in ``text``."""
-    if "&" not in text:
-        return text
-    out: list[str] = []
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if char != "&":
-            out.append(char)
-            index += 1
-            continue
-        end = text.find(";", index)
-        if end < 0:
-            raise XMLParseError("unterminated entity reference", position + index)
-        entity = text[index + 1 : end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            out.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            out.append(chr(int(entity[1:])))
-        elif entity in _PREDEFINED_ENTITIES:
-            out.append(_PREDEFINED_ENTITIES[entity])
-        else:
-            raise XMLParseError(f"unknown entity &{entity};", position + index)
-        index = end + 1
-    return "".join(out)
+    """Expand entity and character references in ``text`` (which starts at ``position``)."""
+
+    def expand(match: "re.Match[str]") -> str:
+        entity, terminator = match.groups()
+        where = position + match.start()
+        if not terminator:
+            raise XMLParseError("unterminated entity reference", where)
+        if entity.startswith("#"):
+            try:
+                if entity[1:2] in ("x", "X"):
+                    code = int(entity[2:], 16)
+                else:
+                    code = int(entity[1:])
+                if 0xD800 <= code <= 0xDFFF:
+                    raise ValueError("surrogate code point")
+                return chr(code)
+            except (ValueError, OverflowError):
+                raise XMLParseError(
+                    f"invalid character reference &{entity};", where
+                ) from None
+        try:
+            return _PREDEFINED_ENTITIES[entity]
+        except KeyError:
+            raise XMLParseError(f"unknown entity &{entity};", where) from None
+
+    return _REFERENCE.sub(expand, text)
+
+
+def _attributes(source: str, position: int) -> list[tuple[str, str]]:
+    """The ``(name, value)`` pairs of a start tag's attribute text, in order."""
+    attributes = []
+    for match in _ATTRIBUTE.finditer(source):
+        name, double_quoted, single_quoted = match.groups()
+        value = single_quoted if double_quoted is None else double_quoted
+        if any(name == seen for seen, _ in attributes):
+            raise XMLParseError(
+                f"duplicate attribute {name!r}", position + match.start(1)
+            )
+        if "&" in value:
+            value = _decode_references(value, position + match.end() - len(value) - 1)
+        attributes.append((name, value))
+    return attributes
 
 
 def parse_xml(text: str, keep_whitespace_text: bool = False) -> Document:
@@ -122,132 +124,153 @@ def parse_xml(text: str, keep_whitespace_text: bool = False) -> Document:
         When False (the default), text nodes consisting solely of whitespace
         are dropped.  This keeps synthetic benchmark documents small and
         matches how the paper counts document size.
+
+    The scanner fills the document's columns directly; node objects are
+    built later, if and when something asks for one:
+
+    >>> document = parse_xml('<a x="1"><b>hi</b><!--note--></a>')
+    >>> document.size, document.root_tag, document.has_nodes
+    (6, 'a', False)
+    >>> [type(node).__name__ for node in document.nodes]
+    ['RootNode', 'ElementNode', 'ElementNode', 'TextNode', 'CommentNode']
+    >>> document.has_nodes
+    True
     """
-    scanner = _Scanner(text)
-    builder = DocumentBuilder()
-    depth = 0
+    builder = ColumnBuilder()
+    open_node, close_node = builder.open, builder.close
+    markup_at = _MARKUP.match
+    find = text.find
+    length = len(text)
+    open_tags: list[str] = []
     seen_document_element = False
 
-    scanner.skip_whitespace()
-    while not scanner.eof():
-        if scanner.startswith("<?"):
-            _parse_processing_instruction(scanner, builder)
-        elif scanner.startswith("<!--"):
-            _parse_comment(scanner, builder)
-        elif scanner.startswith("<!DOCTYPE"):
-            _skip_doctype(scanner)
-        elif scanner.startswith("<![CDATA["):
-            if depth == 0:
-                raise XMLParseError("character data outside document element", scanner.pos)
-            scanner.expect("<![CDATA[")
-            builder.text(scanner.read_until("]]>"))
-        elif scanner.startswith("</"):
-            _parse_end_tag(scanner, builder)
-            depth -= 1
-            if depth == 0:
-                scanner.skip_whitespace()
-        elif scanner.startswith("<"):
-            if depth == 0 and seen_document_element:
-                raise XMLParseError("multiple document elements", scanner.pos)
-            self_closing = _parse_start_tag(scanner, builder)
-            if depth == 0:
+    position = 0
+    while position < length:
+        if text[position] != "<":
+            end = find("<", position)
+            if end < 0:
+                end = length
+            data = text[position:end]
+            if not open_tags:
+                if not data.isspace():
+                    raise XMLParseError(
+                        "character data outside document element", position
+                    )
+            else:
+                if "&" in data:
+                    data = _decode_references(data, position)
+                if data and (keep_whitespace_text or not data.isspace()):
+                    open_node(KIND_TEXT, None, data)
+                    close_node()
+            position = end
+            continue
+
+        markup = markup_at(text, position)
+        if markup is None:
+            position = _skip_doctype(text, position)
+            continue
+        token = markup.lastindex
+        if token == _SELF_CLOSING:  # a start tag; the group may be empty
+            tag, attribute_text, self_closing = markup.group(
+                _TAG, _ATTRIBUTE_TEXT, _SELF_CLOSING
+            )
+            if not open_tags:
+                if seen_document_element:
+                    raise XMLParseError("multiple document elements", position)
                 seen_document_element = True
-            if not self_closing:
-                depth += 1
+            if attribute_text:
+                open_node(
+                    KIND_ELEMENT, tag, None,
+                    _attributes(attribute_text, markup.start(_ATTRIBUTE_TEXT)),
+                )
+            else:
+                open_node(KIND_ELEMENT, tag)
+            if self_closing:
+                close_node()
+            else:
+                open_tags.append(tag)
+        elif token == _END_TAG:
+            tag = markup.group(_END_TAG)
+            if not open_tags or open_tags[-1] != tag:
+                current = open_tags[-1] if open_tags else None
+                raise XMLParseError(
+                    f"mismatched end tag </{tag}>; open element is <{current}>",
+                    position,
+                )
+            open_tags.pop()
+            close_node()
+        elif token == _COMMENT:
+            open_node(KIND_COMMENT, None, markup.group(_COMMENT))
+            close_node()
+        elif token == _CDATA:
+            if not open_tags:
+                raise XMLParseError(
+                    "character data outside document element", position
+                )
+            open_node(KIND_TEXT, None, markup.group(_CDATA))
+            close_node()
         else:
-            start = scanner.pos
-            raw = _read_character_data(scanner)
-            if depth == 0:
-                if raw.strip():
-                    raise XMLParseError("character data outside document element", start)
-                continue
-            data = _decode_references(raw, start)
-            if data.strip() or (keep_whitespace_text and data):
-                builder.text(data)
+            target, body = markup.group(_TARGET, _PI_BODY)
+            if target.lower() != "xml":  # the XML declaration is not a node
+                open_node(KIND_PI, target, body.strip())
+                close_node()
+        position = markup.end()
 
-    if depth != 0:
-        raise XMLParseError("unexpected end of input: unclosed element", scanner.pos)
+    if open_tags:
+        raise XMLParseError("unexpected end of input: unclosed element", length)
     if not seen_document_element:
-        raise XMLParseError("document has no document element", scanner.pos)
-    return builder.finish()
+        raise XMLParseError("document has no document element", length)
+    return Document.from_columns(builder.finish())
 
 
-def _read_character_data(scanner: _Scanner) -> str:
-    end = scanner.text.find("<", scanner.pos)
-    if end < 0:
-        end = scanner.length
-    chunk = scanner.text[scanner.pos : end]
-    scanner.pos = end
-    return chunk
+def _skip_doctype(text: str, position: int) -> int:
+    """Return the position after the DOCTYPE declaration at ``position``.
 
-
-def _parse_processing_instruction(scanner: _Scanner, builder: DocumentBuilder) -> None:
-    scanner.expect("<?")
-    target = scanner.read_name()
-    body = scanner.read_until("?>").strip()
-    if target.lower() == "xml":
-        return  # XML declaration: ignore
-    builder.processing_instruction(target, body)
-
-
-def _parse_comment(scanner: _Scanner, builder: DocumentBuilder) -> None:
-    scanner.expect("<!--")
-    builder.comment(scanner.read_until("-->"))
-
-
-def _skip_doctype(scanner: _Scanner) -> None:
-    scanner.expect("<!DOCTYPE")
+    Reached for every ``<`` that :data:`_MARKUP` does not recognise, so
+    anything that is not a DOCTYPE is malformed markup and raises.
+    """
+    if not text.startswith("<!DOCTYPE", position):
+        raise _malformed(text, position)
     depth = 1
-    while depth > 0:
-        if scanner.eof():
-            raise XMLParseError("unterminated DOCTYPE", scanner.pos)
-        char = scanner.advance()
-        if char == "<":
-            depth += 1
-        elif char == ">":
-            depth -= 1
+    for bracket in _ANGLE_BRACKET.finditer(text, position + len("<!DOCTYPE")):
+        depth += 1 if bracket.group() == "<" else -1
+        if depth == 0:
+            return bracket.end()
+    raise XMLParseError("unterminated DOCTYPE", len(text))
 
 
-def _parse_start_tag(scanner: _Scanner, builder: DocumentBuilder) -> bool:
-    """Parse a start tag; return True if it was self-closing."""
-    scanner.expect("<")
-    tag = scanner.read_name()
-    attributes: dict[str, str] = {}
+def _malformed(text: str, position: int) -> XMLParseError:
+    """Say what is wrong with the markup at ``position`` that :data:`_MARKUP` refused."""
+    for opener, terminator in (("<!--", "-->"), ("<![CDATA[", "]]>")):
+        if text.startswith(opener, position):
+            return XMLParseError(
+                f"unterminated construct, missing {terminator!r}", position
+            )
+    cursor = position + (2 if text.startswith(("<?", "</"), position) else 1)
+    name = _NAME_AT.match(text, cursor)
+    if name is None:
+        return XMLParseError("expected a name", cursor)
+    if text.startswith("<?", position):
+        return XMLParseError("unterminated construct, missing '?>'", position)
+    if text.startswith("</", position):
+        return XMLParseError("expected '>'", _WS_AT.match(text, name.end()).end())
+    # A start tag: walk its attributes to the first thing that is not one.
+    cursor = name.end()
     while True:
-        scanner.skip_whitespace()
-        if scanner.startswith("/>"):
-            scanner.expect("/>")
-            builder.start_element(tag, attributes)
-            builder.end_element()
-            return True
-        if scanner.startswith(">"):
-            scanner.expect(">")
-            builder.start_element(tag, attributes)
-            return False
-        attr_name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise XMLParseError("attribute value must be quoted", scanner.pos)
-        scanner.advance()
-        value_start = scanner.pos
-        value = scanner.read_until(quote)
-        if attr_name in attributes:
-            raise XMLParseError(f"duplicate attribute {attr_name!r}", value_start)
-        attributes[attr_name] = _decode_references(value, value_start)
-
-
-def _parse_end_tag(scanner: _Scanner, builder: DocumentBuilder) -> None:
-    scanner.expect("</")
-    tag = scanner.read_name()
-    scanner.skip_whitespace()
-    scanner.expect(">")
-    current = builder.current
-    current_tag = getattr(current, "tag", None)
-    if current_tag != tag:
-        raise XMLParseError(
-            f"mismatched end tag </{tag}>; open element is <{current_tag}>", scanner.pos
-        )
-    builder.end_element()
+        attribute = _ATTRIBUTE.match(text, cursor)
+        if attribute is None:
+            break
+        cursor = attribute.end()
+    cursor = _WS_AT.match(text, cursor).end()
+    name = _NAME_AT.match(text, cursor)
+    if name is None:
+        return XMLParseError("expected a name", cursor)
+    cursor = _WS_AT.match(text, name.end()).end()
+    if not text.startswith("=", cursor):
+        return XMLParseError("expected '='", cursor)
+    cursor = _WS_AT.match(text, cursor + 1).end()
+    if text[cursor : cursor + 1] not in ("'", '"'):
+        return XMLParseError("attribute value must be quoted", cursor)
+    return XMLParseError(
+        f"unterminated construct, missing {text[cursor]!r}", cursor
+    )

@@ -6,9 +6,18 @@ during parsing so that the AST only ever contains fully spelled-out steps.
 This keeps the evaluators and the fragment classifiers free of
 abbreviation-handling logic, exactly as the paper's grammar
 (Definition 2.5) assumes.
+
+The parser (like every consumer of the AST it builds) recurses once per
+nesting level, so nesting is bounded: an expression that nests
+parentheses, predicates, function arguments and unary minuses more than
+:data:`MAX_NESTING_DEPTH` deep is refused with
+:class:`~repro.errors.XPathSyntaxError` at the token that goes one level
+too far, instead of exhausting the interpreter stack.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
@@ -58,6 +67,13 @@ AXIS_NAMES = frozenset(
 #: Node-type test names.
 NODE_TYPE_NAMES = frozenset({"node", "text", "comment", "processing-instruction"})
 
+#: Deepest nesting of parentheses, predicates, function arguments and
+#: unary minuses the parser accepts.  A level costs at most 14 interpreter
+#: frames here, so the limit is reached well inside CPython's default
+#: recursion limit of 1000 even when ``parse`` is called from a deep stack;
+#: hand-written and generated queries in this repository nest ≤ 10 deep.
+MAX_NESTING_DEPTH = 32
+
 _DESCENDANT_OR_SELF_STEP = Step("descendant-or-self", NodeTest("type", "node()"), ())
 
 
@@ -83,6 +99,7 @@ class _Parser:
         self.expression = expression
         self.tokens = tokenize(expression)
         self.index = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -120,6 +137,18 @@ class _Parser:
 
     def error(self, message: str) -> XPathSyntaxError:
         return XPathSyntaxError(message, self.current.position)
+
+    def nested(self, production: Callable[[], XPathExpr]) -> XPathExpr:
+        """Run ``production`` one nesting level down (see :data:`MAX_NESTING_DEPTH`)."""
+        if self.depth == MAX_NESTING_DEPTH:
+            raise self.error(
+                f"expression nests deeper than {MAX_NESTING_DEPTH} levels"
+            )
+        self.depth += 1
+        try:
+            return production()
+        finally:
+            self.depth -= 1
 
     # -- entry point -----------------------------------------------------------
 
@@ -177,7 +206,7 @@ class _Parser:
 
     def parse_unary_expr(self) -> XPathExpr:
         if self.accept_symbol("-"):
-            return Negate(self.parse_unary_expr())
+            return Negate(self.nested(self.parse_unary_expr))
         return self.parse_union_expr()
 
     def parse_union_expr(self) -> XPathExpr:
@@ -215,7 +244,7 @@ class _Parser:
         expr = self.parse_primary_expr()
         predicates: list[XPathExpr] = []
         while self.accept_symbol("["):
-            predicates.append(self.parse_or_expr())
+            predicates.append(self.nested(self.parse_or_expr))
             self.expect_symbol("]")
         if predicates:
             return FilterExpr(expr, tuple(predicates))
@@ -234,7 +263,7 @@ class _Parser:
             return Number(float(token.value))
         if token.kind == KIND_SYMBOL and token.value == "(":
             self.advance()
-            expr = self.parse_or_expr()
+            expr = self.nested(self.parse_or_expr)
             self.expect_symbol(")")
             return expr
         if token.kind == KIND_NAME:
@@ -246,9 +275,9 @@ class _Parser:
         self.expect_symbol("(")
         args: list[XPathExpr] = []
         if not (self.current.kind == KIND_SYMBOL and self.current.value == ")"):
-            args.append(self.parse_or_expr())
+            args.append(self.nested(self.parse_or_expr))
             while self.accept_symbol(","):
-                args.append(self.parse_or_expr())
+                args.append(self.nested(self.parse_or_expr))
         self.expect_symbol(")")
         return FunctionCall(name_token.value, tuple(args))
 
@@ -302,7 +331,7 @@ class _Parser:
         node_test = self.parse_node_test()
         predicates: list[XPathExpr] = []
         while self.accept_symbol("["):
-            predicates.append(self.parse_or_expr())
+            predicates.append(self.nested(self.parse_or_expr))
             self.expect_symbol("]")
         return Step(axis, node_test, tuple(predicates))
 

@@ -54,6 +54,7 @@ DOCTESTED_MODULES = (
     "repro.xmlmodel.idset",
     "repro.xmlmodel.index",
     "repro.xmlmodel.kernels",
+    "repro.xmlmodel.parser",
 )
 
 

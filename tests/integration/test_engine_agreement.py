@@ -229,6 +229,37 @@ class TestEntryPointsAgree:
         assert answers == dict.fromkeys(answers, expected)
 
 
+class TestDocumentOrderAxesFromAnAttribute:
+    """``cvt`` ≡ ``naive`` ≡ the per-node walk from an attribute context
+    (an attribute precedes its owner's children; XPath 1.0 §5)."""
+
+    DOC = '<a><p/><b x="1" y="2"><c><e/></c>text</b><d/></a>'
+
+    @pytest.mark.parametrize(
+        "query, axis, node_test",
+        [
+            ("following::*", "following", "*"),
+            ("following::node()", "following", "node()"),
+            ("following::d", "following", "d"),
+            ("preceding::*", "preceding", "*"),
+            ("preceding::node()", "preceding", "node()"),
+        ],
+    )
+    def test_engines_match_the_walk(self, query, axis, node_test):
+        from repro.xmlmodel.axes import apply_axis_to_set
+
+        document = parse_xml(self.DOC)
+        for attribute in document.attributes:
+            expected = apply_axis_to_set([attribute], axis, node_test)
+            for engine in ("cvt", "naive", "auto"):
+                got = evaluate(query, document, engine=engine, context=Context(attribute))
+                assert got == expected, (engine, attribute.attr_name)
+        first = Context(document.attributes[0])
+        assert [n.tag for n in evaluate("following::*", document, context=first)] == [
+            "c", "e", "d",
+        ]
+
+
 class TestAgreementWithElementTree:
     """Cross-check against the independently implemented ElementPath engine."""
 

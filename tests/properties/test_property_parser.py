@@ -1,12 +1,28 @@
-"""Property-based tests for the XPath front end (parser/unparser invariants)."""
+"""Property-based tests for the two front ends.
 
+* XPath: parser/unparser invariants.
+* XML: the production token scanner against the character scanner it
+  replaced (``tests/xmlmodel/char_scanner_oracle.py``) and a node-walking
+  snapshot encoder (``tests/store/reference_dump.py``), with
+  :mod:`xml.etree.ElementTree` as the independent third opinion.
+"""
+
+from xml.etree import ElementTree
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import XMLParseError
+from repro.store import dump_snapshot
+from repro.xmlmodel import parse_xml, serialize
+from repro.xmlmodel.nodes import ElementNode
 from repro.xpath.parser import parse
 from repro.xpath.unparse import unparse
 
 from tests.properties.strategies import core_xpath_queries
+from tests.store.reference_dump import reference_dump
+from tests.xmlmodel.char_scanner_oracle import parse_xml_oracle
 
 
 class TestParserRoundTrip:
@@ -60,3 +76,167 @@ class TestArithmeticExpressions:
         from repro.xmlmodel import build_tree
 
         assert evaluate(expr, build_tree(("r",))) == value(tree)
+
+
+# -- XML ---------------------------------------------------------------------
+
+_SPACE = st.sampled_from(["", " ", "\n", " \t "])
+_GAP = st.sampled_from([" ", "\n", "  "])
+_NAMES = ("a", "b", "item", "x-y", "n.1", "_u")
+_PREFIXED_NAMES = _NAMES + ("ns:a", ":c")
+_REFERENCES = ("&lt;", "&gt;", "&amp;", "&apos;", "&quot;", "&#65;", "&#x42;", "&#960;", "&#32;")
+_CHUNKS = st.sampled_from(
+    ("x", "hello world", " ", "\n  ", "1 > 0", "it's", 'say "hi"', "ünï", "]]") + _REFERENCES
+)
+_DOCTYPES = (
+    "<!DOCTYPE a>",
+    '<!DOCTYPE a SYSTEM "a.dtd">',
+    "<!DOCTYPE a [<!ELEMENT a ANY>]>",
+    '<!DOCTYPE a [<!ELEMENT a ANY><!ENTITY e "v"><!ATTLIST a x CDATA #IMPLIED>]>',
+)
+
+
+@st.composite
+def _attributes(draw, names):
+    out = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        quote = draw(st.sampled_from("'\""))
+        value = "".join(draw(st.lists(_CHUNKS, max_size=3)))
+        value = value.replace(quote, "").replace("\n", " ")  # ET normalises newlines
+        equals = draw(_SPACE) + "=" + draw(_SPACE)
+        out.append(f"{draw(_GAP)}{name}{equals}{quote}{value}{quote}")
+    return "".join(out)
+
+
+def _contents(names):
+    text = st.lists(_CHUNKS, min_size=1, max_size=3).map("".join)
+    leaves = st.one_of(
+        text,
+        text,
+        st.sampled_from(["<!--note-->", "<!---->", "<!-- <a> & -->"]),
+        st.sampled_from(["<?pi?>", "<?pi  some data ?>", "<?t a='1'?>"]),
+        st.sampled_from(["<![CDATA[]]>", "<![CDATA[1 < 2 & ]] > ]]>", "<![CDATA[ ]]>"]),
+    )
+
+    @st.composite
+    def element(draw, children):
+        name = draw(st.sampled_from(names))
+        head = f"<{name}{draw(_attributes(names))}{draw(_SPACE)}"
+        inner = "".join(draw(st.lists(children, max_size=4)))
+        if not inner and draw(st.booleans()):
+            return head + "/>"
+        return f"{head}>{inner}</{name}{draw(_SPACE)}>"
+
+    return st.recursive(leaves, lambda children: element(children), max_leaves=12), element
+
+
+@st.composite
+def xml_texts(draw, names=_PREFIXED_NAMES):
+    """A well-formed document exercising every construct the parser reads."""
+    content, element = _contents(names)
+    misc = st.sampled_from(["", "\n", "<!--c-->", "<?p d?>", " <!--c--> "])
+    prolog = draw(st.sampled_from(["", '<?xml version="1.0"?>', '<?xml version="1.0" encoding="UTF-8"?>\n']))
+    doctype = draw(st.sampled_from(("",) + _DOCTYPES))
+    return "".join(
+        [prolog, draw(misc), doctype, draw(misc), draw(element(content)), draw(misc)]
+    )
+
+
+def _et_shape(element):
+    return (
+        element.tag,
+        sorted(element.attrib.items()),
+        "".join(element.itertext()),
+        [_et_shape(child) for child in element],
+    )
+
+
+def _our_shape(element):
+    return (
+        element.tag,
+        sorted((a.attr_name, a.value) for a in element.attributes),
+        element.string_value(),
+        [_our_shape(child) for child in element.children if isinstance(child, ElementNode)],
+    )
+
+
+class TestXMLScannerDifferential:
+    @given(xml_texts(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_scanner_equals_oracle_scanner(self, text, keep_whitespace_text):
+        document = parse_xml(text, keep_whitespace_text=keep_whitespace_text)
+        oracle = parse_xml_oracle(text, keep_whitespace_text=keep_whitespace_text)
+        assert not document.has_nodes
+        blob = dump_snapshot(document)
+        assert blob == reference_dump(oracle)  # text → bytes, no shared code
+        assert blob == dump_snapshot(oracle)  # nodes → columns in _freeze
+        assert serialize(document) == serialize(oracle)
+        assert document.size == oracle.size
+
+    @given(xml_texts(names=_NAMES))
+    @settings(max_examples=200, deadline=None)
+    def test_scanner_equals_element_tree(self, text):
+        ours = parse_xml(text, keep_whitespace_text=True).root.document_element()
+        assert _our_shape(ours) == _et_shape(ElementTree.fromstring(text))
+
+    MALFORMED = [
+        "",
+        "   ",
+        "just text",
+        "<a>",
+        "<a><b></b>",
+        "<a></b>",
+        "<a><b></a></b>",
+        "</a>",
+        "<a x='1' x='2'/>",
+        "<a x=1/>",
+        "<a x/>",
+        "<a x= />",
+        "<a x='1/>",
+        '<a x="1/>',
+        "<ax='1'/>",
+        "<a>&unknown;</a>",
+        "<a>&amp</a>",
+        "<a x='&nope;'/>",
+        "<a><!--unterminated</a>",
+        "<a><![CDATA[unterminated</a>",
+        "<a><?pi unterminated</a>",
+        "<!DOCTYPE a [<!ELEMENT a ANY><a/>",
+        "<a/><b/>",
+        "<a></a><a></a>",
+        "<a>text</a>trailing text",
+        "oops<a/>",
+        "<![CDATA[x]]><a/>",
+        "<1a/>",
+        "<a><-b/></a>",
+        "< a/>",
+        "<a></ a>",
+        "<a></a b>",
+        "<?1pi?><a/>",
+        "<a",
+        "<a/",
+        "<",
+        "<!a/>",
+    ]
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    @pytest.mark.parametrize("scanner", [parse_xml, parse_xml_oracle])
+    def test_both_scanners_reject_malformed_text(self, scanner, text):
+        with pytest.raises(XMLParseError) as excinfo:
+            scanner(text)
+        assert excinfo.value.position is not None
+
+    @pytest.mark.parametrize(
+        "text", ["<a>&#xZZ;</a>", "<a>&#;</a>", "<a>&#x110000;</a>", "<a>&#xD800;</a>", "<a x='&#-1;'/>"]
+    )
+    def test_bad_character_references_are_parse_errors(self, text):
+        # (The oracle lets these escape as ValueError; the scanner must not.)
+        with pytest.raises(XMLParseError):
+            parse_xml(text)
+
+    def test_deep_nesting_is_iterative(self):
+        depth = 100_000
+        document = parse_xml("<a>" * depth + "</a>" * depth)
+        assert document.size == depth + 1 and not document.has_nodes
+        assert document.index.subtree_end[1] == depth
+        assert document.columns.post[1] == depth - 1

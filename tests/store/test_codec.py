@@ -15,10 +15,13 @@ from repro.store.codec import MAGIC, VERSION, _HEADER
 from repro.xmlmodel import (
     Document,
     DocumentIndex,
+    auction_document,
     build_tree,
     chain_document,
+    complete_tree_document,
     parse_xml,
     serialize,
+    wide_document,
 )
 from repro.xmlmodel.nodes import (
     AttributeNode,
@@ -180,3 +183,49 @@ class TestFraming:
         assert magic == MAGIC
         assert version == VERSION
         assert sections == 16
+
+
+class TestContentKeysDidNotMove:
+    """``dump_snapshot(parse_xml(x))`` equals the snapshot the pre-PR-16
+    pipeline wrote — character scanner, node tree, node-walking encoder —
+    for every generator the suite and the perf ledger draw documents from."""
+
+    GENERATED = {
+        "auction": lambda: auction_document(6, seed=3),
+        "chain": lambda: chain_document(300),
+        "wide": lambda: wide_document(300, tag="a"),
+        "complete": lambda: complete_tree_document(3, 5),
+        "mixed": lambda: parse_xml(MIXED_XML),
+    }
+
+    @staticmethod
+    def assert_same_bytes(text):
+        from tests.store.reference_dump import reference_dump
+        from tests.xmlmodel.char_scanner_oracle import parse_xml_oracle
+
+        document = parse_xml(text)
+        blob = dump_snapshot(document)
+        assert blob == reference_dump(parse_xml_oracle(text))
+        assert not document.has_nodes
+
+    @pytest.mark.parametrize("shape", sorted(GENERATED))
+    def test_xmlmodel_generators(self, shape):
+        document = self.GENERATED[shape]()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 3 * len(document.nodes) + 1000))
+        try:
+            text = serialize(document)  # the serialiser recurses per level
+        finally:
+            sys.setrecursionlimit(limit)
+        self.assert_same_bytes(text)
+
+    def test_ledger_corpus(self):
+        corpus = pytest.importorskip("ledger.corpus")
+        generated = corpus.ingest_documents(5, 12, 1.0) + [
+            corpus.auction_document("auction", 5, 40),
+            corpus.config_document("config", 5, 60),
+            corpus.wide_document("wide", 5, 300),
+            corpus.deep_document("deep", 5, 300),
+        ]
+        for document in generated:
+            self.assert_same_bytes(document.xml)

@@ -133,6 +133,34 @@ class TestManifest:
         with pytest.raises(StoreError, match="version"):
             store.keys()
 
+    def test_indented_manifest_of_an_older_build_still_reads(self, store):
+        store.put(XML, key="doc")
+        store.put("<x/>", key="other")
+        path = os.path.join(store.root, "manifest.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        with open(path, "w") as handle:  # how builds before PR 16 wrote it
+            json.dump(payload, handle, indent=2, sort_keys=True)
+        reopened = CorpusStore(store.root)
+        assert reopened.keys() == ["doc", "other"]
+        assert reopened.stat("doc") == store.stat("doc")
+        assert reopened.get("other").root_tag == "x"
+
+    def test_manifest_bytes_do_not_depend_on_put_order(self, tmp_path):
+        def manifest_after(order):
+            store = CorpusStore(tmp_path / "-".join(order))
+            for key in order:
+                store.put(f"<{key}/>", key=key)
+            with open(os.path.join(store.root, "manifest.json"), "rb") as handle:
+                return handle.read()
+
+        first = manifest_after(["b", "a", "c"])
+        assert first == manifest_after(["c", "b", "a"])
+        payload = json.loads(first)
+        assert list(payload) == sorted(payload)
+        assert list(payload["entries"]) == ["a", "b", "c"]
+        assert all(list(entry) == sorted(entry) for entry in payload["entries"].values())
+
     def test_missing_snapshot_file_is_reported(self, store):
         entry = store.put(XML, key="doc")
         os.unlink(

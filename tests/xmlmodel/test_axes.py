@@ -101,6 +101,41 @@ class TestReverseAxes:
         assert axis_nodes(attribute, "following-sibling") == []
 
 
+class TestDocumentOrderAxesFromAnAttribute:
+    """XPath 1.0 §5: an attribute comes after its owner and before the
+    owner's children, and neither ``following`` nor ``preceding`` ever
+    contains attributes, ancestors or descendants."""
+
+    DOC = '<a><p/><b x="1" y="2"><c><e/></c>text</b><d/></a>'
+
+    @pytest.fixture
+    def x(self):
+        return parse_xml(self.DOC).elements_with_tag("b")[0].attributes[0]
+
+    def test_following_starts_with_the_owners_children(self, x):
+        assert tags(axis_nodes(x, "following")) == ["c", "e", "text", "d"]
+        assert tags(axis_step(x, "following", "*")) == ["c", "e", "d"]
+
+    def test_preceding_excludes_the_owner_and_its_ancestors(self, x):
+        assert tags(axis_nodes(x, "preceding")) == ["p"]
+
+    def test_the_two_axes_with_ancestors_partition_the_tree_nodes(self, x):
+        document = x.document
+        seen = (
+            axis_nodes(x, "following")
+            + axis_nodes(x, "preceding")
+            + axis_nodes(x, "ancestor")
+        )
+        assert sorted(node.order for node in seen) == [
+            node.order for node in document.nodes
+        ]
+
+    def test_issue_example(self):
+        attribute = parse_xml('<a><b x="1"><c/></b><d/></a>').attributes[0]
+        assert tags(axis_step(attribute, "following", "*")) == ["c", "d"]
+        assert tags(apply_axis_to_set([attribute], "following", "*")) == ["c", "d"]
+
+
 class TestAxisProperties:
     def test_axis_names_cover_core(self):
         assert "attribute" in AXIS_NAMES

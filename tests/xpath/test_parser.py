@@ -231,3 +231,44 @@ class TestParserErrors:
         with pytest.raises(XPathSyntaxError) as excinfo:
             parse("child::a[[]")
         assert excinfo.value.position is not None
+
+
+class TestNestingLimit:
+    """Pathological nesting is a typed syntax error, never a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "(" * 5000 + "1" + ")" * 5000,
+            "a" + "[a" * 3000 + "]" * 3000,
+            "-" * 5000 + "1",
+            "not(" * 2000 + "a" + ")" * 2000,
+            "//a[" + "(" * 40 + "b" + ")" * 40 + "]",
+        ],
+    )
+    def test_pathological_nesting_is_a_syntax_error(self, expression):
+        with pytest.raises(XPathSyntaxError, match="nests deeper") as excinfo:
+            parse(expression)
+        assert 0 < excinfo.value.position < len(expression)
+
+    def test_the_limit_is_exact_and_points_past_the_last_allowed_level(self):
+        from repro.xpath.parser import MAX_NESTING_DEPTH
+
+        assert parse("(" * MAX_NESTING_DEPTH + "1" + ")" * MAX_NESTING_DEPTH) == Number(1.0)
+        with pytest.raises(XPathSyntaxError) as excinfo:
+            parse("(" * (MAX_NESTING_DEPTH + 1) + "1" + ")" * (MAX_NESTING_DEPTH + 1))
+        assert excinfo.value.position == MAX_NESTING_DEPTH + 1
+
+    def test_sibling_predicates_do_not_accumulate_depth(self):
+        # Depth counts open levels, not levels ever opened.
+        expr = parse("a" + "[b]" * 200 + "/c" * 200)
+        assert isinstance(expr, LocationPath)
+
+    def test_a_query_at_the_limit_still_evaluates(self):
+        from repro import evaluate
+        from repro.xmlmodel import parse_xml
+        from repro.xpath.parser import MAX_NESTING_DEPTH
+
+        query = "//a" + "[a" * (MAX_NESTING_DEPTH - 1) + "]" * (MAX_NESTING_DEPTH - 1)
+        xml = "<a>" * (MAX_NESTING_DEPTH + 1) + "</a>" * (MAX_NESTING_DEPTH + 1)
+        assert [node.order for node in evaluate(query, parse_xml(xml))] == [1, 2]
