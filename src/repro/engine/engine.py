@@ -897,7 +897,7 @@ class XPathEngine:
                 request.engine, self.max_negation_depth,
             )
             if request.ids:
-                result.ids  # the ids=True contract: a typed error now, not on access
+                result.packed_ids  # the ids=True contract: a typed error now, not on access
         self._record(engine)
         wall = perf_counter() - start
         self._query_seconds.observe(wall)

@@ -5,20 +5,24 @@ bool`` union, which forces every caller to re-discover what kind of
 answer it got and throws away everything the engine learned while
 producing it (which evaluator ran, whether the plan was cached, how long
 evaluation took).  :class:`QueryResult` keeps the payload *and* that
-metadata together, and converts lazily between the two node-set
-representations (node objects and document-order ids): a Core XPath
-answer is always carried as ids and materialises nodes only when a
-caller asks for them, a node answer converts to ids only on ``.ids`` —
-so the ``ids=`` flag of the entry points selects no code path, only
-*when* the conversion's typed error is raised.
+metadata together, carries the payload in whatever form produced it, and
+converts at the property its caller touches: a Core XPath answer is
+carried as the evaluator's :class:`~repro.xmlmodel.idset.IdSet`, a pool
+reply as the packed int32 bytes of its wire frame, anything else as
+nodes or a scalar — ``.ids`` builds the list of Python ints,
+``.packed_ids`` the packed bytes (never via a list for the first two),
+``.value``/``.nodes`` the node objects, each at most once.  The ``ids=``
+flag of the entry points therefore selects no code path, only *when*
+the conversion's typed error is raised.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import XPathEvaluationError
 from repro.telemetry.trace import maybe_span
+from repro.xmlmodel.idset import IdSet, pack_ids, unpack_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.fragments.classify import Classification
@@ -59,11 +63,23 @@ class QueryResult:
         node materialisation appends a ``materialise`` span to it.
 
     The payload is reached through :attr:`value` (the legacy union),
-    :attr:`nodes` (node-set results only) and :attr:`ids` (document-order
-    ids, computed without materialising nodes when the core engine
-    produced them).  :meth:`repro.planner.plan.QueryPlan.execute` builds
-    the result; the engine stamps ``cache_hit``, ``wall_time`` and
-    ``trace`` on it.
+    :attr:`nodes` (node-set results only), :attr:`ids` (document-order
+    ids as a list of ints, built on first access and without
+    materialising nodes when the answer was carried as ids) and
+    :attr:`packed_ids` (the same ids as little-endian int32 bytes, the
+    form the serving tier ships).
+    :meth:`repro.planner.plan.QueryPlan.execute` builds the result; the
+    engine stamps ``cache_hit``, ``wall_time`` and ``trace`` on it.
+
+    >>> from array import array
+    >>> from repro import XPathEngine, parse_xml
+    >>> result = XPathEngine().evaluate("//b", parse_xml("<a><b/><c><b/></c></a>"))
+    >>> result.ids
+    [2, 4]
+    >>> result.packed_ids == array("i", [2, 4]).tobytes()  # on a little-endian host
+    True
+    >>> result.ids is result.ids  # built once
+    True
     """
 
     __slots__ = (
@@ -77,6 +93,8 @@ class QueryResult:
         "_document",
         "_value",
         "_ids",
+        "_id_list",
+        "_packed",
     )
 
     def __init__(
@@ -85,7 +103,7 @@ class QueryResult:
         engine: str,
         document: "Document",
         value=_UNSET,
-        ids: Optional[list[int]] = None,
+        ids: Union[list[int], IdSet, bytes, None] = None,
         classification: Optional["Classification"] = None,
         cache_hit: bool = False,
         coalesced: bool = False,
@@ -103,7 +121,11 @@ class QueryResult:
         self.trace = trace
         self._document = document
         self._value = value
+        # The ids as they arrived (a list, an IdSet, or packed int32
+        # bytes) and the two forms built from them on first access.
         self._ids = ids
+        self._id_list = ids if isinstance(ids, list) else None
+        self._packed = ids if isinstance(ids, bytes) else None
 
     # -- payload ---------------------------------------------------------------
 
@@ -122,7 +144,11 @@ class QueryResult:
         """
         if self._value is _UNSET:
             with maybe_span(self.trace, "materialise"):
-                self._value = self._document.index.ids_to_node_list(self._ids)
+                index = self._document.index
+                if isinstance(self._ids, IdSet):
+                    self._value = index.idset_to_node_list(self._ids)
+                else:
+                    self._value = index.ids_to_node_list(self.ids)
         return self._value
 
     @property
@@ -139,22 +165,50 @@ class QueryResult:
     def ids(self) -> list[int]:
         """The node-set payload as document-order ids.
 
-        Results produced by the core engine return their ids directly;
-        node results convert at this boundary.  This is the one place
-        the ``ids=True`` contract is enforced, for every engine kind: a
-        scalar answer, or attribute nodes (which have no id), raise
-        :class:`~repro.errors.XPathEvaluationError`.
+        Built on first access, then the same list every time: an
+        :class:`~repro.xmlmodel.idset.IdSet` or a packed pool reply
+        converts in one C call, node results convert id by id.  The list
+        is the caller's own — no cached partition or other answer
+        aliases it.  A scalar answer, or attribute nodes (which have no
+        id), raise :class:`~repro.errors.XPathEvaluationError`: this and
+        :attr:`packed_ids` are where the ``ids=True`` contract is
+        enforced, for every engine kind.
         """
-        if self._ids is None:
-            index = self._document.index
-            try:
-                self._ids = [index.id_of(node) for node in self.nodes]
-            except KeyError:
-                raise XPathEvaluationError(
-                    "result contains nodes without a document-order id "
-                    "(attribute nodes); use .value for this query"
-                ) from None
-        return self._ids
+        if self._id_list is None:
+            carried = self._ids
+            if isinstance(carried, IdSet):
+                self._id_list = carried.tolist()
+            elif carried is not None:
+                self._id_list = unpack_ids(carried)
+            else:
+                index = self._document.index
+                try:
+                    self._id_list = [index.id_of(node) for node in self.nodes]
+                except KeyError:
+                    raise XPathEvaluationError(
+                        "result contains nodes without a document-order id "
+                        "(attribute nodes); use .value for this query"
+                    ) from None
+        return self._id_list
+
+    @property
+    def packed_ids(self) -> bytes:
+        """The node-set payload as little-endian int32, four bytes per id.
+
+        What a ``RESULT_IDS`` frame carries
+        (:func:`repro.serving.wire.encode_result_ids` takes it as is).
+        An :class:`~repro.xmlmodel.idset.IdSet` packs straight from the
+        kernel backend's array and a pool reply *is* these bytes, so a
+        served answer reaches its socket without ever becoming Python
+        ints; a node or list answer packs its :attr:`ids`.  Raises like
+        :attr:`ids` for a scalar or attribute answer.
+        """
+        if self._packed is None:
+            if isinstance(self._ids, IdSet):
+                self._packed = self._ids.tobytes()
+            else:
+                self._packed = pack_ids(self.ids)
+        return self._packed
 
     @property
     def document(self) -> "Document":
@@ -180,7 +234,7 @@ class QueryResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_node_set:
-            count = len(self._ids if self._ids is not None else self._value)
+            count = len(self._value) if self._ids is None else len(self.ids)
             payload = f"node-set of {count}"
         else:
             payload = repr(self._value)

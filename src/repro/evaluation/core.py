@@ -117,17 +117,18 @@ class CoreXPathEvaluator:
                 return self._evaluate_per_node(expr, nodes)
         return self.index.idset_to_node_list(self._evaluate_union(expr, starts))
 
-    def evaluate_ids(
+    def evaluate_idset(
         self,
         query: XPathExpr | str,
         context_ids: Optional[Iterable[int]] = None,
-    ) -> list[int]:
-        """Evaluate a Core XPath query entirely on ids.
+    ) -> IdSet:
+        """Evaluate a Core XPath query entirely on ids; the answer stays an :class:`IdSet`.
 
-        Returns the selected document-order ids ascending (= document
-        order).  This is the entry point for callers that stay id-native
-        themselves — the planner uses it so ``engine="auto"`` touches node
-        objects only once, at its own boundary.
+        The entry point for callers that stay id-native themselves — the
+        planner uses it, so an ``engine="auto"`` answer leaves kernel
+        land only at the conversion its caller asks for
+        (:meth:`~repro.xmlmodel.idset.IdSet.tolist`, ``tobytes`` or node
+        materialisation).  ``context_ids`` defaults to the root.
         """
         expr = parse(query) if isinstance(query, str) else query
         if context_ids is None:
@@ -141,7 +142,15 @@ class CoreXPathEvaluator:
                     f"{[i for i in members if not 0 <= i < universe][:5]}"
                 )
             starts = IdSet.from_iterable(members, universe)
-        return self._evaluate_union(expr, starts).tolist()
+        return self._evaluate_union(expr, starts)
+
+    def evaluate_ids(
+        self,
+        query: XPathExpr | str,
+        context_ids: Optional[Iterable[int]] = None,
+    ) -> list[int]:
+        """:meth:`evaluate_idset` as a plain list: the selected ids ascending (= document order)."""
+        return self.evaluate_idset(query, context_ids).tolist()
 
     def condition_nodes(self, condition: XPathExpr | str) -> list[XMLNode]:
         """Return, in document order, the nodes at which ``condition`` holds.

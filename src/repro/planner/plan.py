@@ -30,7 +30,7 @@ number of documents, and per-document acceleration lives in the
 Every entry point reaches one executor, :meth:`QueryPlan.execute`: it
 owns evaluator construction and reuse, the fallback chain and each
 engine's calling convention.  ``core``-engine answers are carried as
-document-order ids; :meth:`QueryPlan.run` and :meth:`QueryPlan.run_ids`
+the evaluator's id set; :meth:`QueryPlan.run` and :meth:`QueryPlan.run_ids`
 are the ``.value`` and ``.ids`` views of the
 :class:`~repro.engine.result.QueryResult` it returns, which materialises
 nodes (or converts nodes to ids) only when asked.
@@ -158,8 +158,9 @@ class QueryPlan:
         general engine when an evaluator rejects the query as outside its
         fragment; an explicit engine is a one-link chain, so its
         :class:`~repro.errors.FragmentViolationError` propagates.  The
-        answer is carried as whatever the evaluator produced — ids for
-        ``core`` from the root, nodes or a scalar otherwise — and the
+        answer is carried as whatever the evaluator produced — an
+        :class:`~repro.xmlmodel.idset.IdSet` for ``core`` from the root,
+        nodes or a scalar otherwise — and the
         :class:`~repro.engine.result.QueryResult` converts on demand.
 
         ``evaluators`` is an optional per-document engine→evaluator cache:
@@ -210,8 +211,9 @@ class QueryPlan:
         if evaluator is None:
             evaluator = make_evaluator(document, kind, variables, max_negation_depth)
         if kind == "core" and context is None:
-            # Stay on ids: nodes are materialised only if a caller asks.
-            payload = {"ids": evaluator.evaluate_ids(self.expr)}
+            # Stay on the IdSet: a list, packed bytes or nodes are built
+            # only if a caller asks for them.
+            payload = {"ids": evaluator.evaluate_idset(self.expr)}
         else:
             if kind == "core":
                 value = evaluator.evaluate_nodes(self.expr, [context.node])

@@ -322,22 +322,35 @@ class ServingClient:
         slot carries the exception object instead.  ``trace=True`` asks
         the server for per-stage spans: each result's ``trace`` is the
         cross-tier span tree (client → server → pool → worker → engine).
+
+        A batch that ends with replies still owed — a socket timeout, a
+        protocol error, an interrupt — closes the client: the late
+        replies would otherwise answer the next batch, whose ``seq``
+        numbers start at 0 again.  The next call raises the typed
+        "client is closed" :class:`ServingError`.
         """
         self._require_open()
         state = _BatchState(requests, ids, trace)
         frames = state.frames()
         exhausted = False
-        while not exhausted or state.pending:
-            while not exhausted and len(state.pending) < self.window:
-                frame = next(frames, None)
-                if frame is None:
-                    exhausted = True
+        try:
+            while not exhausted or state.pending:
+                while not exhausted and len(state.pending) < self.window:
+                    frame = next(frames, None)
+                    if frame is None:
+                        exhausted = True
+                        break
+                    self._sock.sendall(frame)
+                if state.pending:
+                    state.absorb(self._read_message())
+                if state.drained:
                     break
-                self._sock.sendall(frame)
+        finally:
             if state.pending:
-                state.absorb(self._read_message())
-            if state.drained:
-                break
+                # Interrupted (timeout, protocol error, Ctrl-C) with
+                # replies still owed: every batch numbers from seq 0, so
+                # the next one would take the late replies for its own.
+                self.close()
         return state.finish(return_errors)
 
     # -- operations --------------------------------------------------------
@@ -486,23 +499,34 @@ class AsyncServingClient:
         return_errors: bool = False,
         trace: bool = False,
     ) -> list:
-        """Pipeline ``(query, key)`` pairs; results come back in order."""
+        """Pipeline ``(query, key)`` pairs; results come back in order.
+
+        Like :meth:`ServingClient.evaluate_batch`, any exit that leaves
+        replies owed (task cancellation included) closes the client.
+        """
         self._require_open()
         state = _BatchState(requests, ids, trace)
         frames = state.frames()
         exhausted = False
-        while not exhausted or state.pending:
-            while not exhausted and len(state.pending) < self.window:
-                frame = next(frames, None)
-                if frame is None:
-                    exhausted = True
+        try:
+            while not exhausted or state.pending:
+                while not exhausted and len(state.pending) < self.window:
+                    frame = next(frames, None)
+                    if frame is None:
+                        exhausted = True
+                        break
+                    self._writer.write(frame)
+                await self._writer.drain()
+                if state.pending:
+                    state.absorb(await self._read_message())
+                if state.drained:
                     break
-                self._writer.write(frame)
-            await self._writer.drain()
+        finally:
             if state.pending:
-                state.absorb(await self._read_message())
-            if state.drained:
-                break
+                # As in ServingClient.evaluate_batch; closed without
+                # awaiting, because this may be a task being cancelled.
+                self._closed = True
+                self._writer.close()
         return state.finish(return_errors)
 
     async def _request(

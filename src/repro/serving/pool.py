@@ -31,8 +31,9 @@ identical requests.  A :class:`ShardedPool` escapes that bound by putting
   carrying the worker index and attempt count.
 
 The pool is a *backend*, not a second API: results come back as the same
-:class:`~repro.engine.QueryResult` the in-process engine returns (ids
-wired through; node objects materialise lazily from a parent-side
+:class:`~repro.engine.QueryResult` the in-process engine returns (the
+reply frame's packed id bytes wired through untouched; a list of ints
+or node objects materialise lazily, the latter from a parent-side
 hydration of the same snapshot), errors re-raise as their original
 exception types, and :meth:`ShardedPool.stats` merges the per-worker
 engine counters with the pool's supervision counters (restarts, retried
@@ -279,8 +280,9 @@ class _LazyDocument:
     """A document that hydrates from the store on first real use.
 
     Wired into id-native :class:`~repro.engine.result.QueryResult`
-    payloads as their document: callers that only read ``.ids`` (the
-    wire format's contract) never trigger a parent-side snapshot load —
+    payloads as their document: callers that only read ``.ids`` or
+    ``.packed_ids`` (the wire format's contract) never trigger a
+    parent-side snapshot load —
     the load happens on the first ``.nodes``/``.value`` access, when the
     result object reaches for ``document.index``.
     """
@@ -739,7 +741,7 @@ class ShardedPool:
                     query=query,
                     engine="sharded",
                     document=self._document(hashes[seq]),
-                    ids=message.ids,
+                    ids=message.packed,
                     wall_time=wall,
                     trace=pool_trace,
                 )

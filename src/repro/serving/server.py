@@ -36,8 +36,17 @@ A connection declares its protocol with its first byte:
   ``{"overloaded": true, …}``).
 
 Both protocols share one request path — admit → job → dispatcher →
-settle — and differ only in the per-connection encoder that turns a
-result, error, overload, stats, metrics or drained receipt into bytes.
+callback → settle — and differ only in the per-connection encoder that
+turns a result, error, overload, stats, metrics or drained receipt into
+bytes.  The event loop reads, admits and queues a ``_Job`` carrying a
+completion callback; the dispatcher thread runs the pool conversation
+and hands each finished batch back with one ``call_soon_threadsafe``;
+``_settle`` — a plain function on the loop, no Task, no Future, no timer
+— releases admission, encodes and writes, and the request is done in
+that loop turn when the socket took every byte.  A node-set answer is
+the pool reply's own packed id bytes from pipe to socket
+(``QueryResult.packed_ids``); only the JSON encoder turns them into
+Python ints.
 
 Admission control and backpressure
 ----------------------------------
@@ -53,9 +62,12 @@ Admitted requests are micro-batched onto the pool by a single dispatcher
 thread (the pool is a single-dispatcher backend), so many clients' small
 requests amortise into the pool's windowed batch protocol.
 
-Slow clients cannot wedge the server: every write is bounded by
-``write_timeout`` and a connection that cannot drain within it is
-aborted (its admitted requests still complete and are discarded).  Idle
+Slow clients cannot wedge the server: a write the socket does not take
+whole leaves the loop turn and becomes a coroutine that waits, in order
+behind the connection's earlier writes, for the transport to drain —
+bounded by ``write_timeout``, and a connection that cannot drain within
+it is aborted (its admitted requests still complete, release their
+admission slots and are discarded).  Idle
 connections are closed after ``idle_timeout`` (never while responses are
 still owed).
 
@@ -133,26 +145,33 @@ class _Job:
     Either a query (``collect`` is None; ``query``/``key``/``ids``/``trace``
     say what to evaluate) or a STATS/METRICS collection (``collect`` is
     the payload builder, run on the dispatcher thread because assembling
-    it talks to the pool, a single-dispatcher backend).
+    it talks to the pool, a single-dispatcher backend).  ``done`` is the
+    completion callback: the dispatcher hands it, with the result or the
+    exception object, back to the event loop (:func:`_complete`).
     """
 
-    __slots__ = ("future", "loop", "collect", "query", "key", "ids", "trace")
+    __slots__ = ("done", "collect", "query", "key", "ids", "trace")
 
     def __init__(
-        self, future, loop, collect=None, query=None, key=None,
-        ids=False, trace=False,
+        self, done, collect=None, query=None, key=None, ids=False, trace=False
     ) -> None:
-        self.future = future
-        self.loop = loop
+        self.done = done
         self.collect = collect
         self.query = query
         self.key = key
         self.ids = ids
         self.trace = trace
 
-    def resolve(self, result) -> None:
-        """Hand the result (or exception object) back to the event loop."""
-        self.loop.call_soon_threadsafe(_set_future, self.future, result)
+
+def _complete(finished: "list[tuple]") -> None:
+    """On the loop: run the completion callback of every finished job."""
+    for done, result in finished:
+        try:
+            done(result)
+        except Exception:
+            # A bug in one request's completion must not drop the rest
+            # of the batch it happened to share a loop turn with.
+            logger.exception("request completion failed untyped")
 
 
 def _set_future(future: "asyncio.Future", result) -> None:
@@ -166,7 +185,8 @@ class _BinaryEncoder:
     @staticmethod
     def answer(seq, key, result, trace: Optional[dict]) -> bytes:
         if result.is_node_set:
-            frame = wire.encode_result_ids(seq, result.ids)
+            # The pool reply's own packed bytes: no id becomes a Python int.
+            frame = wire.encode_result_ids(seq, result.packed_ids)
         else:
             frame = wire.encode_result_value(seq, result.value)
         if trace is None:
@@ -216,7 +236,15 @@ class _JsonEncoder:
             payload["value"] = result.value
         if trace is not None:
             payload["trace"] = trace
-        return cls.line(payload)
+        data = cls.line(payload)
+        if len(data) > wire.MAX_FRAME:
+            # The bound the binary protocol puts on one frame holds for
+            # one reply line too.
+            raise wire.WireError(
+                f"reply line of {len(data)} byte(s) exceeds MAX_FRAME "
+                f"({wire.MAX_FRAME})"
+            )
+        return data
 
     @classmethod
     def error(cls, error: Exception, **correlation) -> bytes:
@@ -251,7 +279,7 @@ class _Connection:
     """Per-connection state: writer serialisation, flush tracking."""
 
     __slots__ = (
-        "reader", "writer", "peer", "encoder", "lock", "pending",
+        "reader", "writer", "peer", "encoder", "lock", "backlog", "pending",
         "flushed", "served", "errors", "closing", "eof",
     )
 
@@ -262,6 +290,7 @@ class _Connection:
         self.peer = f"{peername[0]}:{peername[1]}" if peername else "?"
         self.encoder = None             # set once the first byte names the protocol
         self.lock = asyncio.Lock()      # one in-order write stream per client
+        self.backlog = 0                # writes handed to _flush, not yet done
         self.pending = 0                # responses owed to this client
         self.flushed = asyncio.Event()  # set whenever pending == 0
         self.flushed.set()
@@ -388,6 +417,9 @@ class XPathServer:
         self._peak_inflight = 0
         # Completed traced requests (span-tree dicts), loop thread only.
         self._traces: "deque[dict]" = deque(maxlen=TRACE_BUFFER)
+        # Answers whose write did not leave in one piece (loop thread
+        # only): the loop holds tasks weakly, so keep them until done.
+        self._flushing: "set[asyncio.Task]" = set()
         # background-thread plumbing
         self._shutdown_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
@@ -692,20 +724,25 @@ class XPathServer:
                     # waiters must still be resolved) and fail the batch.
                     logger.exception("dispatcher batch failed untyped")
                     results = [error] * len(group)
-                for one, result in zip(group, results):
-                    one.resolve(result)
+                # The whole finished batch crosses to the loop in one
+                # hand-off; each job's callback settles it there.
+                self._loop.call_soon_threadsafe(
+                    _complete, [(one.done, r) for one, r in zip(group, results)]
+                )
             for one in batch:
                 if one.collect is None:
                     continue
                 try:
                     with self._dispatch_lock:
                         payload = one.collect()
-                    one.resolve(payload)
                 except ReproError as error:
-                    one.resolve(error)
+                    payload = error
                 except Exception as error:
                     logger.exception("stats/metrics collection failed untyped")
-                    one.resolve(error)
+                    payload = error
+                self._loop.call_soon_threadsafe(
+                    _complete, [(one.done, payload)]
+                )
 
     def _stats_payload(self) -> dict:
         """The STATS answer: server counters + the pool's merged counters."""
@@ -906,7 +943,7 @@ class XPathServer:
     # -- the request path (both protocols) ---------------------------------
 
     async def _submit(self, conn, seq, key, query, ids, wants_trace) -> None:
-        """Admit one query, hand it to the dispatcher, settle it off-path."""
+        """Admit one query and hand it to the dispatcher; `_settle` answers it."""
         server_trace = Trace("server") if wants_trace else None
         with maybe_span(server_trace, "admit"):
             admitted = self._admit()
@@ -919,73 +956,108 @@ class XPathServer:
                 seq, self._inflight, self.max_inflight
             ))
             return
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
         conn.pending += 1
         conn.flushed.clear()
         self._jobs.put(_Job(
-            future, loop, query=query, key=key, ids=ids, trace=wants_trace
+            partial(
+                self._settle, conn, seq, key, server_trace, time.perf_counter()
+            ),
+            query=query, key=key, ids=ids, trace=wants_trace,
         ))
-        asyncio.ensure_future(
-            self._settle(conn, seq, key, future, server_trace)
-        )
 
-    async def _settle(self, conn, seq, key, future, server_trace) -> None:
-        """Await one admitted query's answer and write it to its client."""
-        started = time.perf_counter()
-        try:
-            result = await future
-        finally:
-            self._release()
-        status = "ok"
-        try:
-            if server_trace is not None:
-                server_trace.add_span(
-                    "server-dispatch",
-                    offset=started - server_trace.started,
-                    duration=time.perf_counter() - started,
-                )
-            if isinstance(result, Exception):
-                status = f"error:{type(result).__name__}"
-                data = conn.encoder.error(result, seq=seq, key=key)
-                self._errors_total.inc()
-                conn.errors += 1
-            else:
+    def _settle(self, conn, seq, key, server_trace, started, result) -> None:
+        """Answer one admitted query in the loop turn its result arrived in.
+
+        A plain function, run by :func:`_complete`: release admission,
+        encode, write — and the request is done, without a Task or a
+        timer, when the socket took every byte.  Only a write that did
+        not leave whole goes on as a coroutine (:meth:`_flush`, under
+        ``conn.lock`` and ``write_timeout``), which finishes the request
+        once the transport has drained.  An answer the encoder refuses
+        (a frame above ``MAX_FRAME``) is still owed a reply: it becomes
+        an error carrying the same ``seq``.
+        """
+        self._release()
+        arrived = time.perf_counter()
+        if server_trace is not None:
+            server_trace.add_span(
+                "server-dispatch",
+                offset=started - server_trace.started,
+                duration=arrived - started,
+            )
+        if not isinstance(result, Exception):
+            try:
                 if server_trace is not None and result.trace is not None:
                     server_trace.add_child(result.trace)
                 data = conn.encoder.answer(
                     seq, key, result,
                     None if server_trace is None else server_trace.to_dict(),
                 )
-                self._served_total.inc()
-                conn.served += 1
-            write_begun = time.perf_counter()
-            await self._write(conn, data)
-            if server_trace is not None:
-                # The write span lands only in the server-side ring
-                # buffer: it cannot precede the write it measures.
-                server_trace.add_span(
-                    "write",
-                    offset=write_begun - server_trace.started,
-                    duration=time.perf_counter() - write_begun,
-                )
-                self._traces.append(server_trace.to_dict())
+            except ReproError as error:
+                result = error
+            except Exception as error:
+                logger.exception("encoding an answer failed untyped")
+                result = error
+        if isinstance(result, Exception):
+            status = f"error:{type(result).__name__}"
+            data = conn.encoder.error(result, seq=seq, key=key)
+            self._errors_total.inc()
+            conn.errors += 1
+        else:
+            status = "ok"
+            self._served_total.inc()
+            conn.served += 1
+        finish = (
+            conn, seq, key, status, server_trace, started, time.perf_counter()
+        )
+        flush = self._send(conn, data)
+        if flush is None:
+            self._finish(*finish)
+        else:
+            task = self._loop.create_task(self._finish_after(flush, *finish))
+            self._flushing.add(task)
+            task.add_done_callback(self._reap)
+
+    async def _finish_after(self, flush, *finish) -> None:
+        try:
+            await flush
         finally:
-            self._request_seconds.observe(time.perf_counter() - started)
-            conn.pending -= 1
-            if conn.pending == 0:
-                conn.flushed.set()
-            logger.info(
-                "query client=%s seq=%s key=%s status=%s wall_ms=%.2f",
-                conn.peer, seq, key, status,
-                (time.perf_counter() - started) * 1e3,
+            self._finish(*finish)
+
+    def _reap(self, task: "asyncio.Task") -> None:
+        self._flushing.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            logger.error(
+                "finishing a slow write failed", exc_info=task.exception()
             )
+
+    def _finish(
+        self, conn, seq, key, status, server_trace, started, write_begun
+    ) -> None:
+        """Account for one answered request (its write is done or given up)."""
+        now = time.perf_counter()
+        if server_trace is not None:
+            # The write span lands only in the server-side ring buffer:
+            # it cannot precede the write it measures.
+            server_trace.add_span(
+                "write",
+                offset=write_begun - server_trace.started,
+                duration=now - write_begun,
+            )
+            self._traces.append(server_trace.to_dict())
+        self._request_seconds.observe(now - started)
+        conn.pending -= 1
+        if conn.pending == 0:
+            conn.flushed.set()
+        logger.info(
+            "query client=%s seq=%s key=%s status=%s wall_ms=%.2f",
+            conn.peer, seq, key, status, (now - started) * 1e3,
+        )
 
     async def _answer_collected(self, conn, collect, encode) -> None:
         """Run ``collect`` on the dispatcher thread, write ``encode`` of it."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._jobs.put(_Job(future, loop, collect=collect))
+        future = self._loop.create_future()
+        self._jobs.put(_Job(partial(_set_future, future), collect=collect))
         payload = await future
         if isinstance(payload, Exception):
             data = conn.encoder.error(payload)
@@ -1069,25 +1141,61 @@ class XPathServer:
 
     # -- writes ------------------------------------------------------------
 
+    def _send(self, conn: _Connection, data: bytes):
+        """Write ``data`` in this loop turn if nothing is queued ahead of it.
+
+        Returns None when the write is over — the socket took every byte
+        (``get_write_buffer_size() == 0``), or the connection is closing
+        and the bytes are dropped.  Otherwise returns the :meth:`_flush`
+        coroutine that will finish it; the caller must run it.  While any
+        flush is outstanding (``conn.backlog``) later writes queue behind
+        it, so frames leave in the order they were sent here.
+        """
+        if conn.closing:
+            return None
+        written = conn.backlog == 0
+        if written:
+            conn.writer.write(data)
+            if conn.writer.transport.get_write_buffer_size() == 0:
+                return None
+        conn.backlog += 1
+        return self._flush(conn, None if written else data)
+
+    async def _flush(self, conn: _Connection, data: Optional[bytes]) -> None:
+        """The backpressure path of one write: bounded, in order, or abort.
+
+        Under ``conn.lock`` (FIFO, one in-order write stream per client):
+        write ``data`` unless :meth:`_send` already did, then wait for
+        the transport to drain below its high-water mark.  A client that
+        cannot take it within ``write_timeout`` is aborted.
+        """
+        try:
+            async with conn.lock:
+                if conn.closing:
+                    return
+                try:
+                    if data is not None:
+                        conn.writer.write(data)
+                    await asyncio.wait_for(
+                        conn.writer.drain(), self.write_timeout
+                    )
+                except asyncio.TimeoutError:
+                    self._aborted_total.inc()
+                    logger.warning(
+                        "slow-client-abort client=%s timeout=%.3gs",
+                        conn.peer, self.write_timeout,
+                    )
+                    self._close_connection(conn, abort=True)
+                except (ConnectionError, OSError):
+                    self._close_connection(conn, abort=True)
+        finally:
+            conn.backlog -= 1
+
     async def _write(self, conn: _Connection, data: bytes) -> None:
         """One bounded write; a client that cannot drain it is aborted."""
-        if conn.closing:
-            return
-        async with conn.lock:
-            try:
-                conn.writer.write(data)
-                await asyncio.wait_for(
-                    conn.writer.drain(), self.write_timeout
-                )
-            except asyncio.TimeoutError:
-                self._aborted_total.inc()
-                logger.warning(
-                    "slow-client-abort client=%s timeout=%.3gs",
-                    conn.peer, self.write_timeout,
-                )
-                self._close_connection(conn, abort=True)
-            except (ConnectionError, OSError):
-                self._close_connection(conn, abort=True)
+        flush = self._send(conn, data)
+        if flush is not None:
+            await flush
 
     def _close_connection(self, conn: _Connection, abort: bool = False) -> None:
         if conn.closing:

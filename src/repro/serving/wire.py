@@ -64,6 +64,25 @@ explicit: every frame is preceded by a little-endian u32 length
 protocol error (:func:`framed_length`) — a malicious or corrupt peer
 cannot make the other side allocate gigabytes on faith.
 
+One buffer per answer
+---------------------
+
+"A node-set answer travels as packed little-endian int32" is decided
+here, and every layer between the kernel and the socket hands that
+buffer on instead of re-boxing it: a worker encodes
+``QueryResult.packed_ids`` (packed straight from the kernel backend's
+array), :func:`decode` keeps a ``RESULT_IDS`` payload as
+:attr:`Message.packed` (its length checked against ``count``), the pool
+wraps those bytes in its ``QueryResult`` and the network front door
+passes them to :func:`encode_result_ids` again — which accepts the
+packed buffer as readily as a sequence of ints and builds byte-identical
+frames from either.  :attr:`Message.ids` builds the list of Python ints
+only when it is read, which the clients and the JSON shim do and the
+forwarding hops do not.  The layout itself
+(:func:`~repro.xmlmodel.idset.pack_ids` /
+:func:`~repro.xmlmodel.idset.unpack_ids`) lives beside ``IdSet``, below
+both the engine and this module.
+
 ``seq`` is the requester's correlation id: replies carry the seq of the
 query they answer, so a worker may answer a batch in any order (in
 practice it answers in arrival order).  ``flags`` bit 0 (``FLAG_IDS``)
@@ -79,6 +98,9 @@ Examples
 (True, 7, 'catalogue', '//book[child::title]')
 >>> decode(encode_result_ids(7, [2, 3, 11])).ids
 [2, 3, 11]
+>>> packed = decode(encode_result_ids(7, [2, 3, 11])).packed
+>>> encode_result_ids(7, packed) == encode_result_ids(7, [2, 3, 11])
+True
 >>> decode(encode_result_value(9, 2.0)).value
 2.0
 >>> decode(encode_error(4, "XPathSyntaxError", "unexpected token")).error
@@ -89,12 +111,11 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.errors import ReproError
+from repro.xmlmodel.idset import pack_ids, unpack_ids
 
 MAGIC = b"RPW1"
 
@@ -160,7 +181,7 @@ class Message:
     flags: int = 0
     key: str = ""
     query: str = ""
-    ids: Optional[list[int]] = None
+    packed: Optional[bytes] = None
     value: object = None
     error: Optional[tuple[str, str]] = None
     keys: tuple[str, ...] = ()
@@ -173,6 +194,15 @@ class Message:
     capacity: int = 0
     banner: str = ""
     body: str = ""
+
+    @property
+    def ids(self) -> Optional[list[int]]:
+        """A RESULT_IDS payload as a list of ints (None for other frames).
+
+        Built from :attr:`packed` on every read: a hop that only forwards
+        the answer hands ``packed`` on and never pays for it.
+        """
+        return None if self.packed is None else unpack_ids(self.packed)
 
     @property
     def ids_only(self) -> bool:
@@ -210,15 +240,21 @@ def encode_query(
     )
 
 
-def encode_result_ids(seq: int, ids: Sequence[int]) -> bytes:
-    """Encode a node-set answer as a sorted int32 id array."""
-    packed = array("i", ids)
-    if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
-        packed = array("i", packed)
-        packed.byteswap()
-    return _frame(
-        MSG_RESULT_IDS, _U32.pack(seq), _U32.pack(len(packed)), packed.tobytes()
-    )
+def encode_result_ids(seq: int, ids: Union[Sequence[int], bytes]) -> bytes:
+    """Encode a node-set answer as a sorted int32 id array.
+
+    ``ids`` is a sequence of ints, or the answer already packed as
+    little-endian int32 (``QueryResult.packed_ids``, ``Message.packed``),
+    which goes into the frame as is.
+    """
+    packed = ids if isinstance(ids, bytes) else pack_ids(ids)
+    count, ragged = divmod(len(packed), 4)
+    if ragged:
+        raise WireError(
+            f"packed id array of {len(packed)} byte(s) is not a whole "
+            "number of int32s"
+        )
+    return _frame(MSG_RESULT_IDS, _U32.pack(seq), _U32.pack(count), packed)
 
 
 def encode_result_value(seq: int, value: object) -> bytes:
@@ -440,12 +476,9 @@ def decode(frame: bytes) -> Message:
     if msg_type == MSG_RESULT_IDS:
         seq = reader.u32()
         count = reader.u32()
-        ids = array("i")
-        ids.frombytes(reader.take(4 * count))
-        if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
-            ids.byteswap()
+        packed = reader.take(4 * count)
         reader.done()
-        return Message(MSG_RESULT_IDS, seq=seq, ids=ids.tolist())
+        return Message(MSG_RESULT_IDS, seq=seq, packed=packed)
     if msg_type == MSG_RESULT_VALUE:
         seq = reader.u32()
         kind = reader.u8()

@@ -70,6 +70,8 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.serving import wire
+from repro.store import StoreKey
+from repro.telemetry.trace import Trace, maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from multiprocessing.connection import Connection
@@ -204,8 +206,10 @@ def _answer(
     """Evaluate one QUERY message and encode its reply frame(s).
 
     One ``engine.evaluate`` call: node-set results go out as sorted int32
-    id arrays (Core answers are carried as ids, so no node object is
-    built just to be re-encoded), scalars as typed scalars; under
+    id arrays — ``result.packed_ids``, which a Core answer packs straight
+    from the kernel backend's array, so neither a node object nor a list
+    of Python ints is built just to be re-encoded — scalars as typed
+    scalars; under
     :data:`~repro.serving.wire.FLAG_IDS` the engine enforces the
     ``ids=True`` contract — a scalar query is an error.  Any exception
     becomes an ``ERROR`` frame.
@@ -216,9 +220,6 @@ def _answer(
     a child) to send *before* the reply; otherwise it is None.  Errors
     carry no trace frame.
     """
-    from repro.store import StoreKey
-    from repro.telemetry.trace import Trace, maybe_span
-
     trace = Trace("worker") if message.wants_trace else None
     try:
         handle = engine.add(StoreKey(message.key))
@@ -228,7 +229,7 @@ def _answer(
                 trace=message.wants_trace,
             )
         if result.is_node_set:
-            reply = wire.encode_result_ids(message.seq, result.ids)
+            reply = wire.encode_result_ids(message.seq, result.packed_ids)
         else:
             reply = wire.encode_result_value(message.seq, result.value)
     except Exception as error:  # noqa: BLE001 - every query error crosses the wire

@@ -39,6 +39,14 @@ Whatever the backend, membership results are identical; only the
 concrete sequence type behind :attr:`IdSet.ids` differs (see
 ``docs/kernels.md``).
 
+**Boundary conversions.**  A set leaves kernel land in one of two forms:
+:meth:`IdSet.tolist` (plain Python ints, for callers that index or
+serialise them one by one) and :meth:`IdSet.tobytes` (the members packed
+as little-endian int32 — what the serving tier's wire frames carry, so a
+served answer is never boxed into Python ints on the way out).
+:func:`pack_ids` / :func:`unpack_ids` are that packed layout's one
+definition.
+
 >>> a = IdSet.from_range(2, 6, universe=8)     # {2, 3, 4, 5}
 >>> b = IdSet.from_iterable([0, 3, 5], universe=8)
 >>> (a & b).tolist()
@@ -47,20 +55,50 @@ concrete sequence type behind :attr:`IdSet.ids` differs (see
 [0, 1, 6, 7]
 >>> len(a | b), 4 in (a | b)
 (5, True)
+>>> unpack_ids((a & b).tobytes())
+[3, 5]
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
 from repro.xmlmodel.kernels import SortedIds, active_backend
 
-__all__ = ["DENSITY_FACTOR", "IdSet", "SortedIds"]
+__all__ = ["DENSITY_FACTOR", "IdSet", "SortedIds", "pack_ids", "unpack_ids"]
 
 #: A set counts as dense once it holds at least ``universe / DENSITY_FACTOR``
 #: members; dense operands push binary set algebra onto the bitmask path.
 DENSITY_FACTOR = 8
+
+
+def pack_ids(members: SortedIds) -> bytes:
+    """Pack an id sequence as little-endian int32, four bytes per id.
+
+    A numpy array (the vectorized backend's members) is narrowed and
+    copied out in two C calls; any other sequence goes through
+    ``array("i")``.  No Python int is created for a numpy input.
+    """
+    astype = getattr(members, "astype", None)
+    if astype is not None:
+        packed: bytes = astype("<i4").tobytes()
+        return packed
+    buffer = array("i", members)
+    if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
+        buffer.byteswap()
+    return buffer.tobytes()
+
+
+def unpack_ids(packed: Union[bytes, bytearray, memoryview]) -> list[int]:
+    """The inverse of :func:`pack_ids`: packed int32 back to a list of ints."""
+    buffer = array("i")
+    buffer.frombytes(packed)
+    if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
+        buffer.byteswap()
+    return buffer.tolist()
 
 
 class IdSet:
@@ -159,6 +197,15 @@ class IdSet:
             result: list[int] = converter()
             return result
         return list(members)
+
+    def tobytes(self) -> bytes:
+        """The members packed as little-endian int32 (:func:`pack_ids`).
+
+        The second API-boundary conversion, beside :meth:`tolist`: the
+        form a node-set answer travels in, produced straight from the
+        backend's sequence type without building a list of Python ints.
+        """
+        return pack_ids(self.ids)
 
     # -- protocol -------------------------------------------------------------
 

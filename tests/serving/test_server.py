@@ -7,6 +7,7 @@ tests hold the server's dispatch lock to freeze the pool deterministically
 the environment the same way the pool's own suite does.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -14,6 +15,7 @@ import time
 
 import pytest
 
+from repro.engine import XPathEngine
 from repro.evaluation import evaluate
 from repro.serving import (
     ConnectionDrained,
@@ -24,15 +26,20 @@ from repro.serving import (
     XPathServer,
     wire,
 )
-from repro.serving.client import json_roundtrip
+from repro.serving.client import AsyncServingClient, json_roundtrip
 from repro.store import CorpusStore, StoreKeyError
 from repro.xmlmodel import parse_xml
 
 from tests.serving.faultinject import worker_fault
 
+#: ``//x`` on the "many" document answers this many ids: one 120 KB frame,
+#: above the transport's 64 KiB high-water mark.
+MANY = 30_000
+
 DOCS = {
     "letters": "<a><b/><b><c/></b><d><b/></d></a>",
     "row": "<r><x/><x/><x/><x/></r>",
+    "many": "<m>" + "<x/>" * MANY + "</m>",
 }
 
 _PARSED = {key: parse_xml(xml) for key, xml in DOCS.items()}
@@ -77,7 +84,8 @@ def _raw_binary_connection(address):
     return sock
 
 
-def _read_frame(sock):
+def _read_raw_frame(sock):
+    """One stream frame's bytes, undecoded (for byte-identity checks)."""
     def exactly(size):
         data = b""
         while len(data) < size:
@@ -86,7 +94,51 @@ def _read_frame(sock):
             data += chunk
         return data
 
-    return wire.decode(exactly(wire.framed_length(exactly(4))))
+    return exactly(wire.framed_length(exactly(4)))
+
+
+def _read_frame(sock):
+    return wire.decode(_read_raw_frame(sock))
+
+
+def _framed_query(seq, key, query, **flags):
+    return wire.encode_framed(wire.encode_query(seq, key, query, **flags))
+
+
+def _slow_reader_connection(address):
+    """A binary connection whose receive buffer is pinned small, so what the
+    client does not read backs up into the server instead of the kernel."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(20.0)
+    sock.connect(address)
+    sock.sendall(wire.MAGIC)
+    assert _read_frame(sock).type == wire.MSG_HELLO
+    return sock
+
+
+def _count_tasks(server):
+    """Count every Task the server's loop creates from now on.
+
+    Installs a task factory on the loop thread; returns the list the
+    factory appends each new task's coroutine name to.
+    """
+    created = []
+
+    def factory(loop, coroutine, **kwargs):
+        created.append(getattr(coroutine, "__qualname__", repr(coroutine)))
+        return asyncio.Task(coroutine, loop=loop, **kwargs)
+
+    installed = threading.Event()
+
+    def install():
+        server._loop.set_task_factory(factory)
+        installed.set()
+
+    server._loop.call_soon_threadsafe(install)
+    assert installed.wait(5.0)
+    return created
 
 
 class TestHandshake:
@@ -500,3 +552,217 @@ class TestSupervisionEdges:
         )
         with pytest.raises(ConnectionDrained):
             state.finish(return_errors=False)
+
+
+class TestWritePath:
+    """`_settle` → `_send` → `_flush`: the fast path and the backpressure path."""
+
+    def test_an_untraced_request_creates_no_task(self, server):
+        server_obj, (host, port) = server
+        with ServingClient(host, port) as client:
+            client.evaluate("//b", "letters")  # the connection's own task exists now
+            created = _count_tasks(server_obj)
+            for _ in range(5):
+                assert client.evaluate("//b", "letters").ids == _expected_ids(
+                    "//b", "letters"
+                )
+                assert client.evaluate("count(//x)", "row").value == 4.0
+                assert len(client.evaluate("//x", "many").ids) == MANY
+                with pytest.raises(StoreKeyError):
+                    client.evaluate("//b", "missing")
+            assert client.evaluate("//b", "letters", trace=True).trace is not None
+            client.ping()
+        assert created == []
+
+    def test_a_client_that_stops_reading_is_aborted_and_frees_its_slots(self, pool):
+        server = XPathServer(pool, write_timeout=0.3)
+        with server as address:
+            wedged = _slow_reader_connection(address)
+            with ServingClient(*address) as bystander:
+                seq = 0
+                deadline = time.monotonic() + 30.0
+                while bystander.server_stats()["server"]["aborted"] == 0:
+                    assert time.monotonic() < deadline, "the wedged client was never aborted"
+                    try:  # never reads: the answers fill the kernel, then the transport
+                        wedged.sendall(b"".join(
+                            _framed_query(seq + n, "many", "//x") for n in range(8)
+                        ))
+                    except OSError:
+                        pass  # the server has already hung up on it
+                    seq += 8
+                    # a second connection is served throughout
+                    assert bystander.evaluate("//b", "letters").ids == _expected_ids(
+                        "//b", "letters"
+                    )
+                while bystander.server_stats()["server"]["inflight"]:
+                    assert time.monotonic() < deadline, "admission slots still held"
+                    time.sleep(0.01)
+                stats = bystander.server_stats()["server"]
+                assert stats["aborted"] == 1
+                assert stats["connections_active"] == 1  # the bystander's own
+                assert stats["errors"] == 0 and stats["overloaded"] == 0
+                assert bystander.evaluate("count(//x)", "row").value == 4.0
+            wedged.close()
+        assert not server._flushing
+
+    def test_a_slow_reader_gets_every_frame_in_order_and_intact(self, server):
+        """Fast-path and backpressure-path writes interleave on one connection."""
+        server_obj, address = server
+        cycle = [("many", "//x"), ("letters", "//b"), ("row", "//x")]
+        engine = XPathEngine()
+        expected = {
+            (key, query): engine.evaluate(query, DOCS[key]).ids for key, query in cycle
+        }
+        sock = _slow_reader_connection(address)
+        with ServingClient(*address) as bystander:
+            created = _count_tasks(server_obj)
+            sent = []
+            while not created:  # until a write has not left whole
+                assert len(sent) < 900, "the kernel buffered 30 MB of answers"
+                for _ in range(9):
+                    key, query = cycle[len(sent) % 3]
+                    sock.sendall(_framed_query(len(sent), key, query))
+                    sent.append((key, query))
+                # Answers come back in dispatch order: once ours is here,
+                # the wave before it has been settled.
+                bystander.evaluate("//b", "letters")
+            for seq, asked in enumerate(sent):  # now read, late but completely
+                assert _read_raw_frame(sock) == wire.encode_result_ids(
+                    seq, expected[asked]
+                )
+            backpressured = len(created)
+            # one coroutine per write that did not leave whole (plus, up to
+            # Python 3.11, wait_for's own task around its drain)
+            assert set(created) <= {"XPathServer._finish_after", "StreamWriter.drain"}
+            assert 0 < created.count("XPathServer._finish_after") <= len(sent)
+            for seq, asked in enumerate(cycle * 3, start=len(sent)):
+                sock.sendall(_framed_query(seq, *asked))
+                assert _read_raw_frame(sock) == wire.encode_result_ids(
+                    seq, expected[asked]
+                )
+            assert len(created) == backpressured  # read promptly: the fast path again
+        sock.close()
+
+    def test_a_traced_request_gets_its_trace_frame_just_before_its_result(self, server):
+        _, address = server
+        sock = _raw_binary_connection(address)
+        sock.sendall(b"".join(
+            _framed_query(seq, "letters", "//b", trace=seq % 2 == 1)
+            for seq in range(8)
+        ))
+        frames = [_read_frame(sock) for _ in range(12)]
+        answered = []
+        while frames:
+            frame = frames.pop(0)
+            if frame.type == wire.MSG_TRACE:
+                assert frame.seq % 2 == 1 and frame.payload["tier"] == "server"
+                names = [span["name"] for span in frame.payload["spans"]]
+                assert names == ["admit", "server-dispatch"]
+                result = frames.pop(0)  # nothing in between, whatever else is in flight
+                assert result.seq == frame.seq
+            else:
+                result = frame
+                assert result.seq % 2 == 0  # an untraced request gets no TRACE frame
+            assert result.type == wire.MSG_RESULT_IDS
+            assert result.ids == _expected_ids("//b", "letters")
+            answered.append(result.seq)
+        assert sorted(answered) == list(range(8))
+        sock.close()
+        (reply,) = json_roundtrip(*address, [{"op": "trace"}])
+        assert len(reply["traces"]) == 4
+        for trace in reply["traces"]:
+            # the ring buffer's copy also has the span of the write itself
+            names = [span["name"] for span in trace["spans"]]
+            assert names == ["admit", "server-dispatch", "write"]
+
+
+class TestEncodingFailure:
+    """An answer the encoder refuses still gets a reply, and is counted."""
+
+    def test_binary_answer_above_max_frame_becomes_an_error_frame(
+        self, server, monkeypatch
+    ):
+        _, address = server
+        sock = _raw_binary_connection(address)
+        with monkeypatch.context() as patched:
+            # Stands in for an answer of more than 4 194 300 ids.
+            patched.setattr(wire, "MAX_FRAME", 256)
+            sock.sendall(_framed_query(11, "many", "//x"))
+            refused = _read_frame(sock)
+            sock.sendall(_framed_query(12, "letters", "//b", trace=True))
+            refused_trace = _read_frame(sock)  # its TRACE frame is the one too big
+            sock.sendall(_framed_query(13, "letters", "//b"))
+            served = _read_frame(sock)
+        assert (refused.type, refused.seq) == (wire.MSG_ERROR, 11)
+        assert refused.error[0] == "WireError" and "MAX_FRAME" in refused.error[1]
+        assert (refused_trace.type, refused_trace.seq) == (wire.MSG_ERROR, 12)
+        assert (served.type, served.seq) == (wire.MSG_RESULT_IDS, 13)
+        assert served.ids == _expected_ids("//b", "letters")
+        sock.sendall(wire.encode_framed(wire.encode_stats_request()))
+        stats = _read_frame(sock).payload["server"]
+        assert (stats["errors"], stats["served"]) == (2, 1)
+        sock.close()
+
+    def test_json_answer_above_max_frame_becomes_an_error_line(
+        self, server, monkeypatch
+    ):
+        _, (host, port) = server
+        with monkeypatch.context() as patched:
+            patched.setattr(wire, "MAX_FRAME", 256)
+            replies = json_roundtrip(host, port, [
+                {"key": "many", "query": "//x", "seq": 5},
+                {"key": "row", "query": "count(//x)", "seq": 6},
+            ])
+        assert replies[0]["seq"] == 5
+        assert replies[0]["error"]["type"] == "WireError"
+        assert "MAX_FRAME" in replies[0]["error"]["message"]
+        assert replies[1] == {"seq": 6, "key": "row", "value": 4.0}
+        (reply,) = json_roundtrip(host, port, [{"op": "stats"}])
+        assert reply["stats"]["server"]["errors"] == 1
+        assert reply["stats"]["server"]["served"] == 1
+
+
+class TestInterruptedBatch:
+    """A batch that ends with replies owed must not poison the next one.
+
+    Every batch numbers its requests from ``seq`` 0, so a reply that
+    arrives after its batch gave up would be taken for the next batch's
+    answer.  The dispatch lock stands in for a slow query: the reply is
+    owed until it is released.
+    """
+
+    def test_sync_client_closes_after_a_timed_out_batch(self, server):
+        server_obj, (host, port) = server
+        client = ServingClient(host, port, timeout=0.05)
+        with server_obj._dispatch_lock:
+            with pytest.raises(TimeoutError):
+                client.evaluate("count(//x)", "many")
+        # the late reply (30000.0, seq 0) must not answer this request
+        with pytest.raises(ServingError, match="client is closed"):
+            client.evaluate("count(//x)", "row")
+        client.close()
+
+    def test_async_client_closes_after_a_cancelled_batch(self, server):
+        server_obj, (host, port) = server
+
+        async def scenario():
+            client = await AsyncServingClient.connect(host, port)
+            with server_obj._dispatch_lock:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        client.evaluate("count(//x)", "many"), 0.05
+                    )
+            with pytest.raises(ServingError, match="client is closed"):
+                await client.evaluate("count(//x)", "row")
+            await client.aclose()
+
+        asyncio.run(scenario())
+
+    def test_a_completed_batch_leaves_the_client_open(self, server):
+        from repro.errors import XPathSyntaxError
+
+        _, (host, port) = server
+        with ServingClient(host, port) as client:
+            with pytest.raises(XPathSyntaxError):  # raised after the batch drained
+                client.evaluate_batch([("//b[", "letters"), ("//b", "letters")])
+            assert client.evaluate("count(//x)", "row").value == 4.0

@@ -39,6 +39,26 @@ class TestResultFrames:
         assert message.seq == 7
         assert message.ids == ids
 
+    @pytest.mark.parametrize(
+        "ids", [[], [0], [2, 3, 11], list(range(10_000))]
+    )
+    def test_packed_buffer_encodes_to_the_same_frame(self, ids):
+        from array import array
+
+        frame = wire.encode_result_ids(7, ids)
+        packed = wire.decode(frame).packed
+        assert packed == array("i", ids).tobytes()  # hosts we run on are LE
+        assert wire.encode_result_ids(7, packed) == frame
+
+    def test_only_result_id_frames_carry_packed_ids(self):
+        assert wire.decode(wire.encode_result_value(1, 2.0)).packed is None
+        assert wire.decode(wire.encode_result_value(1, 2.0)).ids is None
+        assert wire.decode(wire.encode_query(1, "k", "//a")).ids is None
+
+    def test_ragged_packed_buffer_is_rejected(self):
+        with pytest.raises(wire.WireError, match="int32"):
+            wire.encode_result_ids(1, b"\x01\x00\x00\x00\x02")
+
     def test_id_array_wire_size_is_four_bytes_per_id(self):
         empty = wire.encode_result_ids(0, [])
         thousand = wire.encode_result_ids(0, list(range(1000)))
@@ -162,6 +182,18 @@ class TestMalformedFrames:
         frame = wire.encode_result_ids(1, [1, 2, 3])
         with pytest.raises(wire.WireError, match="truncated"):
             wire.decode(frame[:-4])
+
+    def test_id_array_longer_than_its_count(self):
+        frame = bytearray(wire.encode_result_ids(1, [1, 2, 3]))
+        frame[9:13] = (2).to_bytes(4, "little")  # magic(4) type(1) seq(4) → count
+        with pytest.raises(wire.WireError, match="trailing"):
+            wire.decode(bytes(frame))
+
+    def test_id_array_shorter_than_its_count(self):
+        frame = bytearray(wire.encode_result_ids(1, [1, 2, 3]))
+        frame[9:13] = (4).to_bytes(4, "little")
+        with pytest.raises(wire.WireError, match="truncated"):
+            wire.decode(bytes(frame))
 
     def test_unknown_scalar_kind(self):
         frame = bytearray(wire.encode_result_value(1, True))
@@ -365,6 +397,15 @@ class TestEncodeDecodeRoundTripFuzz:
     def test_result_ids_round_trip(self, seq, ids):
         message = wire.decode(wire.encode_result_ids(seq, ids))
         assert (message.seq, message.ids) == (seq, ids)
+
+    @given(_seqs, st.lists(_int32s, max_size=100))
+    @settings(max_examples=100, deadline=None)
+    def test_packed_and_listed_ids_build_identical_frames(self, seq, ids):
+        frame = wire.encode_result_ids(seq, ids)
+        message = wire.decode(frame)
+        assert len(message.packed) == 4 * len(ids)
+        assert wire.encode_result_ids(seq, message.packed) == frame
+        assert wire.decode(wire.encode_result_ids(seq, message.packed)).ids == ids
 
     @given(_seqs, _scalars)
     @settings(max_examples=100, deadline=None)
