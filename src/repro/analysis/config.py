@@ -151,6 +151,9 @@ FROZEN_ATTRS: Mapping[str, tuple[str, ...]] = {
     "universe": ("repro/xmlmodel/idset.py",),
     "_bits": ("repro/xmlmodel/idset.py",),
     "_ids": ("repro/xmlmodel/idset.py", "repro/engine/result.py"),
+    # Set once, by `IdSet.partition`, on a dense partition nobody else has
+    # seen yet — which is what bounds the masks per document.
+    "_probe_mask": ("repro/xmlmodel/idset.py",),
     "subtree_end": _COLUMN_MODULES,
     "post": _COLUMN_MODULES,
     "first_child": _COLUMN_MODULES,

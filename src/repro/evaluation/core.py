@@ -9,19 +9,22 @@ the final materialisation:
 * frontiers and condition sets are
   :class:`~repro.xmlmodel.idset.IdSet` values over the document-order ids
   of the :class:`~repro.xmlmodel.index.DocumentIndex` (sorted id arrays,
-  or bitmasks once a set passes the density threshold);
+  or bitmasks where both operands of an operation were dense);
 * each step applies its axis to the whole frontier in O(|D|) using the
   id-set kernels of the index (interval arithmetic for
   ``descendant``/``following``/``preceding``, array-chain sweeps for the
-  rest), then restricts by the node test via a sorted-partition
-  intersection — a single bitmask ``&`` on dense sets;
+  rest), then restricts by the node test and the predicates' condition
+  sets — a sparse frontier is probed into each and stays a sorted id
+  array, so the next axis kernel reads it as is;
 * every condition is compiled to the *id set of nodes satisfying it*
   (``E[bexpr]`` in the proof discussion), computed bottom-up; ``and`` /
   ``or`` / ``not`` become ``&`` / ``|`` / complement on those sets;
 * a location path used as a condition is evaluated *backwards* through
   inverse axes, so it also costs one O(|D|) pass per step;
 * condition sets are cached per sub-expression, so each of the |Q|
-  sub-expressions contributes O(|D|) work;
+  sub-expressions contributes O(|D|) work; an entry lives exactly as long
+  as its expression object (in practice: as long as the plan cache keeps
+  the plan), so evicted plans leave nothing behind;
 * ids are pre-order ranks, so the final id array *is* document order —
   the result is materialised into nodes exactly once, at the API
   boundary (:meth:`CoreXPathEvaluator.evaluate_nodes`), with no sort.
@@ -42,6 +45,7 @@ evaluators for anything richer.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Optional
 
 from repro.errors import FragmentViolationError, XPathEvaluationError
@@ -62,11 +66,41 @@ from repro.xpath.ast import (
 from repro.xpath.parser import parse
 
 
+class _ConditionRef(weakref.ref):
+    """A weak reference to a cached expression that can find its own entry.
+
+    The ``weakref.KeyedRef`` pattern: the cache key and a *weak* reference
+    to the owning evaluator ride on the reference itself, so the one
+    module-level callback below needs no closure — nothing reachable from
+    a callback points back at an evaluator or its cache, and a dropped
+    evaluator (and the document under it) is freed by reference counting.
+    """
+
+    __slots__ = ("key", "owner")
+
+    def __new__(cls, expr: XPathExpr, owner: "weakref.ref[CoreXPathEvaluator]"):
+        self = super().__new__(cls, expr, _forget_condition)
+        self.key = id(expr)
+        self.owner = owner
+        return self
+
+    def __init__(self, expr: XPathExpr, owner: "weakref.ref[CoreXPathEvaluator]") -> None:
+        super().__init__(expr, _forget_condition)
+
+
+def _forget_condition(reference: _ConditionRef) -> None:
+    """The expression died: drop its condition set before its id can be reused."""
+    evaluator = reference.owner()
+    if evaluator is not None:
+        evaluator._condition_cache.pop(reference.key, None)
+
+
 class CoreXPathEvaluator:
     """O(|D| · |Q|) evaluation of Core XPath queries, natively on id sets.
 
     One evaluator instance serves any number of queries against its
-    document; condition sets are cached across queries, and
+    document; condition sets are cached across queries for as long as
+    the expression objects they belong to are alive, and
     ``axis_applications`` counts the set-at-a-time axis applications
     performed (the cost measure of the linear-time argument).
 
@@ -83,10 +117,14 @@ class CoreXPathEvaluator:
         self.document = document
         self.index = document.index
         self._universe = self.index.size
-        self._condition_cache: dict[int, IdSet] = {}
-        # The cache is keyed by id(expr); keep every cached expression alive
-        # so ids are never reused by later, structurally different queries.
-        self._pinned: dict[int, XPathExpr] = {}
+        # id(expr) -> (weak reference to expr, its condition set).  The
+        # reference's callback removes the entry when the expression dies,
+        # so an id reused by a later, different expression finds nothing.
+        self._condition_cache: dict[int, tuple[_ConditionRef, IdSet]] = {}
+        self._weak_self = weakref.ref(self)
+        # Immutable, so one instance of each serves every query.
+        self._root = IdSet.from_sorted([0], self._universe)  # the root's id is 0
+        self._everything = IdSet.full(self._universe)
         #: Number of set-at-a-time axis applications performed (cost measure).
         self.axis_applications = 0
 
@@ -106,7 +144,7 @@ class CoreXPathEvaluator:
         """
         expr = parse(query) if isinstance(query, str) else query
         if context_nodes is None:
-            starts = self._root_idset()
+            starts = self._root
         else:
             nodes = list(context_nodes)
             try:
@@ -132,7 +170,7 @@ class CoreXPathEvaluator:
         """
         expr = parse(query) if isinstance(query, str) else query
         if context_ids is None:
-            starts = self._root_idset()
+            starts = self._root
         else:
             members = list(context_ids)
             universe = self._universe
@@ -162,9 +200,6 @@ class CoreXPathEvaluator:
         return self.index.idset_to_node_list(self._condition_set(expr))
 
     # -- helpers --------------------------------------------------------------
-
-    def _root_idset(self) -> IdSet:
-        return IdSet.from_sorted([0], self._universe)  # the root's id is 0
 
     def _evaluate_per_node(self, expr: XPathExpr, nodes: list[XMLNode]) -> list[XMLNode]:
         """Answer a Core XPath query from contexts that have no id.
@@ -199,7 +234,7 @@ class CoreXPathEvaluator:
     # -- location paths --------------------------------------------------------
 
     def _evaluate_path(self, path: LocationPath, starts: IdSet) -> IdSet:
-        frontier = self._root_idset() if path.absolute else starts
+        frontier = self._root if path.absolute else starts
         for step in path.steps:
             frontier = self._apply_step(step, frontier)
             if not frontier:
@@ -221,11 +256,10 @@ class CoreXPathEvaluator:
 
     def _condition_set(self, expr: XPathExpr) -> IdSet:
         cached = self._condition_cache.get(id(expr))
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0]() is expr:
+            return cached[1]
         result = self._compute_condition_set(expr)
-        self._pinned[id(expr)] = expr
-        self._condition_cache[id(expr)] = result
+        self._condition_cache[id(expr)] = (_ConditionRef(expr, self._weak_self), result)
         return result
 
     def _compute_condition_set(self, expr: XPathExpr) -> IdSet:
@@ -236,7 +270,7 @@ class CoreXPathEvaluator:
         if isinstance(expr, FunctionCall) and expr.name == "not" and len(expr.args) == 1:
             return self._condition_set(expr.args[0]).complement()
         if isinstance(expr, FunctionCall) and expr.name == "true" and not expr.args:
-            return IdSet.full(self._universe)
+            return self._everything
         if isinstance(expr, FunctionCall) and expr.name == "false" and not expr.args:
             return IdSet.empty(self._universe)
         if isinstance(expr, FunctionCall) and expr.name == "boolean" and len(expr.args) == 1:
@@ -256,13 +290,12 @@ class CoreXPathEvaluator:
     def _path_condition_set(self, path: LocationPath) -> IdSet:
         """Ids from which ``path`` selects at least one node, via inverse axes."""
         if path.absolute:
-            matches = self._evaluate_path(path, self._root_idset())
-            universe = self._universe
-            return IdSet.full(universe) if matches else IdSet.empty(universe)
+            matches = self._evaluate_path(path, self._root)
+            return self._everything if matches else IdSet.empty(self._universe)
         # Work backwards: witnesses is the set of ids y such that the steps
         # processed so far succeed when y is the node selected by the step
         # immediately before them.
-        witnesses = IdSet.full(self._universe)
+        witnesses = self._everything
         for step in reversed(path.steps):
             self._require_navigational(step)
             satisfying = self.index.filter_idset(

@@ -15,19 +15,22 @@ query falls outside the fragment (empty list = member), and ``is_*`` are
 the corresponding booleans.  :func:`classify` returns every fragment a
 query belongs to together with the most specific one and its combined
 complexity from Figure 1.
+
+The fragments nest, and so do their definitions here: PF is Core XPath's
+list plus the no-predicates rule, positive Core XPath is Core XPath's list
+unless ``not`` occurs, pWF extends WF's list, and every counting rule
+(iterated predicates, functions used, arithmetic and ``concat`` nesting)
+reads one :func:`~repro.xpath.analysis.query_features` traversal.
+:func:`classify` therefore derives each list once — two grammar descents
+(Core XPath, WF) and one features pass per query — through the same
+functions, so each rule's wording exists in exactly one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.xpath.analysis import (
-    arithmetic_nesting_depth,
-    axes_used,
-    concat_arity_and_nesting,
-    functions_used,
-    max_predicates_per_step,
-)
+from repro.xpath.analysis import QueryFeatures, query_features
 from repro.xpath.ast import (
     ARITHMETIC_OPERATORS,
     BinaryOp,
@@ -181,12 +184,14 @@ def is_positive_core_xpath(query: XPathExpr | str) -> bool:
 def violations_pf(query: XPathExpr | str) -> list[str]:
     """PF: Core XPath location paths with no conditions at all."""
     expr = _as_expr(query)
-    violations = violations_core_xpath(expr)
-    if violations:
-        return violations
-    if max_predicates_per_step(expr) > 0:
-        violations.append("PF forbids conditions (bracketed predicates)")
-    return violations
+    return _pf_from_core(violations_core_xpath(expr), query_features(expr))
+
+
+def _pf_from_core(core: list[str], features: QueryFeatures) -> list[str]:
+    """PF's list given Core XPath's: the same reasons, else the predicate rule."""
+    if not core and features.max_predicates > 0:
+        return ["PF forbids conditions (bracketed predicates)"]
+    return list(core)
 
 
 def is_pf(query: XPathExpr | str) -> bool:
@@ -287,14 +292,21 @@ def violations_pwf(
 ) -> list[str]:
     """Return the reasons ``query`` is not in pWF."""
     expr = _as_expr(query)
-    violations = violations_wf(expr)
-    if max_predicates_per_step(expr) >= 2:
+    return _pwf_from_wf(violations_wf(expr), query_features(expr), nesting_bound)
+
+
+def _pwf_from_wf(
+    wf: list[str], features: QueryFeatures, nesting_bound: int
+) -> list[str]:
+    """pWF's list given WF's: the same reasons plus Definition 5.1's three rules."""
+    violations = list(wf)
+    if features.max_predicates >= 2:
         violations.append(
             "iterated predicates χ::t[e1]…[ek] with k ≥ 2 are excluded (Definition 5.1(1))"
         )
-    if "not" in functions_used(expr):
+    if "not" in features.functions:
         violations.append("the not() function is excluded (Definition 5.1(2))")
-    depth = arithmetic_nesting_depth(expr)
+    depth = features.arithmetic_depth
     if depth > nesting_bound:
         violations.append(
             f"arithmetic nesting depth {depth} exceeds the bound {nesting_bound} "
@@ -314,40 +326,45 @@ def is_pwf(query: XPathExpr | str, nesting_bound: int = DEFAULT_NESTING_BOUND) -
 
 
 def violations_pxpath(
-    query: XPathExpr | str, nesting_bound: int = DEFAULT_NESTING_BOUND
+    query: XPathExpr | str,
+    nesting_bound: int = DEFAULT_NESTING_BOUND,
+    features: QueryFeatures | None = None,
 ) -> list[str]:
-    """Return the reasons ``query`` is not in pXPath."""
-    expr = _as_expr(query)
+    """Return the reasons ``query`` is not in pXPath.
+
+    ``features`` is ``query_features(query)`` when the caller already has it.
+    """
+    if features is None:
+        features = query_features(_as_expr(query))
     violations: list[str] = []
-    if max_predicates_per_step(expr) >= 2:
+    if features.max_predicates >= 2:
         violations.append(
             "iterated predicates χ::t[e1]…[ek] with k ≥ 2 are excluded (Definition 6.1(1))"
         )
-    forbidden = functions_used(expr) & PXPATH_FORBIDDEN_FUNCTIONS
+    forbidden = features.functions & PXPATH_FORBIDDEN_FUNCTIONS
     if forbidden:
         violations.append(
             f"forbidden function(s) {', '.join(sorted(forbidden))} (Definition 6.1(2))"
         )
-    for node in expr.walk():
-        if isinstance(node, BinaryOp) and node.op in COMPARISON_OPERATORS:
-            if BOOLEAN in (static_type(node.left), static_type(node.right)):
-                violations.append(
-                    f"comparison {node} has a boolean operand (Definition 6.1(3))"
-                )
-    depth = arithmetic_nesting_depth(expr)
+    for node in features.comparisons:
+        if BOOLEAN in (static_type(node.left), static_type(node.right)):
+            violations.append(
+                f"comparison {node} has a boolean operand (Definition 6.1(3))"
+            )
+    depth = features.arithmetic_depth
     if depth > nesting_bound:
         violations.append(
             f"arithmetic nesting depth {depth} exceeds the bound {nesting_bound} "
             "(Definition 6.1(4))"
         )
-    concat_arity, concat_nesting = concat_arity_and_nesting(expr)
-    if concat_arity > max(nesting_bound, 2):
+    if features.concat_arity > max(nesting_bound, 2):
         violations.append(
-            f"concat() arity {concat_arity} exceeds the bound (Definition 6.1(4))"
+            f"concat() arity {features.concat_arity} exceeds the bound (Definition 6.1(4))"
         )
-    if concat_nesting > nesting_bound:
+    if features.concat_nesting > nesting_bound:
         violations.append(
-            f"concat() nesting depth {concat_nesting} exceeds the bound (Definition 6.1(4))"
+            f"concat() nesting depth {features.concat_nesting} exceeds the bound "
+            "(Definition 6.1(4))"
         )
     return violations
 
@@ -379,13 +396,21 @@ class Classification:
 def classify(query: XPathExpr | str, nesting_bound: int = DEFAULT_NESTING_BOUND) -> Classification:
     """Classify ``query`` against every fragment and report Figure 1's complexity."""
     expr = _as_expr(query)
+    core = violations_core_xpath(expr)
+    wf = violations_wf(expr)
+    features = query_features(expr)
     membership: dict[str, list[str]] = {
-        "PF": violations_pf(expr),
-        "positive Core XPath": violations_core_xpath(expr, allow_negation=False),
-        "Core XPath": violations_core_xpath(expr),
-        "pWF": violations_pwf(expr, nesting_bound),
-        "WF": violations_wf(expr),
-        "pXPath": violations_pxpath(expr, nesting_bound),
+        "PF": _pf_from_core(core, features),
+        # Without a not() the positive fragment has nothing to add or remove.
+        "positive Core XPath": (
+            violations_core_xpath(expr, allow_negation=False)
+            if "not" in features.functions
+            else list(core)
+        ),
+        "Core XPath": core,
+        "pWF": _pwf_from_wf(wf, features, nesting_bound),
+        "WF": wf,
+        "pXPath": violations_pxpath(expr, nesting_bound, features),
         "XPath": [],
     }
     fragments = tuple(name for name in FRAGMENT_ORDER if not membership[name])

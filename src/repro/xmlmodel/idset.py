@@ -22,16 +22,37 @@ Either form is computed lazily from the other and cached, so repeated
 algebra over the same set (the common case for cached condition sets)
 pays the conversion at most once.
 
-**Density threshold.**  Binary set algebra picks its strategy per
-operation: if either operand is *dense* — at least ``1/DENSITY_FACTOR``
-of the universe, or already bitmask-backed — the operation runs on
-bitmasks; otherwise it runs on the sorted members directly.  Complements
-always use bitmasks.  The rule is documented (and relied upon) in
+**Density threshold.**  A set is *sparse* while it holds fewer than
+``1/DENSITY_FACTOR`` of the universe.  ``&`` and ``-`` never flip a
+representation they do not have to:
+
+1. identities first — ``full & X`` is ``X`` itself (sets are immutable,
+   so no copy), anything with the empty set is that operand;
+2. if an operand is sparse *and ids-backed*, it is **probed** into the
+   other, whatever the other's form (sorted ids, a ``range``, a bitmask,
+   a partition's probe mask): each member is tested, the survivors stay a
+   sorted id sequence, ready for the next axis kernel, and nothing is
+   converted;
+3. only what is left — dense or bitmask-only operands on both sides —
+   runs on bitmasks.
+
+``|`` still runs on bitmasks as soon as either operand is dense or
+bitmask-backed (a union with a dense set is dense), and complements
+always do.  The rule is documented (and relied upon) in
 ``docs/architecture.md``.
+
+**Probe masks.**  Beside its two materialisations a set may carry the
+active backend's constant-time membership form, :attr:`IdSet._probe_mask`.
+Only :meth:`IdSet.partition` builds one — the constructor
+:meth:`~repro.xmlmodel.index.DocumentIndex.test_idset` uses for its cached
+per-document partitions — and only when the partition is itself dense: at
+most ``DENSITY_FACTOR`` disjoint tag partitions and the kind partitions
+can qualify, so masks cost O(|D|) bytes per document however many queries
+and tags it sees.  No set computed by a query ever carries one.
 
 **Kernel backends.**  The strategy choice lives here, but the work of
 each strategy leg is delegated to the process-wide kernel backend
-(:mod:`repro.xmlmodel.kernels`): sparse merges and the ids↔bits
+(:mod:`repro.xmlmodel.kernels`): sparse merges, probes and the ids↔bits
 conversions run as pure-Python loops under the ``pure`` backend and as
 numpy array operations under ``vectorized``.  Bitmask boolean algebra is
 shared — Python ``int`` bitwise operations already run at C speed.
@@ -64,14 +85,14 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 from repro.xmlmodel.kernels import SortedIds, active_backend
 
 __all__ = ["DENSITY_FACTOR", "IdSet", "SortedIds", "pack_ids", "unpack_ids"]
 
 #: A set counts as dense once it holds at least ``universe / DENSITY_FACTOR``
-#: members; dense operands push binary set algebra onto the bitmask path.
+#: members; set algebra between two dense operands runs on bitmasks.
 DENSITY_FACTOR = 8
 
 
@@ -79,9 +100,13 @@ def pack_ids(members: SortedIds) -> bytes:
     """Pack an id sequence as little-endian int32, four bytes per id.
 
     A numpy array (the vectorized backend's members) is narrowed and
-    copied out in two C calls; any other sequence goes through
-    ``array("i")``.  No Python int is created for a numpy input.
+    copied out in two C calls and a ``range`` is packed by the active
+    backend (one ``arange`` under ``vectorized``); any other sequence
+    goes through ``array("i")``.  No Python int is created for a numpy
+    input.
     """
+    if isinstance(members, range):
+        return active_backend().pack_range(members)
     astype = getattr(members, "astype", None)
     if astype is not None:
         packed: bytes = astype("<i4").tobytes()
@@ -110,7 +135,7 @@ class IdSet:
     require both operands to share the same ``universe``.
     """
 
-    __slots__ = ("universe", "_ids", "_bits")
+    __slots__ = ("universe", "_ids", "_bits", "_probe_mask")
 
     def __init__(
         self,
@@ -123,6 +148,9 @@ class IdSet:
         self.universe = universe
         self._ids = ids
         self._bits = bits
+        #: The backend's membership form of a dense per-document partition
+        #: (see the module docstring); None on every other set.
+        self._probe_mask: Any = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -147,6 +175,21 @@ class IdSet:
     def from_sorted(cls, ids: SortedIds, universe: int) -> "IdSet":
         """Wrap an already-sorted, duplicate-free id sequence (not copied)."""
         return cls(universe, ids=ids)
+
+    @classmethod
+    def partition(cls, ids: SortedIds, universe: int) -> "IdSet":
+        """A long-lived partition of the universe (one node test's members).
+
+        The sorted ids are handed to the active backend once
+        (``prepare_sorted``), and a partition past the density threshold
+        also gets the backend's probe mask — the only sets that carry one.
+        """
+        backend = active_backend()
+        members = backend.prepare_sorted(ids)
+        result = cls(universe, ids=members)
+        if len(members) * DENSITY_FACTOR >= universe:
+            result._probe_mask = backend.probe_mask(members, universe)
+        return result
 
     @classmethod
     def from_iterable(cls, ids: Iterable[int], universe: int) -> "IdSet":
@@ -180,8 +223,13 @@ class IdSet:
 
     @property
     def is_dense(self) -> bool:
-        """True if algebra involving this set takes the bitmask path."""
+        """True if this set is bitmask-backed or past the density threshold."""
         return self._bits is not None or len(self) * DENSITY_FACTOR >= self.universe
+
+    def _probes(self) -> bool:
+        """True if this set is sparse and ids-backed: ``&`` / ``-`` probe it."""
+        ids = self._ids
+        return ids is not None and len(ids) * DENSITY_FACTOR < self.universe
 
     def tolist(self) -> list[int]:
         """The members as a plain ``list`` of Python ints.
@@ -253,10 +301,19 @@ class IdSet:
 
     def __and__(self, other: "IdSet") -> "IdSet":
         self._check_universe(other)
-        if self.is_dense or other.is_dense:
-            return IdSet.from_bits(self.bits & other.bits, self.universe)
+        universe = self.universe
+        if not self or len(other) == universe:
+            return self
+        if not other or len(self) == universe:
+            return other
+        if self._probes():
+            sparse, into = self, other
+        elif other._probes():
+            sparse, into = other, self
+        else:
+            return IdSet.from_bits(self.bits & other.bits, universe)
         return IdSet.from_sorted(
-            active_backend().intersect_sorted(self.ids, other.ids), self.universe
+            active_backend().probe(sparse._ids, into, True), universe  # type: ignore[arg-type]
         )
 
     def __or__(self, other: "IdSet") -> "IdSet":
@@ -273,12 +330,14 @@ class IdSet:
 
     def __sub__(self, other: "IdSet") -> "IdSet":
         self._check_universe(other)
-        if self.is_dense or other.is_dense:
-            mask = (1 << self.universe) - 1
-            return IdSet.from_bits(self.bits & (mask ^ other.bits), self.universe)
-        return IdSet.from_sorted(
-            active_backend().difference_sorted(self.ids, other.ids), self.universe
-        )
+        if not self or not other:
+            return self
+        if self._probes():
+            return IdSet.from_sorted(
+                active_backend().probe(self._ids, other, False), self.universe  # type: ignore[arg-type]
+            )
+        mask = (1 << self.universe) - 1
+        return IdSet.from_bits(self.bits & (mask ^ other.bits), self.universe)
 
     def complement(self) -> "IdSet":
         """The universe minus this set (always on the bitmask path)."""

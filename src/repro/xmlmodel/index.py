@@ -447,42 +447,39 @@ class DocumentIndex:
         document: names, ``*``, ``node()``, ``text()``, ``comment()`` and
         ``processing-instruction()``.  Returns ``None`` for tests that need
         per-node inspection (``processing-instruction('target')``).  The
-        IdSets are cached per kernel backend (the vectorized backend
-        pre-converts partitions to arrays via ``prepare_sorted``), so
-        their materialisations are shared by every query on this document.
+        IdSets are cached per kernel backend (:meth:`IdSet.partition`
+        hands the ids to the backend once and gives a dense partition its
+        probe mask), so their materialisations are shared by every query
+        on this document.
         """
-        backend = active_backend()
-        key = (backend.name, node_test)
+        key = (active_backend().name, node_test)
         cached = self._test_idsets.get(key)
         if cached is not None:
             return cached
         if node_test == "node()":
-            result = IdSet.full(self.size)
-        elif node_test == "*":
-            result = IdSet.from_sorted(
-                backend.prepare_sorted(self.element_ids), self.size
-            )
+            result = IdSet.full(self.size)  # an identity of ``&``: never probed
+            self._test_idsets[key] = result
+            return result
+        if node_test == "*":
+            members = self.element_ids
         elif node_test in _KIND_OF_TEST:
-            result = IdSet.from_sorted(
-                backend.prepare_sorted(self._ids_by_kind[_KIND_OF_TEST[node_test]]),
-                self.size,
-            )
+            members = self._ids_by_kind[_KIND_OF_TEST[node_test]]
         elif node_test.endswith(")"):
             return None  # parametrised test: filter per node
         else:
-            result = IdSet.from_sorted(
-                backend.prepare_sorted(self.ids_by_tag.get(node_test, [])),
-                self.size,
-            )
+            members = self.ids_by_tag.get(node_test, [])
+        result = IdSet.partition(members, self.size)
         self._test_idsets[key] = result
         return result
 
     def filter_idset(self, ids: IdSet, axis: str, node_test: str) -> IdSet:
         """Restrict ``ids`` to the members passing ``node_test`` on ``axis``.
 
-        Name tests intersect with the sorted per-tag partition (a bitmask
-        ``&`` once either side is dense); only parametrised tests such as
-        ``processing-instruction('target')`` fall back to per-node checks.
+        Name tests intersect with the sorted per-tag partition (a sparse
+        ``ids`` is probed into it and stays a sorted sequence; the full
+        set yields the cached partition itself); only parametrised tests
+        such as ``processing-instruction('target')`` fall back to per-node
+        checks.
         """
         if node_test == "node()":
             return ids

@@ -2,9 +2,11 @@
 
 The id-native evaluation core bottoms out in a small number of *kernels*:
 the sorted-array half of the :class:`~repro.xmlmodel.idset.IdSet` algebra
-(intersection, union, difference on sorted id sequences), the
-density-threshold conversions between the sorted-array and bitmask
-materialisations, and the set-at-a-time axis kernels of
+(intersection, union, difference on sorted id sequences), the *probe*
+that intersects or subtracts a sparse operand against an operand of any
+other form without converting either, the conversions between the
+sorted-array and bitmask materialisations, and the set-at-a-time axis
+kernels of
 :class:`~repro.xmlmodel.index.DocumentIndex` (child/parent sweeps,
 interval arithmetic for ``descendant``/``following``/``preceding``,
 sibling-partition tests).  This package makes those kernels a swappable
@@ -48,9 +50,12 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Iterator, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence, Union
 
 from repro.errors import KernelBackendError
+
+if TYPE_CHECKING:  # pragma: no cover - idset.py imports this package
+    from repro.xmlmodel.idset import IdSet
 
 #: A sorted, duplicate-free id sequence.  Backends may return any
 #: integer sequence honouring that contract: the pure backend returns
@@ -71,7 +76,12 @@ class KernelBackend(Protocol):
     A backend is a module (or any object) providing these attributes.
     Set-algebra kernels receive the *sparse* (sorted-sequence) operands —
     the bitmask half of the algebra is shared, since Python-int boolean
-    algebra already runs at C speed.  Axis kernels receive a per-index
+    algebra already runs at C speed.  :meth:`probe` receives the sparse
+    operand's ids and the *other operand whole* (non-empty, same
+    universe), because which of its forms is cheapest to test against —
+    ``_probe_mask``, a ``range``'s bounds, sorted ``_ids``, ``_bits`` —
+    is the backend's call; it must not leave a new materialisation on an
+    operand other than the cached bitmask.  Axis kernels receive a per-index
     ``state`` built once by :meth:`index_state` (the pure backend uses
     the :class:`~repro.xmlmodel.index.DocumentIndex` itself; the
     vectorized backend builds numpy copies of its arrays) plus a
@@ -85,10 +95,15 @@ class KernelBackend(Protocol):
     def union_sorted(self, a: SortedIds, b: SortedIds) -> SortedIds: ...
     def difference_sorted(self, a: SortedIds, b: SortedIds) -> SortedIds: ...
 
-    # -- density-threshold conversions --------------------------------------
+    # -- probes: a sparse operand against any other form ---------------------
+    def probe(self, ids: SortedIds, other: "IdSet", keep: bool) -> SortedIds: ...
+    def probe_mask(self, ids: SortedIds, universe: int) -> Any: ...
+
+    # -- conversions ----------------------------------------------------------
     def bits_from_ids(self, ids: SortedIds, universe: int) -> int: ...
     def ids_from_bits(self, bits: int, universe: int) -> SortedIds: ...
     def prepare_sorted(self, ids: SortedIds) -> SortedIds: ...
+    def pack_range(self, ids: range) -> bytes: ...
 
     # -- axis kernels --------------------------------------------------------
     def index_state(self, index: Any) -> Any: ...

@@ -4,10 +4,13 @@ This module is the id-set algebra and the axis kernels exactly as the
 id-native rewrite (PR 2) shipped them, factored out of
 ``xmlmodel/idset.py`` and ``xmlmodel/index.py`` unchanged: flat loops
 over integer arrays, frozenset membership for sparse set algebra, and a
-byte-table unpack for the bitmask→ids conversion.  It has no third-party
-dependencies — importing it never imports numpy — and it doubles as the
-differential baseline of the backend conformance suite, which in turn
-checks every backend against the per-node walk of
+byte-table unpack for the bitmask→ids conversion.  :func:`probe` — a
+sparse operand against any other — bisects a ``range``'s two bounds,
+hashes a sparse operand and otherwise tests the bytes of the operand's
+bitmask, one index per member; it never hashes a dense set.  The module
+has no third-party dependencies — importing it never imports numpy — and
+it doubles as the differential baseline of the backend conformance suite,
+which in turn checks every backend against the per-node walk of
 :mod:`repro.xmlmodel.axes`.
 
 Axis kernels take the :class:`~repro.xmlmodel.index.DocumentIndex`
@@ -18,9 +21,13 @@ id sequences (``list`` or, for contiguous intervals, ``range``).
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.xmlmodel.idset import IdSet
     from repro.xmlmodel.index import DocumentIndex
     from repro.xmlmodel.kernels import SortedIds
 
@@ -55,6 +62,31 @@ def difference_sorted(a: "SortedIds", b: "SortedIds") -> "SortedIds":
     return [i for i in a if i not in members]
 
 
+# -- probes: a sparse operand against any other form -------------------------
+
+
+def probe_mask(ids: "SortedIds", universe: int) -> None:
+    """No mask: the bytes of an operand's cached bitmask already serve as one."""
+    return None
+
+
+def probe(ids: "SortedIds", other: "IdSet", keep: bool) -> "SortedIds":
+    """The members of sparse ``ids`` that ``other`` holds (``keep``) or lacks."""
+    target = other._ids
+    if isinstance(target, range):
+        lo = bisect_left(ids, target.start)
+        hi = bisect_left(ids, target.stop)
+        return ids[lo:hi] if keep else [*ids[:lo], *ids[hi:]]
+    if not other.is_dense:
+        return (intersect_sorted if keep else difference_sorted)(ids, target)
+    # The bitmask is cached on the operand (a partition or condition set
+    # pays the packing once); one to_bytes copy, then an index per member.
+    packed = other.bits.to_bytes((other.universe + 7) >> 3, "little")
+    if keep:
+        return [i for i in ids if packed[i >> 3] >> (i & 7) & 1]
+    return [i for i in ids if not packed[i >> 3] >> (i & 7) & 1]
+
+
 # -- density-threshold conversions ------------------------------------------
 
 
@@ -86,6 +118,14 @@ def ids_from_bits(bits: int, universe: int) -> "SortedIds":
 def prepare_sorted(ids: "SortedIds") -> "SortedIds":
     """Hook for backends that pre-convert long-lived sequences (identity here)."""
     return ids
+
+
+def pack_range(ids: range) -> bytes:
+    """A contiguous interval as little-endian int32, member by member."""
+    buffer = array("i", ids)
+    if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
+        buffer.byteswap()
+    return buffer.tobytes()
 
 
 # -- axis kernels ------------------------------------------------------------

@@ -5,23 +5,31 @@ computes — the conformance suite asserts it op by op — but replaces the
 per-id Python loops with whole-array numpy operations:
 
 * the sparse set algebra runs on sorted int64 arrays via
-  ``searchsorted`` membership probes (intersection/difference) and
-  ``union1d``;
+  ``searchsorted`` membership probes (intersection/difference) and a
+  concatenate + stable sort + adjacent-difference dedup (union);
+* :func:`probe` keeps the members of a sparse operand that are in (or
+  not in) any other operand without converting either: a gather from the
+  operand's boolean probe mask when it has one (dense per-document
+  partitions, built by :func:`probe_mask`), two ``searchsorted`` bounds
+  against a ``range``, the ``searchsorted`` membership probe above
+  against sorted ids, and a gather from the bitmask unpacked for this one
+  call when bits are all the operand has;
 * the density-threshold conversions pack/unpack the bitmask through
   ``numpy.packbits``/``numpy.unpackbits`` instead of a per-byte table
-  walk;
+  walk (``nonzero`` runs on a *bool* view of the unpacked bytes — its
+  uint8 path is numpy's generic one, 4–10× slower);
 * ``child``/``following-sibling``/``preceding-sibling`` become O(|D|)
   boolean-mask selections over the structure arrays (a node is a child
   of S iff its parent is in S; a sibling test compares against the
-  per-parent min/max member);
+  per-parent min/max member, scattered in the order that leaves the
+  extreme written last);
 * ``descendant``/``following``/``preceding`` stay interval arithmetic,
   with the laminar-interval decomposition computed by a running-maximum
   scan and expanded by one ``repeat``/``arange`` step;
 * ``ancestor`` uses the interval characterisation directly — ``j`` is an
-  ancestor of some member iff the smallest member greater than ``j``
-  lies inside ``j``'s subtree — via one ``searchsorted`` over the
-  document, so deep trees cost O(|D| log |S|) rather than a chain walk
-  per member.
+  ancestor of some member iff a member lies in ``(j, subtree_end[j]]`` —
+  as a difference of prefix counts, so deep trees cost O(|D|) rather
+  than a chain walk per member.
 
 Results are sorted numpy arrays (``range`` objects for contiguous
 intervals); they flow back into :class:`~repro.xmlmodel.idset.IdSet`
@@ -40,6 +48,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.xmlmodel.idset import IdSet
     from repro.xmlmodel.index import DocumentIndex
     from repro.xmlmodel.kernels import SortedIds
 
@@ -68,15 +77,34 @@ def intersect_sorted(a: "SortedIds", b: "SortedIds") -> "SortedIds":
         small, large = large, small
     if small.size == 0 or large.size == 0:
         return _EMPTY
-    position = np.searchsorted(large, small)
-    clipped = np.minimum(position, large.size - 1)
-    hit = (position < large.size) & (large[clipped] == small)
+    # A probe past the end clips onto the last element, which it exceeds.
+    hit = large.take(np.searchsorted(large, small), mode="clip") == small
     return small[hit]
 
 
+def _drop_adjacent_duplicates(found: Any) -> Any:
+    """A sorted array without its repeats, by one adjacent-difference pass.
+
+    (numpy's set routines would do, but their hash-based path costs ~3×
+    a plain sort on 10k gathered parents and ~20× on a 1 800-id union.)
+    """
+    if found.size <= 1:
+        return found
+    keep = np.empty(found.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(found[1:], found[:-1], out=keep[1:])
+    return found[keep]
+
+
 def union_sorted(a: "SortedIds", b: "SortedIds") -> "SortedIds":
-    """Sorted union of two sorted duplicate-free arrays."""
-    return np.union1d(_as_array(a), _as_array(b))
+    """Sorted union of two sorted duplicate-free arrays.
+
+    The concatenation is two ascending runs, which the stable sort
+    merges in one pass.
+    """
+    merged = np.concatenate((_as_array(a), _as_array(b)))
+    merged.sort(kind="stable")
+    return _drop_adjacent_duplicates(merged)
 
 
 def difference_sorted(a: "SortedIds", b: "SortedIds") -> "SortedIds":
@@ -84,10 +112,46 @@ def difference_sorted(a: "SortedIds", b: "SortedIds") -> "SortedIds":
     keep, drop = _as_array(a), _as_array(b)
     if keep.size == 0 or drop.size == 0:
         return keep
-    position = np.searchsorted(drop, keep)
-    clipped = np.minimum(position, drop.size - 1)
-    hit = (position < drop.size) & (drop[clipped] == keep)
+    hit = drop.take(np.searchsorted(drop, keep), mode="clip") == keep
     return keep[~hit]
+
+
+# -- probes: a sparse operand against any other form -------------------------
+
+
+def _unpacked(bits: int, universe: int) -> Any:
+    """The bitmask as a bool array: ``flags[i]`` iff ``i`` is a member."""
+    buffer = np.frombuffer(bits.to_bytes((universe + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(buffer, bitorder="little", count=universe).view(bool)
+
+
+def probe_mask(ids: "SortedIds", universe: int) -> Any:
+    """The bool membership mask :func:`probe` gathers from (O(universe) bytes)."""
+    mask = np.zeros(universe, dtype=bool)
+    mask[_as_array(ids)] = True
+    return mask
+
+
+def probe(ids: "SortedIds", other: "IdSet", keep: bool) -> "SortedIds":
+    """The members of sparse ``ids`` that ``other`` holds (``keep``) or lacks."""
+    members = _as_array(ids)
+    mask = other._probe_mask
+    target = other._ids
+    if mask is not None:
+        hit = mask[members]
+    elif target is None:
+        hit = _unpacked(other._bits, other.universe)[members]
+    elif isinstance(target, range):
+        lo, hi = np.searchsorted(members, (target.start, target.stop))
+        if keep:
+            return members[lo:hi]
+        return np.concatenate((members[:lo], members[hi:]))
+    elif other.is_dense:
+        # One pass over the dense operand, as a merge would make.
+        hit = probe_mask(target, other.universe)[members]
+    else:
+        return (intersect_sorted if keep else difference_sorted)(members, target)
+    return members[hit] if keep else members[~hit]
 
 
 # -- density-threshold conversions ------------------------------------------
@@ -111,9 +175,7 @@ def ids_from_bits(bits: int, universe: int) -> "SortedIds":
     """Unpack the bitmask via ``numpy.unpackbits`` + ``nonzero``."""
     if bits == 0:
         return _EMPTY
-    buffer = np.frombuffer(bits.to_bytes((universe + 7) >> 3, "little"), dtype=np.uint8)
-    flags = np.unpackbits(buffer, bitorder="little", count=universe)
-    return np.nonzero(flags)[0]
+    return np.nonzero(_unpacked(bits, universe))[0]
 
 
 def prepare_sorted(ids: "SortedIds") -> "SortedIds":
@@ -121,6 +183,11 @@ def prepare_sorted(ids: "SortedIds") -> "SortedIds":
     if isinstance(ids, range):
         return ids
     return _as_array(ids)
+
+
+def pack_range(ids: range) -> bytes:
+    """A contiguous interval as little-endian int32, without visiting its members."""
+    return np.arange(ids.start, ids.stop, dtype="<i4").tobytes()
 
 
 # -- axis kernels ------------------------------------------------------------
@@ -162,19 +229,9 @@ def child(state: _IndexState, ids: "SortedIds") -> "SortedIds":
 
 
 def parent(state: _IndexState, ids: "SortedIds") -> "SortedIds":
-    """One gather plus a sort and adjacent-difference dedup.
-
-    (``numpy.unique`` would do, but its hash-based path costs ~3× a
-    plain sort on 10k gathered parents.)
-    """
+    """One gather plus a sort and adjacent-difference dedup."""
     found = state.parents[_as_array(ids)]
-    found = np.sort(found[found >= 0])
-    if found.size <= 1:
-        return found
-    keep = np.empty(found.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(found[1:], found[:-1], out=keep[1:])
-    return found[keep]
+    return _drop_adjacent_duplicates(np.sort(found[found >= 0]))
 
 
 def descendant(
@@ -208,18 +265,17 @@ def descendant(
 
 
 def ancestor(state: _IndexState, ids: "SortedIds") -> "SortedIds":
-    """ancestors(S) = { j : min{ i ∈ S : i > j } ≤ subtree_end[j] }.
+    """ancestors(S) = { j : some i ∈ S has j < i ≤ subtree_end[j] }.
 
-    The smallest member beyond ``j`` sits inside ``j``'s subtree iff
-    ``j`` is a proper ancestor of some member — one ``searchsorted``
-    over the whole document replaces every parent-chain walk, so cost is
-    O(|D| log |S|) even on depth-|D| chains.
+    With ``count[k]`` the number of members ``≤ k``, a member lies in
+    ``(j, subtree_end[j]]`` iff ``count[subtree_end[j]] > count[j]`` — one
+    prefix sum and one gather replace every parent-chain walk, so cost is
+    O(|D|) even on depth-|D| chains.
     """
-    members = _as_array(ids)
-    position = np.searchsorted(members, state.all_ids, side="right")
-    clipped = np.minimum(position, members.size - 1)
-    hit = (position < members.size) & (members[clipped] <= state.ends)
-    return np.nonzero(hit)[0]
+    flags = np.zeros(state.size, dtype=bool)
+    flags[_as_array(ids)] = True
+    count = np.cumsum(flags, dtype=np.int32)
+    return np.nonzero(count[state.ends] > count)[0]
 
 
 def following(state: _IndexState, ids: "SortedIds") -> "SortedIds":
@@ -234,43 +290,31 @@ def preceding(state: _IndexState, ids: "SortedIds") -> "SortedIds":
     return np.nonzero(state.ends[:cutoff] < cutoff)[0]
 
 
-def _per_parent_extreme(
-    state: _IndexState, ids: "SortedIds", last: bool
-) -> tuple[Any, Any]:
-    """(parents present in S, the min — or max, with ``last`` — member each).
-
-    Members arrive ascending, so the first occurrence of a parent in the
-    gathered parent array marks its smallest member and the first
-    occurrence in the reversed array its largest; ``numpy.unique``'s
-    ``return_index`` hands back exactly those occurrences.
-    """
-    members = _as_array(ids)
-    parents = state.parents[members]
-    valid = parents >= 0
-    parents, members = parents[valid], members[valid]
-    if last:
-        parents, members = parents[::-1], members[::-1]
-    present, first_occurrence = np.unique(parents, return_index=True)
-    return present, members[first_occurrence]
-
-
 def following_sibling(state: _IndexState, ids: "SortedIds") -> "SortedIds":
-    """j follows a sibling in S iff the least member under parent[j] is < j."""
-    present, least = _per_parent_extreme(state, ids, last=False)
-    if present.size == 0:
-        return _EMPTY
-    # Sentinel `size` never satisfies `< j`; slot `size` (parent == -1
-    # wrapping to the last index) keeps the sentinel.
+    """j follows a sibling in S iff the least member under parent[j] is < j.
+
+    A scatter through a 1-D index array with repeats keeps the value
+    written last, so writing the members in descending order leaves each
+    parent's least (the conformance suite's several-members-under-one-
+    parent frontiers pin that numpy behaviour).
+    """
+    members = _as_array(ids)[::-1]
+    # The sentinel `size` never satisfies `< j`.  Slot `size` is where the
+    # root's parent, -1, wraps to: only the root (as a member) writes it,
+    # with its own id, and only the root reads it back — and no node
+    # follows itself — so the slot needs no re-arming.
     least_member = np.full(state.size + 1, state.size, dtype=np.int64)
-    least_member[present] = least
+    least_member[state.parents[members]] = members
     return np.nonzero(least_member[state.parents] < state.all_ids)[0]
 
 
 def preceding_sibling(state: _IndexState, ids: "SortedIds") -> "SortedIds":
-    """j precedes a sibling in S iff the greatest member under parent[j] is > j."""
-    present, greatest = _per_parent_extreme(state, ids, last=True)
-    if present.size == 0:
-        return _EMPTY
+    """j precedes a sibling in S iff the greatest member under parent[j] is > j.
+
+    The mirror scatter: ascending order leaves each parent's greatest
+    (and the root's slot is as harmless as above).
+    """
+    members = _as_array(ids)
     greatest_member = np.full(state.size + 1, -1, dtype=np.int64)
-    greatest_member[present] = greatest
+    greatest_member[state.parents[members]] = members
     return np.nonzero(greatest_member[state.parents] > state.all_ids)[0]

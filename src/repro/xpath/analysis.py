@@ -5,13 +5,22 @@ evaluator (position sensitivity), by the fragment classifiers
 (Definitions 2.5, 2.6, 5.1 and 6.1 restrict negation, iterated predicates
 and arithmetic nesting), and by the query-complexity benchmarks (query
 size and depth).
+
+Everything the classifiers measure comes from one traversal,
+:func:`query_features`; the per-feature functions
+(:func:`max_predicates_per_step`, :func:`functions_used`,
+:func:`arithmetic_nesting_depth`, :func:`concat_arity_and_nesting`) are
+views of its result, so each measure has one definition.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.xpath.ast import (
     ARITHMETIC_OPERATORS,
     BinaryOp,
+    COMPARISON_OPERATORS,
     FilterExpr,
     FunctionCall,
     LocationPath,
@@ -68,41 +77,82 @@ def negation_depth(expr: XPathExpr) -> int:
     return best + current
 
 
+class QueryFeatures(NamedTuple):
+    """What the fragment definitions measure, from one pass over a query."""
+
+    #: Largest number of iterated predicates ``[e1]…[ek]`` on any step.
+    max_predicates: int
+    #: Names of the functions called anywhere in the query.
+    functions: frozenset[str]
+    #: Maximum nesting depth of arithmetic operators (Definition 5.1(3)).
+    arithmetic_depth: int
+    #: Largest ``concat()`` arity and nesting depth (Definition 6.1(4)).
+    concat_arity: int
+    concat_nesting: int
+    #: Every comparison (``=``, ``!=``, ``<``, …), in pre-order.
+    comparisons: tuple[BinaryOp, ...]
+
+
+def query_features(expr: XPathExpr) -> QueryFeatures:
+    """Measure ``expr`` for the fragment classifiers in a single traversal.
+
+    A nesting depth is the largest number of nesting nodes on one path
+    from the root, so both depths are carried *down* the recursion and
+    nothing has to be returned and merged on the way back up.
+    """
+    functions: set[str] = set()
+    comparisons: list[BinaryOp] = []
+    max_predicates = arithmetic_depth = concat_arity = concat_nesting = 0
+
+    def visit(node: XPathExpr, arithmetic: int, concat: int) -> None:
+        nonlocal max_predicates, arithmetic_depth, concat_arity, concat_nesting
+        # Most frequent node types first; a LocationPath has nothing to measure.
+        if isinstance(node, (Step, FilterExpr)):
+            if len(node.predicates) > max_predicates:
+                max_predicates = len(node.predicates)
+        elif isinstance(node, LocationPath):
+            pass
+        elif isinstance(node, BinaryOp):
+            if node.op in ARITHMETIC_OPERATORS:
+                arithmetic += 1
+            elif node.op in COMPARISON_OPERATORS:
+                comparisons.append(node)
+        elif isinstance(node, FunctionCall):
+            functions.add(node.name)
+            if node.name == "concat":
+                concat += 1
+                if concat > concat_nesting:
+                    concat_nesting = concat
+                if len(node.args) > concat_arity:
+                    concat_arity = len(node.args)
+        elif isinstance(node, Negate):
+            arithmetic += 1
+        if arithmetic > arithmetic_depth:
+            arithmetic_depth = arithmetic
+        for child in node.children():
+            visit(child, arithmetic, concat)
+
+    visit(expr, 0, 0)
+    return QueryFeatures(
+        max_predicates, frozenset(functions), arithmetic_depth,
+        concat_arity, concat_nesting, tuple(comparisons),
+    )
+
+
 def arithmetic_nesting_depth(expr: XPathExpr) -> int:
     """Return the maximum nesting depth of arithmetic operators (Definition 5.1(3))."""
-    is_arithmetic = (
-        isinstance(expr, BinaryOp) and expr.op in ARITHMETIC_OPERATORS
-    ) or isinstance(expr, Negate)
-    best = 0
-    for child in expr.children():
-        best = max(best, arithmetic_nesting_depth(child))
-    return best + (1 if is_arithmetic else 0)
+    return query_features(expr).arithmetic_depth
 
 
 def max_predicates_per_step(expr: XPathExpr) -> int:
     """Return the largest number of iterated predicates ``[e1]…[ek]`` on any step."""
-    best = 0
-    for node in expr.walk():
-        if isinstance(node, (Step, FilterExpr)):
-            best = max(best, len(node.predicates))
-    return best
+    return query_features(expr).max_predicates
 
 
 def concat_arity_and_nesting(expr: XPathExpr) -> tuple[int, int]:
     """Return ``(max arity, max nesting depth)`` of ``concat()`` calls (Definition 6.1(4))."""
-    max_arity = 0
-    for node in expr.walk():
-        if isinstance(node, FunctionCall) and node.name == "concat":
-            max_arity = max(max_arity, len(node.args))
-    return max_arity, _concat_nesting(expr)
-
-
-def _concat_nesting(expr: XPathExpr) -> int:
-    is_concat = isinstance(expr, FunctionCall) and expr.name == "concat"
-    best = 0
-    for child in expr.children():
-        best = max(best, _concat_nesting(child))
-    return best + (1 if is_concat else 0)
+    features = query_features(expr)
+    return features.concat_arity, features.concat_nesting
 
 
 def axes_used(expr: XPathExpr) -> set[str]:
@@ -112,7 +162,7 @@ def axes_used(expr: XPathExpr) -> set[str]:
 
 def functions_used(expr: XPathExpr) -> set[str]:
     """Return the set of function names called in ``expr``."""
-    return {node.name for node in expr.walk() if isinstance(node, FunctionCall)}
+    return set(query_features(expr).functions)
 
 
 def query_depth(expr: XPathExpr) -> int:

@@ -8,6 +8,14 @@ disambiguation rules of section 3.7 of the recommendation:
 * an NCName is an operator name (``and``, ``or``, ``div``, ``mod``) in the
   same situation, a function name when followed by ``(``, and an axis name
   when followed by ``::``.
+
+The expression is read once: one compiled master pattern — leading
+whitespace, then a number, a name, a symbol, a ``$variable`` or a quoted
+literal — is matched at a cursor, and "an operator is expected here" is
+one boolean carried from token to token.  Where the pattern stops
+matching, the character it stopped at words the error.  The
+character-at-a-time scanner this replaced lives on as the oracle of
+``tests/properties/test_property_lexer.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +26,12 @@ from dataclasses import dataclass
 from repro.errors import XPathSyntaxError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """A single XPath token.
+
+    A plain slotted record (not frozen: a frozen dataclass pays an
+    ``object.__setattr__`` per field, three per token of every query).
 
     Attributes
     ----------
@@ -45,144 +56,83 @@ KIND_SYMBOL = "symbol"
 KIND_OPERATOR = "operator"  # resolved operator-name or symbolic operator
 KIND_EOF = "eof"
 
-#: Symbols, longest first so that the scanner is greedy.
-_SYMBOLS = (
-    "..",
-    "//",
-    "::",
-    "!=",
-    "<=",
-    ">=",
-    "(",
-    ")",
-    "[",
-    "]",
-    ".",
-    "@",
-    ",",
-    "/",
-    "|",
-    "+",
-    "-",
-    "=",
-    "<",
-    ">",
-    "*",
-    "$",
-)
-
 #: NCNames that act as binary operators when in operator position.
 OPERATOR_NAMES = frozenset({"and", "or", "div", "mod"})
 
-_NUMBER_RE = re.compile(r"(\d+(\.\d*)?)|(\.\d+)")
-_NAME_RE = re.compile(r"[A-Za-z_][-A-Za-z0-9_.]*(:[A-Za-z_][-A-Za-z0-9_.]*)?")
-_WHITESPACE = " \t\r\n"
+_NAME = r"[A-Za-z_][-A-Za-z0-9_.]*(?::[A-Za-z_][-A-Za-z0-9_.]*)?"
 
-#: Symbol-token values after which ``*`` and the operator names must NOT be
-#: read as operators (XPath 1.0, section 3.7).  A ``*`` name-test token and
-#: closing brackets are intentionally absent: after them an operator is
-#: expected.
-_NON_OPERATOR_PRECEDERS = {
-    "@",
-    "::",
-    "(",
-    "[",
-    ",",
-    "/",
-    "//",
-    "|",
-    "+",
-    "-",
-    "=",
-    "!=",
-    "<",
-    "<=",
-    ">",
-    ">=",
-    "$",
+#: One token, after any whitespace.  Alternatives are tried in order: a
+#: number before the symbols so ``.5`` is not read as ``.``, two-character
+#: symbols before their one-character prefixes.  Exactly one group
+#: participates in a match and names the token's shape.
+_TOKEN_RE = re.compile(
+    rf"""[ \t\r\n]*(?:
+        (?P<number>\d+(?:\.\d*)?|\.\d+)
+      | (?P<name>{_NAME})
+      | (?P<symbol>\.\.|//|::|!=|<=|>=|[()\[\].@,/|+\-=<>*])
+      | \$(?P<variable>{_NAME})
+      | "(?P<double>[^"]*)" | '(?P<single>[^']*)'
+    )""",
+    re.VERBOSE,
+)
+_WHITESPACE_RE = re.compile(r"[ \t\r\n]*")
+
+#: Matched group → (token kind, characters before the group that belong to
+#: the token: the ``$`` of a variable, the opening quote of a literal).
+_SHAPES = {
+    "number": (KIND_NUMBER, 0),
+    "name": (KIND_NAME, 0),
+    "symbol": (KIND_SYMBOL, 0),
+    "variable": (KIND_VARIABLE, 1),
+    "double": (KIND_LITERAL, 1),
+    "single": (KIND_LITERAL, 1),
 }
+
+#: Symbols after which an operand has just ended, so that a following ``*``
+#: or operator name IS an operator (XPath 1.0, section 3.7): the closing
+#: brackets, the abbreviated steps and a ``*`` name test.  Every other
+#: symbol — and every operator — is followed by an operand.
+_OPERAND_ENDING_SYMBOLS = frozenset({")", "]", ".", "..", "*"})
 
 
 def tokenize(expression: str) -> list[Token]:
     """Tokenise ``expression`` and return the token list (terminated by an EOF token)."""
     tokens: list[Token] = []
+    append = tokens.append
+    match_token = _TOKEN_RE.match
     position = 0
-    length = len(expression)
+    # True when the previous token ended an operand: the next ``*`` or
+    # and/or/div/mod is then an operator, not a name test.
+    operator_expected = False
+    while True:
+        match = match_token(expression, position)
+        if match is None:
+            break
+        group = match.lastgroup
+        kind, lead = _SHAPES[group]
+        value = match.group(group)
+        if kind == KIND_SYMBOL:
+            if operator_expected and value == "*":
+                kind = KIND_OPERATOR
+                operator_expected = False
+            else:
+                operator_expected = value in _OPERAND_ENDING_SYMBOLS
+        elif operator_expected and kind == KIND_NAME and value in OPERATOR_NAMES:
+            kind = KIND_OPERATOR
+            operator_expected = False
+        else:
+            operator_expected = True
+        append(Token(kind, value, match.start(group) - lead))
+        position = match.end()
 
-    def previous_token() -> Token | None:
-        return tokens[-1] if tokens else None
-
-    while position < length:
-        char = expression[position]
-        if char in _WHITESPACE:
-            position += 1
-            continue
-
-        if char in ("'", '"'):
-            end = expression.find(char, position + 1)
-            if end < 0:
-                raise XPathSyntaxError("unterminated string literal", position)
-            tokens.append(Token(KIND_LITERAL, expression[position + 1 : end], position))
-            position = end + 1
-            continue
-
-        number_match = _NUMBER_RE.match(expression, position)
-        if number_match and (char.isdigit() or (char == "." and number_match.group(3))):
-            tokens.append(Token(KIND_NUMBER, number_match.group(0), position))
-            position = number_match.end()
-            continue
-
+    # Nothing matched here: the end of the text, or the character to blame.
+    stopped = _WHITESPACE_RE.match(expression, position).end()
+    if stopped < len(expression):
+        char = expression[stopped]
+        if char in "'\"":
+            raise XPathSyntaxError("unterminated string literal", stopped)
         if char == "$":
-            name_match = _NAME_RE.match(expression, position + 1)
-            if not name_match:
-                raise XPathSyntaxError("expected variable name after '$'", position)
-            tokens.append(Token(KIND_VARIABLE, name_match.group(0), position))
-            position = name_match.end()
-            continue
-
-        symbol = _match_symbol(expression, position)
-        if symbol is not None:
-            prev = previous_token()
-            if symbol == "*" and _in_operator_position(prev):
-                tokens.append(Token(KIND_OPERATOR, "*", position))
-            else:
-                tokens.append(Token(KIND_SYMBOL, symbol, position))
-            position += len(symbol)
-            continue
-
-        name_match = _NAME_RE.match(expression, position)
-        if name_match:
-            name = name_match.group(0)
-            prev = previous_token()
-            if name in OPERATOR_NAMES and _in_operator_position(prev):
-                tokens.append(Token(KIND_OPERATOR, name, position))
-            else:
-                tokens.append(Token(KIND_NAME, name, position))
-            position = name_match.end()
-            continue
-
-        raise XPathSyntaxError(f"unexpected character {char!r}", position)
-
-    tokens.append(Token(KIND_EOF, "", length))
+            raise XPathSyntaxError("expected variable name after '$'", stopped)
+        raise XPathSyntaxError(f"unexpected character {char!r}", stopped)
+    append(Token(KIND_EOF, "", len(expression)))
     return tokens
-
-
-def _match_symbol(expression: str, position: int) -> str | None:
-    for symbol in _SYMBOLS:
-        if expression.startswith(symbol, position):
-            return symbol
-    return None
-
-
-def _in_operator_position(prev: Token | None) -> bool:
-    """Return True if the next ``*`` / name must be interpreted as an operator."""
-    if prev is None:
-        return False
-    if prev.kind in (KIND_NUMBER, KIND_LITERAL, KIND_VARIABLE):
-        return True
-    if prev.kind == KIND_OPERATOR:
-        return False
-    if prev.kind == KIND_NAME:
-        return True
-    # symbol tokens
-    return prev.value not in _NON_OPERATOR_PRECEDERS

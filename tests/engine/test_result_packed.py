@@ -6,6 +6,8 @@ Whatever carried the ids — a numpy-, ``range``- or bitmask-backed
 list built once, under both kernel backends.
 """
 
+import os
+import subprocess
 import sys
 from array import array
 
@@ -35,7 +37,7 @@ CASES = {
     "/descendant::node()": "range",  # a bare descendant step stays an interval
     "//*[not(child::d) and not(self::e)]": "bits",  # dense and/not: a bitmask
     "//b[position() = 2]": "nodes",  # not Core XPath: a cvt node list
-    "//nope": "bits",  # the empty answer
+    "//nope": "members",  # the empty answer: the cached (empty) partition itself
 }
 
 BACKENDS = [name for name in ("pure", "vectorized") if name in available_backends()]
@@ -121,6 +123,39 @@ class TestIdsContract:
                 XPathEngine().evaluate("count(//b)", document).packed_ids
             with pytest.raises(XPathEvaluationError, match="attribute"):
                 XPathEngine().evaluate("//@x", document).packed_ids
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestRangeBackedAnswer:
+    """An interval answer packs through the backend, not id by id."""
+
+    @pytest.mark.parametrize("lo, hi", [(1, 8001), (0, 1), (5, 5), (7999, 8002)])
+    def test_tobytes_of_a_range_is_the_packed_range(self, backend, lo, hi):
+        with use_backend(backend):
+            interval = IdSet.from_range(lo, hi, 8002)
+            assert isinstance(interval.ids, range)
+            assert interval.tobytes() == _packed(range(lo, hi))
+            assert isinstance(interval.ids, range)  # still O(1) afterwards
+
+    def test_a_descendant_answer_is_carried_and_packed_as_a_range(self, backend):
+        with use_backend(backend):
+            document = parse_xml(XML)
+            result = XPathEngine().evaluate("/descendant::node()", document, ids=True)
+            assert _carried_as(result) == "range"
+            assert result.packed_ids == _packed(range(1, document.index.size))
+
+
+def test_pure_packs_a_range_without_numpy():
+    code = (
+        "import sys\n"
+        "from repro.xmlmodel.idset import IdSet, unpack_ids\n"
+        "packed = IdSet.from_range(3, 9, 12).tobytes()\n"
+        "assert unpack_ids(packed) == [3, 4, 5, 6, 7, 8]\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, REPRO_KERNEL_BACKEND="pure", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestPoolReply:

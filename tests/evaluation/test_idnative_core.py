@@ -174,3 +174,76 @@ class TestFallbacks:
             evaluator.evaluate_nodes("count(parent::*)", [attribute])
         with pytest.raises(FragmentViolationError):
             evaluator.evaluate_nodes("parent::*/attribute::x", [attribute])
+
+
+class TestConditionSetLifetime:
+    """A cached condition set lives exactly as long as its expression."""
+
+    @staticmethod
+    def _document():
+        return parse_xml(
+            "<r>" + "".join(f"<a><b{n % 7}/><c{n % 5}/></a>" for n in range(300)) + "</r>"
+        )
+
+    def test_evicted_plans_leave_no_sets_behind(self):
+        from repro.engine import XPathEngine
+
+        plan_cache_size = 16
+        engine = XPathEngine(plan_cache_size=plan_cache_size)
+        document = self._document()
+        evaluators: dict = {}
+        texts = [
+            f"/r/a[child::b{i % 7} and not(child::c{i % 5} or child::x{i})]"
+            for i in range(600)
+        ]
+        assert len(set(texts)) == len(texts)
+        for text in texts:
+            engine.evaluate_detached(text, document, evaluators=evaluators)
+        cache = evaluators["core"]._condition_cache
+        # Every text caches six sets (and, b, not, or, c, x); only the
+        # plans still in the plan cache may keep theirs.
+        assert 0 < len(cache) <= 8 * plan_cache_size
+        assert len(cache) == 6 * plan_cache_size
+
+    def test_hot_plans_keep_their_sets(self):
+        from repro.engine import XPathEngine
+
+        engine = XPathEngine(plan_cache_size=16)
+        document = self._document()
+        evaluators: dict = {}
+        query = "/r/a[child::b3 and not(child::c2)]"
+        first = engine.evaluate_detached(query, document, evaluators=evaluators).ids
+        evaluator = evaluators["core"]
+        held = {key: entry[1] for key, entry in evaluator._condition_cache.items()}
+        before = evaluator.axis_applications
+        again = engine.evaluate_detached(query, document, evaluators=evaluators)
+        assert again.cache_hit and again.ids == first
+        # Only the two forward steps ran: both condition paths hit the cache.
+        assert evaluator.axis_applications == before + 2
+        assert {
+            key: entry[1] for key, entry in evaluator._condition_cache.items()
+        } == held and all(
+            evaluator._condition_cache[key][1] is held[key] for key in held
+        )
+
+    def test_a_recycled_id_never_returns_a_stale_set(self):
+        from repro.xpath.parser import parse
+
+        document = self._document()
+        evaluator = CoreXPathEvaluator(document)
+        seen: set[int] = set()
+        recycled = 0
+        for round_index in range(400):
+            # Structurally different every round, so a stale set would be wrong.
+            text = f"/r/a[child::b{round_index % 7} and not(child::c{round_index % 5})]"
+            expr = parse(text)
+            cached_ids = {id(node) for node in expr.walk()}
+            recycled += bool(cached_ids & seen)
+            expected = CoreXPathEvaluator(document).evaluate_ids(text)
+            assert expected, text
+            assert evaluator.evaluate_ids(expr) == expected, text
+            seen |= cached_ids
+            del expr
+            assert not evaluator._condition_cache  # the sets died with the AST
+        if not recycled:  # pragma: no cover - CPython reuses freed blocks at once
+            pytest.skip("the allocator never handed out a repeated id()")

@@ -180,3 +180,127 @@ class TestClassification:
         classification = classify("//a[child::b]")
         assert "positive Core XPath" in classification
         assert "PF" not in classification
+
+
+class TestClassifyEqualsThePerFragmentFunctions:
+    """``classify`` derives each list once, from shared pieces; the seven
+    public functions derive each on their own.  Same lists, same order."""
+
+    #: One witness per rule of Definition 5.1 (pWF) and 6.1 (pXPath), plus
+    #: queries that break several rules at once (message order matters).
+    WITNESSES = [
+        "//a[child::b][child::c]",  # 5.1(1) / 6.1(1): iterated predicates
+        "(//a)[1][2]",  # ... on a filter expression
+        "//a[not(position() = 1)]",  # 5.1(2) / 6.1(2): not()
+        "//a[position() = 1 + (2 * (3 - (4 + 5)))]",  # 5.1(3) / 6.1(4): arithmetic depth
+        "//a[position() = -(-(-(-1)))]",  # ... through unary minus
+        "//a[count(child::b) = 1]",  # 6.1(2): forbidden function
+        "//a[string(child::b) = 'x' and count(child::c) > sum(child::d)]",
+        "//a[true() = (child::b and child::c)]",  # 6.1(3): boolean operand
+        "//a[(child::b = 1) != (child::c = 2)]",  # ... on both sides, nested
+        "//a[concat('a','b','c','d','e','f','g') = 'x']",  # 6.1(4): concat arity
+        "//a[concat('a', concat('b', concat('c', concat('d', 'e')))) = 'x']",  # nesting
+        "//a[not(child::b)][count(child::c) > 1 + (2 * (3 - (4 + 5)))]",  # several
+        "//a[not(child::b) and not(child::c[not(child::d)])]",  # not() three times
+        "not(//a)",  # not(), but no location path on top
+        "//a[not(child::b, child::c)]",  # not() with the wrong arity
+        "//a | //b[not(child::c)]",
+        "//a[@id]",
+        "//a['literal']",
+        "$x",
+        "1 + 2",
+        "id('x')/child::a",
+        "//a[child::b = child::c]",
+    ]
+
+    @staticmethod
+    def assert_consistent(query, nesting_bound=3):
+        from repro.fragments import violations_pf
+
+        expected = {
+            "PF": violations_pf(query),
+            "positive Core XPath": violations_core_xpath(query, allow_negation=False),
+            "Core XPath": violations_core_xpath(query),
+            "pWF": violations_pwf(query, nesting_bound),
+            "WF": violations_wf(query),
+            "pXPath": violations_pxpath(query, nesting_bound),
+            "XPath": [],
+        }
+        classification = classify(query, nesting_bound)
+        members = tuple(name for name in FRAGMENT_ORDER if not expected[name])
+        assert classification.fragments == members, query
+        assert classification.most_specific == members[0], query
+        assert classification.combined_complexity == FRAGMENT_COMPLEXITY[members[0]]
+        assert classification.violations == {
+            name: reasons for name, reasons in expected.items() if reasons
+        }, query
+        lists = list(classification.violations.values())
+        assert len({id(reasons) for reasons in lists}) == len(lists)  # no aliasing
+
+    @pytest.mark.parametrize("query", WITNESSES)
+    def test_witnesses(self, query):
+        self.assert_consistent(query)
+        self.assert_consistent(query, nesting_bound=1)
+
+    def test_fragment_examples_of_this_module(self):
+        from repro.bench import representative_queries
+
+        for group in representative_queries().values():
+            for query in group:
+                self.assert_consistent(query)
+
+    def test_cvt_templates(self):
+        from tests.evaluation.test_cvt_setwise import TABLE_ENTRIES
+
+        for query in TABLE_ENTRIES:
+            self.assert_consistent(query)
+
+    def test_ledger_style_texts(self):
+        corpus = pytest.importorskip("ledger.corpus")
+        queries = pytest.importorskip("ledger.queries")
+        documents = [
+            corpus.auction_document("auction", 5, 24),
+            corpus.config_document("config", 5, 32),
+            corpus.wide_document("wide", 5, 60),
+            corpus.deep_document("deep", 5, 140),
+        ]
+        core = [text for document in documents for text, _ in queries.core_queries(document)]
+        full = [text for text, _, _ in queries.xpath_queries(documents[0], abbreviated=True)]
+        assert len(core) > 500 and len(full) > 500
+        for query in core[::3] + full[::7]:
+            self.assert_consistent(query)
+        for query in core[::3]:
+            assert "Core XPath" in classify(query)
+
+    def test_an_unknown_function_raises_the_same_error(self):
+        from repro.errors import XPathTypeError
+
+        for query in ("foo(1) = bar(2)", "foo(bar() = baz())", "//a[foo(child::b) = 1]"):
+            with pytest.raises(XPathTypeError) as separate:
+                violations_wf(query), violations_pxpath(query)
+            with pytest.raises(XPathTypeError) as together:
+                classify(query)
+            assert str(together.value) == str(separate.value), query
+
+    def test_each_rule_is_worded_once(self):
+        import importlib
+        import inspect
+
+        # (`repro.fragments.classify` the attribute is the function.)
+        source = inspect.getsource(importlib.import_module("repro.fragments.classify"))
+        for wording in (
+            "PF forbids conditions",
+            "the not() function is excluded (positive fragment)",
+            "the not() function is excluded (Definition 5.1(2))",
+            "(Definition 5.1(1))",
+            "(Definition 5.1(3))",
+            "(Definition 6.1(1))",
+            "(Definition 6.1(2))",
+            "(Definition 6.1(3))",
+            "has a boolean operand",
+            "concat() arity",
+            "concat() nesting depth",
+            "is outside Core XPath",
+            "() is outside WF",
+        ):
+            assert source.count(wording) == 1, wording

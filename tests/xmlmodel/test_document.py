@@ -236,6 +236,22 @@ class TestNodesOnDemand:
             gone = weakref.ref(document)
             del document
             assert gone() is None
+            # ... and so is one whose Core evaluator holds cached condition
+            # sets, while the expressions they are keyed by are still alive:
+            # the cache's weak references must not tie evaluator, document
+            # and callbacks into a cycle.
+            from repro.evaluation.core import CoreXPathEvaluator
+            from repro.xpath.parser import parse
+
+            document = parse_xml(self.XML)
+            evaluator = CoreXPathEvaluator(document)
+            expr = parse("//b[child::c and not(child::d)]")
+            assert evaluator.evaluate_ids(expr) == [6]
+            assert len(evaluator._condition_cache) == 4
+            gone, evaluator_gone = weakref.ref(document), weakref.ref(evaluator)
+            del document, evaluator
+            assert gone() is None and evaluator_gone() is None
+            del expr  # its callbacks find no evaluator left, and say nothing
         finally:
             gc.enable()
 

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.evaluation.core import CoreXPathEvaluator
+from repro.xmlmodel import parse_xml
 from repro.xmlmodel.idset import DENSITY_FACTOR, IdSet
+from repro.xmlmodel.kernels import active_backend, available_backends, use_backend
+from repro.xpath.parser import parse
 
 
 class TestConstruction:
@@ -101,3 +105,138 @@ class TestProtocol:
     def test_iteration_is_sorted(self):
         s = IdSet.from_bits((1 << 30) | (1 << 2) | (1 << 17), universe=40)
         assert list(s) == [2, 17, 30]
+
+
+# -- every pair of operand shapes, under every backend -----------------------------
+
+BACKENDS = available_backends()
+
+#: A document whose partitions cover every shape: `s` is a sparse tag
+#: partition, `d` a dense one (so is `*`), `nosuch` an empty one.
+SHAPES_XML = "<r>" + "<s/>" * 5 + "<d><t/></d>" * 40 + "<e/>" * 20 + "</r>"
+
+
+def _shapes(index):
+    """name -> IdSet, one per representation `&`, `|`, `-` can meet."""
+    universe = index.size
+    sparse = [3, 4, 50, 51, 100]
+    dense = list(range(2, universe, 3))
+    assert len(sparse) * DENSITY_FACTOR < universe <= len(dense) * DENSITY_FACTOR
+    active = active_backend()
+
+    def as_bits(ids):
+        return IdSet.from_bits(IdSet.from_sorted(ids, universe).bits, universe)
+
+    return {
+        "empty": IdSet.empty(universe),
+        "full": IdSet.full(universe),
+        "range": IdSet.from_range(40, 90, universe),
+        "sparse range": IdSet.from_range(48, 53, universe),
+        "sparse ids": IdSet.from_sorted(active.prepare_sorted(sparse), universe),
+        "dense ids": IdSet.from_sorted(active.prepare_sorted(dense), universe),
+        "bits-only sparse": as_bits(sparse),
+        "bits-only dense": as_bits(dense),
+        "sparse partition": index.test_idset("s"),
+        "dense partition": index.test_idset("d"),
+        "empty partition": index.test_idset("nosuch"),
+    }
+
+
+def _is_sparse_ids(idset):
+    return idset._ids is not None and len(idset._ids) * DENSITY_FACTOR < idset.universe
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestEveryPairOfShapes:
+    def test_algebra_equals_python_sets(self, backend):
+        with use_backend(backend):
+            index = parse_xml(SHAPES_XML).index
+            shapes = _shapes(index)
+            for left_name, left in shapes.items():
+                for right_name, right in shapes.items():
+                    a, b = set(left.tolist()), set(right.tolist())
+                    label = (backend, left_name, right_name)
+                    assert (left & right).tolist() == sorted(a & b), label
+                    assert (left | right).tolist() == sorted(a | b), label
+                    assert (left - right).tolist() == sorted(a - b), label
+                    assert (left & right) == (right & left), label
+
+    def test_a_sparse_ids_operand_never_yields_a_bitmask(self, backend):
+        with use_backend(backend):
+            shapes = _shapes(parse_xml(SHAPES_XML).index)
+            for left_name, left in shapes.items():
+                for right_name, right in shapes.items():
+                    label = (backend, left_name, right_name)
+                    if _is_sparse_ids(left) or _is_sparse_ids(right):
+                        assert (left & right)._ids is not None, label
+                    if _is_sparse_ids(left):
+                        assert (left - right)._ids is not None, label
+
+    def test_operands_are_left_as_they_were(self, backend):
+        # A probe converts nothing; at most it caches the other operand's
+        # bitmask (pure).  It never hangs a mask or an id list on a set.
+        with use_backend(backend):
+            shapes = _shapes(parse_xml(SHAPES_XML).index)
+            sparse = shapes["sparse ids"]
+            for name, other in shapes.items():
+                had_ids, had_mask = other._ids is not None, other._probe_mask is not None
+                sparse & other, other & sparse, sparse - other
+                assert (other._ids is not None) == had_ids, (backend, name)
+                assert (other._probe_mask is not None) == had_mask, (backend, name)
+                assert sparse._bits is None and sparse._probe_mask is None
+
+    def test_identities_return_the_operand_itself(self, backend):
+        with use_backend(backend):
+            shapes = _shapes(parse_xml(SHAPES_XML).index)
+            full, empty = shapes["full"], shapes["empty"]
+            for name, other in shapes.items():
+                if len(other) not in (0, other.universe):
+                    assert (full & other) is other and (other & full) is other, name
+                    assert (other - empty) is other, name
+                assert not (empty & other) and not (other & empty), name
+                assert not (empty - other), name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestProbeMasks:
+    def test_only_dense_partitions_carry_one(self, backend):
+        with use_backend(backend):
+            index = parse_xml(SHAPES_XML).index
+            tests = sorted(index.ids_by_tag) + [
+                "nosuch", "*", "node()", "text()", "comment()", "processing-instruction()",
+            ]
+            masked = []
+            for node_test in tests:
+                partition = index.test_idset(node_test)
+                if partition._probe_mask is not None:
+                    assert len(partition) * DENSITY_FACTOR >= index.size, node_test
+                    assert len(partition._probe_mask) == index.size
+                    assert [i for i in range(index.size) if partition._probe_mask[i]] == (
+                        partition.tolist()
+                    )
+                    masked.append(node_test)
+            # `node()` is an identity of `&` and is never probed; pure tests
+            # the bytes of the cached bitmask instead and keeps no mask at all.
+            assert masked == (["d", "e", "t", "*"] if backend == "vectorized" else [])
+            assert index.test_idset("*") is index.test_idset("*")
+
+    def test_no_set_a_query_computes_carries_one(self, backend):
+        with use_backend(backend):
+            document = parse_xml(SHAPES_XML)
+            evaluator = CoreXPathEvaluator(document)
+            queries = [
+                "//d[child::t and not(child::s)]",
+                "//*[self::d or self::e][not(following-sibling::s)]",
+                "//t/parent::*[self::d]/following-sibling::e",
+                "//node()[not(self::*)] | //s",
+                "/descendant::d[child::*]/child::node()",
+            ]
+            held = [parse(query) for query in queries]  # alive: so are their sets
+            answers = [evaluator.evaluate_idset(expr) for expr in held]
+            partitions = {id(p) for p in document.index._test_idsets.values()}
+            computed = answers + [entry[1] for entry in evaluator._condition_cache.values()]
+            assert len(evaluator._condition_cache) >= 8
+            for idset in computed:
+                # `full & X` hands back the cached partition itself; nothing
+                # else reachable from a query may own a mask.
+                assert idset._probe_mask is None or id(idset) in partitions

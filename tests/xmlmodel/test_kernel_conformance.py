@@ -199,3 +199,76 @@ def test_idset_algebra_end_to_end(backend_name):
         # ids↔bits roundtrips through the backend conversion kernels.
         assert IdSet.from_bits(sparse.bits, universe).tolist() == sparse.tolist()
         assert IdSet.from_bits(dense.bits, universe) == dense
+
+
+#: Frontiers aimed at the edges of the prefix-count ``ancestor`` and the
+#: scatter-based sibling kernels: the root as a member (its parent, -1,
+#: wraps onto the sentinel slot), several members under one parent (the
+#: scatter must keep the least for one kernel and the greatest for the
+#: other), members whose parents differ, only children, and a chain as
+#: deep as the document.
+_EDGE_XML = (
+    "<r><p><a/><b/><a/><b/><a/></p><q><only/></q><p><b/><a/></p>"
+    "<deep><deep><deep><a/></deep></deep></deep>text</r>"
+)
+
+
+def _edge_frontiers(document):
+    index = document.index
+    size = index.size
+    tagged = lambda tag: list(index.ids_by_tag.get(tag, ()))  # noqa: E731
+    first_p_children = index.axis_ids(tagged("p")[0], "child")
+    return {
+        "root alone": [0],
+        "root and document element": [0, 1],
+        "root and leaves": sorted({0, *tagged("a")}),
+        "one parent, first and last child": [first_p_children[0], first_p_children[-1]],
+        "one parent, middle children": first_p_children[1:-1],
+        "one parent, every child": first_p_children,
+        "same tag under different parents": tagged("a"),
+        "interleaved siblings": tagged("b"),
+        "an only child": tagged("only"),
+        "only children, nested": tagged("deep"),
+        "last node": [size - 1],
+        "parent and its child": [tagged("q")[0], tagged("only")[0]],
+        "everything but the root": list(range(1, size)),
+    }
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize(
+    "doc_label", ["edges", "chain-200", "single-node", "wide-40"]
+)
+def test_rewritten_kernels_on_their_edges(backend_name, doc_label):
+    """ancestor / sibling / union edges equal the per-node walk under every backend."""
+    document = {
+        "edges": lambda: parse_xml(_EDGE_XML),
+        "chain-200": lambda: chain_document(200),  # depth == |D|
+        "single-node": lambda: parse_xml("<a/>"),
+        "wide-40": lambda: wide_document(40),
+    }[doc_label]()
+    index = document.index
+    size = index.size
+    if doc_label == "edges":
+        frontiers = _edge_frontiers(document)
+    else:
+        frontiers = {
+            "root alone": [0],
+            "deepest": [size - 1],
+            "ends": sorted({0, size - 1}),
+            "every third": list(range(0, size, 3)),
+            "all": list(range(size)),
+        }
+    with use_backend(backend_name) as backend:
+        for label, ids in frontiers.items():
+            frontier = IdSet.from_sorted(backend.prepare_sorted(list(ids)), size)
+            members = index.ids_to_node_list(ids)
+            for axis in (
+                "ancestor", "ancestor-or-self", "following-sibling", "preceding-sibling",
+            ):
+                result = index.axis_idset(axis, frontier)
+                got = result.tolist()
+                assert got == sorted(set(got)), (backend_name, doc_label, label, axis)
+                assert index.idset_to_node_list(result) == apply_axis_to_set(
+                    members, axis
+                ), (backend_name, doc_label, label, axis)
