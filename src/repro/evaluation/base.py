@@ -45,6 +45,17 @@ from repro.xpath.functions import validate_call
 from repro.xpath.parser import parse
 
 
+def predicate_selects(value: XPathValue, position: int) -> bool:
+    """Whether a predicate that evaluated to ``value`` keeps the node at ``position``.
+
+    A number selects the node at that proximity position; any other value
+    is converted to boolean (XPath 1.0 section 2.4).
+    """
+    if isinstance(value, float):
+        return value == float(position)
+    return to_boolean(value)
+
+
 class BaseEvaluator:
     """Semantics shared by the naive and context-value-table evaluators.
 
@@ -68,8 +79,12 @@ class BaseEvaluator:
         """Evaluate ``query`` (AST or source text) and return its XPath value."""
         expr = parse(query) if isinstance(query, str) else query
         if context is None:
-            context = initial_context(self.document)
+            context = self.initial_context()
         return self.evaluate_expr(expr, context)
+
+    def initial_context(self) -> Context:
+        """The context a query without one is evaluated in: the root, position 1 of 1."""
+        return initial_context(self.document)
 
     def evaluate_nodes(
         self, query: XPathExpr | str, context: Optional[Context] = None
@@ -188,11 +203,7 @@ class BaseEvaluator:
         kept: list[XMLNode] = []
         for position, node in enumerate(candidates, start=1):
             value = self.evaluate_expr(predicate, Context(node, position, size))
-            if isinstance(value, float):
-                selected = value == float(position)
-            else:
-                selected = to_boolean(value)
-            if selected:
+            if predicate_selects(value, position):
                 kept.append(node)
         return kept
 

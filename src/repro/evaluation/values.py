@@ -11,38 +11,80 @@ meaningful.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from bisect import bisect_left
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import XPathTypeError
 from repro.xmlmodel.nodes import XMLNode, sort_document_order
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.xmlmodel.idset import IdSet
+    from repro.xmlmodel.index import DocumentIndex
+
+_order = attrgetter("order")
+
 
 class NodeSet:
-    """An XPath node-set: a duplicate-free collection ordered in document order."""
+    """An XPath node-set: a duplicate-free collection ordered in document order.
 
-    __slots__ = ("nodes",)
+    A node-set is carried either as its nodes or — what the context-value
+    table evaluator produces for tree nodes — as an
+    :class:`~repro.xmlmodel.idset.IdSet` over a document index.  The
+    id-backed form answers ``len``, truth and :meth:`union` from the ids;
+    :attr:`nodes` gathers the node objects once, on first touch.
+    """
+
+    __slots__ = ("_nodes", "ids", "index")
 
     def __init__(self, nodes: Iterable[XMLNode] = ()) -> None:
-        self.nodes: list[XMLNode] = sort_document_order(nodes)
+        self._nodes: list[XMLNode] | None = sort_document_order(nodes)
+        #: The members as document-order ids; None for a node-backed set.
+        self.ids: IdSet | None = None
+        #: The index ``ids`` are ids of.
+        self.index: DocumentIndex | None = None
 
     @classmethod
     def from_ordered(cls, nodes: Sequence[XMLNode]) -> "NodeSet":
         """Build a node-set from nodes already known to be sorted and unique."""
         node_set = cls.__new__(cls)
-        node_set.nodes = list(nodes)
+        node_set._nodes = list(nodes)
+        node_set.ids = node_set.index = None
         return node_set
+
+    @classmethod
+    def from_idset(cls, ids: "IdSet", index: "DocumentIndex") -> "NodeSet":
+        """The tree nodes of ``index`` with the given ids; no node is built yet."""
+        node_set = cls.__new__(cls)
+        node_set._nodes = None
+        node_set.ids = ids
+        node_set.index = index
+        return node_set
+
+    @property
+    def nodes(self) -> list[XMLNode]:
+        """The members in document order (an id-backed set gathers them once)."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = self.index.idset_to_node_list(  # type: ignore[union-attr]
+                self.ids  # type: ignore[arg-type]
+            )
+        return nodes
 
     def __iter__(self):
         return iter(self.nodes)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.nodes if self.ids is None else self.ids)
 
     def __bool__(self) -> bool:
-        return bool(self.nodes)
+        return bool(self.nodes if self.ids is None else self.ids)
 
     def __contains__(self, node: XMLNode) -> bool:
-        return any(candidate is node for candidate in self.nodes)
+        # Members are sorted by ``order``, which is unique within a document.
+        nodes = self.nodes
+        at = bisect_left(nodes, node.order, key=_order)
+        return at < len(nodes) and nodes[at] is node
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NodeSet):
@@ -54,11 +96,26 @@ class NodeSet:
 
     def first(self) -> XMLNode | None:
         """Return the first node in document order, or None if empty."""
-        return self.nodes[0] if self.nodes else None
+        if not self:
+            return None
+        if self._nodes is None:
+            return self.index.node_of(self.ids.ids[0])  # type: ignore[union-attr]
+        return self._nodes[0]
 
     def union(self, other: "NodeSet") -> "NodeSet":
         """Return the union of two node-sets (document order preserved)."""
-        return NodeSet(list(self.nodes) + list(other.nodes))
+        if self.ids is not None and other.ids is not None and self.index is other.index:
+            return NodeSet.from_idset(self.ids | other.ids, self.index)  # type: ignore[arg-type]
+        if not other:
+            return self
+        if not self:
+            return other
+        # Two duplicate-free runs in document order, which the sort merges in
+        # one pass; a node of both ends up next to itself.
+        merged = sorted(self.nodes + other.nodes, key=_order)
+        return NodeSet.from_ordered(
+            [node for at, node in enumerate(merged) if at == 0 or node is not merged[at - 1]]
+        )
 
     def string_values(self) -> list[str]:
         """Return the string-value of every member, in document order."""
@@ -97,9 +154,9 @@ def to_number(value: XPathValue) -> float:
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        return _string_to_number(value)
+        return string_to_number(value)
     if isinstance(value, NodeSet):
-        return _string_to_number(to_string(value))
+        return string_to_number(to_string(value))
     raise XPathTypeError(f"cannot convert {type(value).__name__} to number")
 
 
@@ -117,7 +174,8 @@ def to_string(value: XPathValue) -> str:
     raise XPathTypeError(f"cannot convert {type(value).__name__} to string")
 
 
-def _string_to_number(text: str) -> float:
+def string_to_number(text: str) -> float:
+    """Convert a string to a number the way ``number()`` does (NaN if it is not one)."""
     stripped = text.strip()
     if not stripped:
         return float("nan")
@@ -144,7 +202,8 @@ def format_number(value: float) -> str:
 # Comparisons (XPath 1.0 section 3.4)
 # ---------------------------------------------------------------------------
 
-_NUMERIC_COMPARATORS = {
+#: The six comparison operators on two numbers, two strings or two booleans.
+NUMERIC_COMPARATORS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,
@@ -156,7 +215,7 @@ _NUMERIC_COMPARATORS = {
 
 def compare(op: str, left: XPathValue, right: XPathValue) -> bool:
     """Evaluate ``left op right`` with XPath 1.0's existential comparison rules."""
-    if op not in _NUMERIC_COMPARATORS:
+    if op not in NUMERIC_COMPARATORS:
         raise XPathTypeError(f"unknown comparison operator {op!r}")
     left_is_set = isinstance(left, NodeSet)
     right_is_set = isinstance(right, NodeSet)
@@ -178,28 +237,45 @@ def _compare_two_node_sets(op: str, left: NodeSet, right: NodeSet) -> bool:
     right_values = right.string_values()
     if op in ("=", "!="):
         return any(
-            _NUMERIC_COMPARATORS[op](lv, rv) for lv in left_values for rv in right_values
+            NUMERIC_COMPARATORS[op](lv, rv) for lv in left_values for rv in right_values
         )
     return any(
-        _NUMERIC_COMPARATORS[op](_string_to_number(lv), _string_to_number(rv))
+        NUMERIC_COMPARATORS[op](string_to_number(lv), string_to_number(rv))
         for lv in left_values
         for rv in right_values
     )
 
 
 def _compare_node_set_to_value(op: str, node_set: NodeSet, value: XPathValue, flipped: bool) -> bool:
-    comparator = _NUMERIC_COMPARATORS[op]
     if isinstance(value, bool):
+        comparator = NUMERIC_COMPARATORS[op]
         return comparator(to_number(to_boolean(node_set)), to_number(value)) if op not in ("=", "!=") else comparator(to_boolean(node_set), value)
+    test = string_value_test(op, value)
+    return any(test(sv) for sv in node_set.string_values())
+
+
+def string_value_test(
+    op: str, value: float | str, node_set_on_left: bool = True
+) -> Callable[[str], bool]:
+    """The test one member's string-value must pass for ``node-set op value`` to hold.
+
+    A node-set compared with a number or a string is true iff *some*
+    member passes: against a number, and for every operator but ``=`` /
+    ``!=``, both sides go through ``number()`` (NaN is never equal, less
+    or greater); ``=`` / ``!=`` against a string compare strings.
+    ``node_set_on_left=False`` is ``value op node-set``.
+    """
+    if not node_set_on_left:
+        op = _flip(op)
+    comparator = NUMERIC_COMPARATORS[op]
     if isinstance(value, float) or op not in ("=", "!="):
         target = to_number(value)
-        return any(comparator(_string_to_number(sv), target) for sv in node_set.string_values())
-    # string compared with = or !=
-    return any(comparator(sv, value) for sv in node_set.string_values())
+        return lambda string_value: comparator(string_to_number(string_value), target)
+    return lambda string_value: comparator(string_value, value)
 
 
 def _compare_scalars(op: str, left: XPathValue, right: XPathValue) -> bool:
-    comparator = _NUMERIC_COMPARATORS[op]
+    comparator = NUMERIC_COMPARATORS[op]
     if op in ("=", "!="):
         if isinstance(left, bool) or isinstance(right, bool):
             return comparator(to_boolean(left), to_boolean(right))

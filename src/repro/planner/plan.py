@@ -29,9 +29,10 @@ number of documents, and per-document acceleration lives in the
 
 Every entry point reaches one executor, :meth:`QueryPlan.execute`: it
 owns evaluator construction and reuse, the fallback chain and each
-engine's calling convention.  ``core``-engine answers are carried as
-the evaluator's id set; :meth:`QueryPlan.run` and :meth:`QueryPlan.run_ids`
-are the ``.value`` and ``.ids`` views of the
+engine's calling convention.  ``core``-engine answers, and ``cvt``
+answers made of tree nodes, are carried as the evaluator's id set;
+:meth:`QueryPlan.run` and :meth:`QueryPlan.run_ids` are the ``.value`` and
+``.ids`` views of the
 :class:`~repro.engine.result.QueryResult` it returns, which materialises
 nodes (or converts nodes to ids) only when asked.
 """
@@ -54,6 +55,7 @@ from repro.fragments.classify import (
 from repro.telemetry.render import render_kv_block
 from repro.telemetry.trace import Trace, maybe_span
 from repro.xmlmodel.document import Document
+from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.nodes import XMLNode
 from repro.xpath.ast import XPathExpr
 from repro.xpath.functions import BOOLEAN, NODESET, static_type
@@ -159,8 +161,9 @@ class QueryPlan:
         fragment; an explicit engine is a one-link chain, so its
         :class:`~repro.errors.FragmentViolationError` propagates.  The
         answer is carried as whatever the evaluator produced — an
-        :class:`~repro.xmlmodel.idset.IdSet` for ``core`` from the root,
-        nodes or a scalar otherwise — and the
+        :class:`~repro.xmlmodel.idset.IdSet` for ``core`` from the root
+        and for a ``cvt`` answer made of tree nodes, nodes or a scalar
+        otherwise — and the
         :class:`~repro.engine.result.QueryResult` converts on demand.
 
         ``evaluators`` is an optional per-document engine→evaluator cache:
@@ -230,8 +233,11 @@ class QueryPlan:
             else:
                 value = evaluator.evaluate(self.expr, context)
                 if isinstance(value, NodeSet):
-                    value = list(value.nodes)
-            payload = {"value": value}
+                    # Tree nodes of this document (what ``cvt`` selects on
+                    # the navigational axes) stay ids, like a core answer.
+                    on_ids = value.ids is not None and value.index is document.index
+                    value = value.ids if on_ids else list(value.nodes)
+            payload = {"ids": value} if isinstance(value, IdSet) else {"value": value}
         if evaluators is not None:
             evaluators[kind] = evaluator
         return payload

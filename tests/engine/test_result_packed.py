@@ -36,7 +36,8 @@ CASES = {
     "/a/m/s": "members",  # a sparse merge: list (pure) or numpy array (vectorized)
     "/descendant::node()": "range",  # a bare descendant step stays an interval
     "//*[not(child::d) and not(self::e)]": "bits",  # dense and/not: a bitmask
-    "//b[position() = 2]": "nodes",  # not Core XPath: a cvt node list
+    "//b[position() = 2]": "members",  # not Core XPath: cvt's ids, from per-context lists
+    "//b/@x": "nodes",  # attribute nodes have no id: a cvt node list
     "//nope": "members",  # the empty answer: the cached (empty) partition itself
 }
 

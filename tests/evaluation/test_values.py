@@ -16,7 +16,9 @@ from repro.evaluation.values import (
     to_string,
     xpath_round,
 )
+from repro.xmlmodel import parse_xml
 from repro.xmlmodel.document import build_tree
+from repro.xmlmodel.idset import IdSet
 
 
 @pytest.fixture
@@ -51,6 +53,54 @@ class TestNodeSet:
         assert ns.first().string_value() == "1"
         assert ns.string_values() == ["1", "2"]
         assert NodeSet().first() is None
+
+
+class TestIdBackedNodeSet:
+    """The form ``cvt`` produces: ids over a document index, nodes on first touch."""
+
+    XML = "<r><a x='1'>1</a><b>two</b><a>2</a></r>"
+
+    @staticmethod
+    def over(document, ids):
+        index = document.index
+        return NodeSet.from_idset(IdSet.from_iterable(ids, index.size), index)
+
+    def test_size_truth_and_union_build_no_node(self):
+        document = parse_xml(self.XML)
+        tagged_a, tagged_b = (
+            self.over(document, document.columns.ids_by_tag[tag]) for tag in "ab"
+        )
+        union = tagged_a.union(tagged_b).union(tagged_a)
+        assert (len(tagged_a), len(union), bool(union)) == (2, 3, True)
+        assert not self.over(document, []) and len(self.over(document, [])) == 0
+        assert union.ids.tolist() == [2, 4, 6]
+        assert compare("=", tagged_a, True) and to_boolean(union)
+        assert not document.has_nodes
+        assert [n.tag for n in union] == ["a", "b", "a"] and union.nodes is union.nodes
+        assert document.has_nodes
+
+    def test_it_equals_and_mixes_with_the_node_backed_form(self):
+        document = parse_xml(self.XML)
+        ids = document.columns.ids_by_tag["a"]
+        on_ids, on_nodes = self.over(document, ids), NodeSet(document.elements_with_tag("a"))
+        assert on_ids == on_nodes and hash(on_ids) == hash(on_nodes)
+        assert on_ids.first() is on_nodes.first() and self.over(document, []).first() is None
+        assert on_ids.string_values() == ["1", "2"] and to_string(on_ids) == "1"
+        attribute = document.attributes[0]
+        mixed = on_ids.union(NodeSet([attribute, document.elements_with_tag("b")[0]]))
+        assert mixed.ids is None
+        assert [n.order for n in mixed] == sorted(n.order for n in mixed)
+        assert [n.name() for n in mixed] == ["a", "x", "b", "a"]
+        assert attribute in mixed and attribute not in on_ids
+        assert all(node in on_ids for node in on_nodes)
+        # Another document's node at the same document-order position is no member.
+        assert parse_xml(self.XML).elements_with_tag("a")[0] not in on_ids
+
+    def test_union_of_overlapping_ordered_runs(self, document):
+        first_two = NodeSet(document.elements[:3])
+        last_three = NodeSet(document.elements[2:])
+        assert first_two.union(last_three).nodes == document.elements
+        assert first_two.union(NodeSet()) is first_two and NodeSet().union(first_two) is first_two
 
 
 class TestConversions:

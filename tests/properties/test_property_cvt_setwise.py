@@ -1,8 +1,8 @@
 """Differential property: set-at-a-time cvt ≡ naive, by value.
 
-Random documents large enough for a ``//`` frontier to cross
-``SETWISE_MIN_FRONTIER``, and random two-step queries whose predicates
-cover the evaluator's four cases: none, position-free booleans,
+Random documents with ``//`` frontiers of dozens of nodes, and random
+two-step queries whose predicates cover the evaluator's cases: none,
+position-free booleans (with and without a column),
 ``position()``/``last()``, and position-free values that are (or may be)
 numbers and therefore select by proximity position.  The expected side is
 :class:`NaiveEvaluator`, which walks one context node at a time and never
@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation import ContextValueTableEvaluator, NaiveEvaluator
-from repro.evaluation.cvt import SETWISE_MIN_FRONTIER
 from repro.xmlmodel.axes import CORE_XPATH_AXES
 from repro.xmlmodel.generators import random_document
 from repro.xmlmodel.kernels import available_backends, use_backend
@@ -45,9 +44,9 @@ VARIABLES = {"v": 2.0}
 @st.composite
 def large_documents(draw):
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    budget = draw(st.integers(min_value=3 * SETWISE_MIN_FRONTIER, max_value=80))
+    budget = draw(st.integers(min_value=48, max_value=80))
     document = random_document(budget, seed=seed, tags=TAGS)
-    assume(len(document.nodes) >= 2 * SETWISE_MIN_FRONTIER)
+    assume(len(document.nodes) >= 32)
     return document
 
 
