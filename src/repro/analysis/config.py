@@ -22,7 +22,9 @@ from typing import Mapping
 #: are RLocks).  This tuple is the single source of truth the table in
 #: ``docs/analysis.md`` is generated from.
 LOCK_ORDER: tuple[str, ...] = (
-    "_lock",            # DocumentRegistry: LRU order + counters
+    "_lock",            # DocumentRegistry: LRU order + counters; CorpusStore:
+                        # manifest journal (the manifest's flock is taken
+                        # inside it, never the reverse)
     "_stripe",          # DocHandle: per-document index/evaluator state
     "_plan_lock",       # XPathEngine: plan-cache access
     "_inflight_lock",   # XPathEngine: single-flight table

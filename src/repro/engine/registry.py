@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -46,15 +47,25 @@ class DocHandle:
     Handles are cheap tickets — they hold the document, a stable ``uid``,
     and the per-document evaluator pool.  They stay valid after LRU
     eviction (the engine transparently re-registers the document on next
-    use); eviction only drops the pooled evaluators.
+    use); eviction only drops the pooled evaluators.  The engine is held
+    weakly (``engine_ref``, shared with the registry): an engine owns its
+    registry and the registry its handles, so a strong reference back up
+    would be a cycle that keeps every registered document alive until
+    the cycle collector gets to it.
     """
 
-    __slots__ = ("uid", "document", "_engine", "_pool", "_stripe", "_retired")
+    __slots__ = ("uid", "document", "_engine_ref", "_pool", "_stripe", "_retired")
 
-    def __init__(self, uid: int, document: Document, engine: "Optional[XPathEngine]", stripe: threading.RLock) -> None:
+    def __init__(
+        self,
+        uid: int,
+        document: Document,
+        engine_ref: "Optional[weakref.ref[XPathEngine]]",
+        stripe: threading.RLock,
+    ) -> None:
         self.uid = uid
         self.document = document
-        self._engine = engine
+        self._engine_ref = engine_ref
         self._pool: dict[str, list[object]] = {}
         self._stripe = stripe
         self._retired = False
@@ -66,9 +77,10 @@ class DocHandle:
 
     def evaluate(self, query, **kwargs) -> "QueryResult":
         """Evaluate ``query`` on this document via the owning engine."""
-        if self._engine is None:
+        engine = self._engine_ref() if self._engine_ref is not None else None
+        if engine is None:
             raise RuntimeError("handle is not attached to an engine")
-        return self._engine.evaluate(query, self, **kwargs)
+        return engine.evaluate(query, self, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DocHandle uid={self.uid} size={self.document.size}>"
@@ -94,7 +106,7 @@ class DocumentRegistry:
         if stripes < 1:
             raise ValueError("stripes must be at least 1")
         self.maxsize = maxsize
-        self._engine = engine
+        self._engine_ref = weakref.ref(engine) if engine is not None else None
         self._lock = threading.Lock()
         self._stripes = tuple(threading.RLock() for _ in range(stripes))
         self._handles: "OrderedDict[int, DocHandle]" = OrderedDict()
@@ -119,7 +131,7 @@ class DocumentRegistry:
             if handle is None:
                 uid = next(self._uids)
                 handle = DocHandle(
-                    uid, document, self._engine, self._stripes[uid % len(self._stripes)]
+                    uid, document, self._engine_ref, self._stripes[uid % len(self._stripes)]
                 )
                 self._handles[key] = handle
                 self.adds += 1

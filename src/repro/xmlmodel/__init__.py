@@ -11,7 +11,7 @@ from repro.xmlmodel.axes import (
     node_test_matches,
     principal_node_type,
 )
-from repro.xmlmodel.columns import ColumnBuilder, Columns
+from repro.xmlmodel.columns import Columns, derive_columns
 from repro.xmlmodel.document import Document, DocumentBuilder, build_tree
 from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.index import DocumentIndex
@@ -42,7 +42,6 @@ __all__ = [
     "AXIS_NAMES",
     "CORE_XPATH_AXES",
     "AttributeNode",
-    "ColumnBuilder",
     "Columns",
     "CommentNode",
     "Document",
@@ -63,6 +62,7 @@ __all__ = [
     "caterpillar_document",
     "chain_document",
     "complete_tree_document",
+    "derive_columns",
     "inverse_axis",
     "is_reverse_axis",
     "labelled_list_document",

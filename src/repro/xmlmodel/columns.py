@@ -9,17 +9,19 @@ id-native Core XPath path reads nothing else; node *objects* are built
 from these columns only when somebody asks for one (see
 :class:`repro.xmlmodel.document.Document`).
 
-:class:`ColumnBuilder` is the one place the columns are derived: the XML
-scanner feeds it tokens, and ``Document(root)`` feeds it a walk over a
-:class:`~repro.xmlmodel.document.DocumentBuilder` tree.  It keeps the open
-nodes on a stack and fills ``parent`` / ``subtree_end`` / ``post`` /
-``first_child`` / ``next_sibling`` / ``prev_sibling`` as nodes open and
-close, so no second pass over the document is needed.
+:func:`derive_columns` is the one place the columns are derived.  A
+producer — the XML scanner reading text, ``Document(root)`` walking a
+:class:`~repro.xmlmodel.document.DocumentBuilder` tree — records only
+what a pre-order scan knows for free (each node's kind, its parent, where
+its subtree ended, its interned strings and attribute pairs); the sibling
+and child links, the post-order ranks and the id partitions all follow
+from ``parent`` / ``subtree_end`` / ``kinds`` in a few tight passes here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from itertools import compress
+from typing import Any
 
 #: Node kind bytes of the ``kinds`` column (and of the snapshot format).
 KIND_ROOT = 0
@@ -36,7 +38,7 @@ class Columns:
     """One document's columns; ``n`` tree nodes, ``m`` attributes.
 
     The sequence types are residency-dependent — ``list`` / ``bytearray``
-    fresh from a :class:`ColumnBuilder`, :class:`array.array` / ``bytes``
+    fresh from :func:`derive_columns`, :class:`array.array` / ``bytes``
     from an eager snapshot load, ``memoryview`` from a lazy one — and
     consumers rely on len/index/slice/iteration only.  Columns are
     immutable once built.
@@ -118,109 +120,84 @@ class Columns:
         self.ids_by_kind = ids_by_kind
 
 
-class ColumnBuilder:
-    """Push/pop construction of :class:`Columns`, root already open.
+_IS_KIND = {
+    kind: bytes(int(byte == kind) for byte in range(256))
+    for kind in (KIND_ELEMENT,) + PARTITIONED_KINDS
+}
 
-    ``open`` adds a node under the innermost open one and makes it the
-    innermost; ``close`` closes it.  A leaf is an ``open`` followed by a
-    ``close``.  String ids are handed out in first-use order — name, then
-    attribute name/value pairs, then text — which is what makes the
-    snapshot bytes of a document deterministic.
+
+def derive_columns(
+    *,
+    kinds: bytearray,
+    parent: list[int],
+    subtree_end: list[int],
+    names: list[int],
+    texts: list[int],
+    attr_offsets: list[int],
+    attr_names: list[int],
+    attr_values: list[int],
+    strings: list[str],
+) -> Columns:
+    """The full :class:`Columns` of a document from its scan-order facts.
+
+    The arguments are what a single pre-order pass over a document
+    records per node — ``parent[0] == -1`` and ``kinds[0] == KIND_ROOT``
+    for the root, ``subtree_end[i]`` the id of the last node opened
+    before node ``i`` closed — plus the string table with ids in
+    first-use order.  They are adopted, not copied.  Derived here, and
+    only here:
+
+    * ``first_child[i]`` is ``i + 1`` when the subtree goes on past ``i``;
+    * ``next_sibling[i]`` is the node after ``i``'s subtree when that
+      node hangs off the same parent, and ``prev_sibling`` inverts it;
+    * ``post[i]`` — the post-order rank — is ``subtree_end[i]`` minus the
+      depth of ``i``: of the nodes opened up to the end of its subtree,
+      only its ancestors close later;
+    * the partitions are the ids of each kind, and the element ids
+      grouped by tag, all in document order.
     """
+    n = len(kinds)
+    ids = range(n)
+    first_child = [i + 1 if end > i else -1 for i, end in zip(ids, subtree_end)]
+    parent_after = parent[1:]
+    parent_after.append(-2)  # nothing follows the root's subtree
+    next_sibling = [
+        end + 1 if parent_after[end] == up else -1 for end, up in zip(subtree_end, parent)
+    ]
+    prev_sibling = [-1] * n
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[parent[i]] + 1
+        following = next_sibling[i]
+        if following != -1:
+            prev_sibling[following] = i
+    post = [end - level for end, level in zip(subtree_end, depth)]
 
-    __slots__ = ("_columns", "_string_ids", "_open", "_last_child")
-
-    def __init__(self) -> None:
-        self._columns = Columns(
-            kinds=bytearray(),
-            parent=[],
-            subtree_end=[],
-            post=[],
-            first_child=[],
-            next_sibling=[],
-            prev_sibling=[],
-            names=[],
-            texts=[],
-            attr_offsets=[0],
-            attr_names=[],
-            attr_values=[],
-            strings=[],
-            element_ids=[],
-            ids_by_tag={},
-            ids_by_kind={kind: [] for kind in PARTITIONED_KINDS},
-        )
-        self._string_ids: dict[str, int] = {}
-        self._open: list[int] = []
-        #: Last child so far of each open node, parallel to ``_open``.
-        self._last_child: list[int] = []
-        self.open(KIND_ROOT)
-
-    def _intern(self, value: str) -> int:
-        string_ids = self._string_ids
-        string_id = string_ids.get(value)
-        if string_id is None:
-            string_id = string_ids[value] = len(string_ids)
-            self._columns.strings.append(value)
-        return string_id
-
-    def open(
-        self,
-        kind: int,
-        name: Optional[str] = None,
-        text: Optional[str] = None,
-        attributes: Iterable[tuple[str, str]] = (),
-    ) -> None:
-        """Add a node of ``kind`` under the innermost open node and descend into it."""
-        columns = self._columns
-        node_id = len(columns.kinds)
-        columns.kinds.append(kind)
-        opened = self._open
-        if opened:
-            parent = opened[-1]
-            previous = self._last_child[-1]
-            if previous == -1:
-                columns.first_child[parent] = node_id
-            else:
-                columns.next_sibling[previous] = node_id
-            self._last_child[-1] = node_id
-        else:
-            parent = previous = -1
-        columns.parent.append(parent)
-        columns.prev_sibling.append(previous)
-        columns.first_child.append(-1)
-        columns.next_sibling.append(-1)
-        columns.subtree_end.append(node_id)
-        columns.post.append(0)
-        intern = self._intern
-        columns.names.append(-1 if name is None else intern(name))
-        if kind == KIND_ELEMENT:
-            columns.element_ids.append(node_id)
-            partition = columns.ids_by_tag.get(name)
-            if partition is None:
-                partition = columns.ids_by_tag[name] = []
-            partition.append(node_id)
-            for attr_name, attr_value in attributes:
-                columns.attr_names.append(intern(attr_name))
-                columns.attr_values.append(intern(attr_value))
-        else:
-            columns.ids_by_kind[kind].append(node_id)
-        columns.attr_offsets.append(len(columns.attr_names))
-        columns.texts.append(-1 if text is None else intern(text))
-        opened.append(node_id)
-        self._last_child.append(-1)
-
-    def close(self) -> None:
-        """Close the innermost open node."""
-        columns = self._columns
-        node_id = self._open.pop()
-        self._last_child.pop()
-        end = columns.subtree_end[node_id] = len(columns.kinds) - 1
-        # post-order rank = pre-order rank + descendants - depth
-        columns.post[node_id] = end - len(self._open)
-
-    def finish(self) -> Columns:
-        """Close the root and return the columns."""
-        if len(self._open) != 1:
-            raise ValueError(f"{len(self._open) - 1} node(s) left open at finish()")
-        self.close()
-        return self._columns
+    element_ids = list(compress(ids, kinds.translate(_IS_KIND[KIND_ELEMENT])))
+    by_name: dict[int, list[int]] = {}
+    for i in element_ids:
+        try:
+            by_name[names[i]].append(i)
+        except KeyError:
+            by_name[names[i]] = [i]
+    return Columns(
+        kinds=kinds,
+        parent=parent,
+        subtree_end=subtree_end,
+        post=post,
+        first_child=first_child,
+        next_sibling=next_sibling,
+        prev_sibling=prev_sibling,
+        names=names,
+        texts=texts,
+        attr_offsets=attr_offsets,
+        attr_names=attr_names,
+        attr_values=attr_values,
+        strings=strings,
+        element_ids=element_ids,
+        ids_by_tag={strings[name]: members for name, members in by_name.items()},
+        ids_by_kind={
+            kind: list(compress(ids, kinds.translate(_IS_KIND[kind])))
+            for kind in PARTITIONED_KINDS
+        },
+    )

@@ -24,8 +24,8 @@ from repro.xmlmodel.columns import (
     KIND_PI,
     KIND_ROOT,
     KIND_TEXT,
-    ColumnBuilder,
     Columns,
+    derive_columns,
 )
 from repro.xmlmodel.index import DocumentIndex
 from repro.xmlmodel.nodes import (
@@ -127,45 +127,75 @@ class Document:
 
         Attribute nodes are ordered directly after their owning element and
         before that element's children, following the XPath data model.
+        The walk records the same per-node facts the XML scanner does —
+        kind, parent, end of subtree, strings interned name first, then
+        attribute pairs, then text — and hands them to the same
+        :func:`~repro.xmlmodel.columns.derive_columns`.
         """
-        builder = ColumnBuilder()  # its root is already open
         nodes: list[XMLNode] = []
         attributes: list[AttributeNode] = []
         id_by_uid: dict[int, int] = {}
+        kinds = bytearray()
+        parent: list[int] = []
+        subtree_end: list[int] = []
+        names: list[int] = []
+        texts: list[int] = []
+        attr_offsets = [0]
+        attr_names: list[int] = []
+        attr_values: list[int] = []
+        string_ids: dict[str, int] = {}
+
+        def intern(value: Optional[str]) -> int:
+            return -1 if value is None else string_ids.setdefault(value, len(string_ids))
+
         order = 0
-        stack: list[Optional[XMLNode]] = [root]
+        # A node to open with its parent's id, or — as ``(None, i)`` — node i to close.
+        stack: list[tuple[Optional[XMLNode], int]] = [(root, -1)]
         while stack:
-            node = stack.pop()
+            node, up = stack.pop()
             if node is None:
-                builder.close()
+                subtree_end[up] = len(nodes) - 1
                 continue
             node.order = order
             order += 1
             node.document = self
-            id_by_uid[node.uid] = len(nodes)
+            node_id = id_by_uid[node.uid] = len(nodes)
             nodes.append(node)
-            if node is not root:
-                if isinstance(node, ElementNode):
-                    for attribute in node.attributes:
-                        attribute.order = order
-                        order += 1
-                        attribute.document = self
-                        attributes.append(attribute)
-                    builder.open(
-                        KIND_ELEMENT,
-                        node.tag,
-                        None,
-                        [(a.attr_name, a.value) for a in node.attributes],
-                    )
-                elif isinstance(node, ProcessingInstructionNode):
-                    builder.open(KIND_PI, node.target, node.data)
-                else:
-                    builder.open(
-                        _KIND_OF_TYPE[node.node_type], None, getattr(node, "text", None)
-                    )
-                stack.append(None)
-            stack.extend(reversed(node.children))
-        return builder.finish(), NodeTree(nodes, attributes, id_by_uid)
+            kinds.append(_KIND_OF_TYPE[node.node_type])
+            parent.append(up)
+            subtree_end.append(node_id)
+            if isinstance(node, ElementNode):
+                names.append(intern(node.tag))
+                for attribute in node.attributes:
+                    attribute.order = order
+                    order += 1
+                    attribute.document = self
+                    attributes.append(attribute)
+                    attr_names.append(intern(attribute.attr_name))
+                    attr_values.append(intern(attribute.value))
+                texts.append(-1)
+            elif isinstance(node, ProcessingInstructionNode):
+                names.append(intern(node.target))
+                texts.append(intern(node.data))
+            else:
+                names.append(-1)
+                texts.append(intern(getattr(node, "text", None)))
+            attr_offsets.append(len(attr_names))
+            if node.children:
+                stack.append((None, node_id))
+                stack.extend((child, node_id) for child in reversed(node.children))
+        columns = derive_columns(
+            kinds=kinds,
+            parent=parent,
+            subtree_end=subtree_end,
+            names=names,
+            texts=texts,
+            attr_offsets=attr_offsets,
+            attr_names=attr_names,
+            attr_values=attr_values,
+            strings=list(string_ids),
+        )
+        return columns, NodeTree(nodes, attributes, id_by_uid)
 
     def _materialise(self) -> NodeTree:
         """The node tree, built from the columns by whichever caller is first.

@@ -8,16 +8,19 @@ and decimal / hexadecimal character references.  Namespace declarations are
 treated as ordinary attributes and prefixes are kept as part of names,
 which is all the paper's constructions require.
 
-The implementation is a token-at-a-time scanner rather than a wrapper
-around :mod:`xml.etree` so that the whole evaluation pipeline — from bytes
-to query answers — is built by this repository; ElementTree is only used in
+The implementation is a token scanner rather than a wrapper around
+:mod:`xml.etree` so that the whole evaluation pipeline — from bytes to
+query answers — is built by this repository; ElementTree is only used in
 the test-suite as an independent cross-check.  One compiled regular
-expression recognises a whole piece of markup (start tag with its
-attributes, end tag, comment, CDATA section, processing instruction),
-``str.find`` delimits character data, and every token goes straight into a
-:class:`~repro.xmlmodel.columns.ColumnBuilder`: parsing constructs no node
-objects, and nesting depth is bounded by memory, not by the interpreter
-stack.
+expression, :data:`_TOKEN`, partitions the text: every character belongs
+to exactly one token — a run of character data, one whole piece of markup
+(start tag with its attributes, end tag, comment, CDATA section,
+processing instruction), or a lone ``<`` that begins nothing well-formed —
+and the tokens are consumed as a stream, each looked at once.  The loop
+records what a pre-order scan knows for free and
+:func:`~repro.xmlmodel.columns.derive_columns` does the rest: parsing
+constructs no node objects, and nesting depth is bounded by memory, not
+by the interpreter stack.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from repro.xmlmodel.columns import (
     KIND_COMMENT,
     KIND_ELEMENT,
     KIND_PI,
+    KIND_ROOT,
     KIND_TEXT,
-    ColumnBuilder,
+    derive_columns,
 )
 from repro.xmlmodel.document import Document
 
@@ -39,21 +43,25 @@ _WS = r"[ \t\r\n]*"
 _ATTRIBUTE = re.compile(rf"{_WS}({_NAME}){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)')")
 _ATTRIBUTES = rf"(?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"]*\"|'[^']*'))*"
 
-#: One piece of markup, anchored at its ``<``.  The alternatives' groups
-#: are numbered below, and ``lastindex`` — the last group of whichever
-#: alternative matched — tells them apart.  The lookahead after the tag
-#: name keeps the engine from backtracking into it and reading
-#: ``<ax="1">`` as ``<a x="1">``.
-_MARKUP = re.compile(
-    rf"<(?:({_NAME})(?![-A-Za-z0-9_:.·])({_ATTRIBUTES}){_WS}(/?)>"
+#: One token.  Character data comes first and a lone ``<`` last, so the
+#: alternatives between them are only ever tried at a ``<`` and whatever
+#: they all refuse still arrives as a token, with a position.  The
+#: groups are numbered below; ``lastindex`` — the last group of whichever
+#: alternative matched, ``None`` for the lone ``<`` — tells them apart.
+#: The lookahead after the tag name keeps the engine from backtracking
+#: into it and reading ``<ax="1">`` as ``<a x="1">``.
+_TOKEN = re.compile(
+    rf"([^<]+)"
+    rf"|<(?:({_NAME})(?![-A-Za-z0-9_:.·])({_ATTRIBUTES}){_WS}(/?)>"
     rf"|/({_NAME}){_WS}>"
     rf"|!--(.*?)-->"
     rf"|!\[CDATA\[(.*?)\]\]>"
-    rf"|\?({_NAME})(.*?)\?>)",
+    rf"|\?({_NAME})(.*?)\?>)"
+    rf"|<",
     re.DOTALL,
 )
-(_TAG, _ATTRIBUTE_TEXT, _SELF_CLOSING, _END_TAG,
- _COMMENT, _CDATA, _TARGET, _PI_BODY) = range(1, 9)
+(_DATA, _TAG, _ATTRIBUTE_TEXT, _SELF_CLOSING, _END_TAG,
+ _COMMENT, _CDATA, _TARGET, _PI_BODY) = range(1, 10)
 _REFERENCE = re.compile(r"&([^;]*)(;?)")
 _ANGLE_BRACKET = re.compile(r"[<>]")
 _NAME_AT = re.compile(_NAME)
@@ -98,7 +106,12 @@ def _decode_references(text: str, position: int) -> str:
 
 
 def _attributes(source: str, position: int) -> list[tuple[str, str]]:
-    """The ``(name, value)`` pairs of a start tag's attribute text, in order."""
+    """The ``(name, value)`` pairs of a start tag's attribute text, in order.
+
+    The careful walk — positions kept for the error messages — that
+    :func:`parse_xml` takes only for attribute text with a reference or
+    a repeated name in it.
+    """
     attributes = []
     for match in _ATTRIBUTE.finditer(source):
         name, double_quoted, single_quoted = match.groups()
@@ -136,97 +149,147 @@ def parse_xml(text: str, keep_whitespace_text: bool = False) -> Document:
     >>> document.has_nodes
     True
     """
-    builder = ColumnBuilder()
-    open_node, close_node = builder.open, builder.close
-    markup_at = _MARKUP.match
-    find = text.find
+    # One entry per node, in document order; the root is node 0.
+    kinds = bytearray((KIND_ROOT,))
+    parent = [-1]
+    subtree_end = [0]
+    names = [-1]
+    texts = [-1]
+    attr_offsets = [0, 0]
+    attr_names: list[int] = []
+    attr_values: list[int] = []
+    #: string → id, ids in first-use order (a node's name, then its
+    #: attribute name/value pairs, then its text): the string table is
+    #: this dict's keys.
+    string_ids: dict[str, int] = {}
+    add_kind, add_parent, add_end = kinds.append, parent.append, subtree_end.append
+    add_name, add_text, add_offset = names.append, texts.append, attr_offsets.append
+    add_attr_name, add_attr_value = attr_names.append, attr_values.append
+    intern = string_ids.setdefault
+    attributes_of = _ATTRIBUTE.findall
     length = len(text)
-    open_tags: list[str] = []
+    open_nodes: list[int] = []  # ids of the open elements below `current`
+    current = 0  # the innermost open node; the root while no element is open
+    count = 1
     seen_document_element = False
 
     position = 0
     while position < length:
-        if text[position] != "<":
-            end = find("<", position)
-            if end < 0:
-                end = length
-            data = text[position:end]
-            if not open_tags:
-                if not data.isspace():
+        for token in _TOKEN.finditer(text, position):
+            which = token.lastindex
+            if which == _SELF_CLOSING:  # a start tag; the group may be empty
+                tag, attribute_text, self_closing = token.group(
+                    _TAG, _ATTRIBUTE_TEXT, _SELF_CLOSING
+                )
+                if not current:
+                    if seen_document_element:
+                        raise XMLParseError("multiple document elements", token.start())
+                    seen_document_element = True
+                add_kind(KIND_ELEMENT)
+                add_parent(current)
+                add_end(count)
+                add_name(intern(tag, len(string_ids)))
+                add_text(-1)
+                if attribute_text:
+                    pairs = attributes_of(attribute_text)
+                    if "&" in attribute_text or (
+                        len(pairs) > 1 and len({pair[0] for pair in pairs}) < len(pairs)
+                    ):
+                        pairs = _attributes(attribute_text, token.start(_ATTRIBUTE_TEXT))
+                        for name, value in pairs:
+                            add_attr_name(intern(name, len(string_ids)))
+                            add_attr_value(intern(value, len(string_ids)))
+                    else:
+                        for name, double_quoted, single_quoted in pairs:
+                            add_attr_name(intern(name, len(string_ids)))
+                            add_attr_value(
+                                intern(double_quoted or single_quoted, len(string_ids))
+                            )
+                add_offset(len(attr_names))
+                if not self_closing:
+                    open_nodes.append(current)
+                    current = count
+                count += 1
+            elif which == _END_TAG:
+                tag = token.group(_END_TAG)
+                if not current or string_ids.get(tag) != names[current]:
+                    open_tag = list(string_ids)[names[current]] if current else None
                     raise XMLParseError(
-                        "character data outside document element", position
+                        f"mismatched end tag </{tag}>; open element is <{open_tag}>",
+                        token.start(),
                     )
-            else:
+                subtree_end[current] = count - 1
+                current = open_nodes.pop()
+            elif which == _DATA:
+                data = token.group()
+                if not current:
+                    if not data.isspace():
+                        raise XMLParseError(
+                            "character data outside document element", token.start()
+                        )
+                    continue
                 if "&" in data:
-                    data = _decode_references(data, position)
-                if data and (keep_whitespace_text or not data.isspace()):
-                    open_node(KIND_TEXT, None, data)
-                    close_node()
-            position = end
-            continue
-
-        markup = markup_at(text, position)
-        if markup is None:
-            position = _skip_doctype(text, position)
-            continue
-        token = markup.lastindex
-        if token == _SELF_CLOSING:  # a start tag; the group may be empty
-            tag, attribute_text, self_closing = markup.group(
-                _TAG, _ATTRIBUTE_TEXT, _SELF_CLOSING
-            )
-            if not open_tags:
-                if seen_document_element:
-                    raise XMLParseError("multiple document elements", position)
-                seen_document_element = True
-            if attribute_text:
-                open_node(
-                    KIND_ELEMENT, tag, None,
-                    _attributes(attribute_text, markup.start(_ATTRIBUTE_TEXT)),
-                )
+                    data = _decode_references(data, token.start())
+                if not keep_whitespace_text and data.isspace():
+                    continue
+                add_kind(KIND_TEXT)
+                add_parent(current)
+                add_end(count)
+                add_name(-1)
+                add_text(intern(data, len(string_ids)))
+                add_offset(len(attr_names))
+                count += 1
+            elif which is None:  # a lone "<": a DOCTYPE to skip, or malformed markup
+                position = _skip_doctype(text, token.start())
+                break
             else:
-                open_node(KIND_ELEMENT, tag)
-            if self_closing:
-                close_node()
-            else:
-                open_tags.append(tag)
-        elif token == _END_TAG:
-            tag = markup.group(_END_TAG)
-            if not open_tags or open_tags[-1] != tag:
-                current = open_tags[-1] if open_tags else None
-                raise XMLParseError(
-                    f"mismatched end tag </{tag}>; open element is <{current}>",
-                    position,
-                )
-            open_tags.pop()
-            close_node()
-        elif token == _COMMENT:
-            open_node(KIND_COMMENT, None, markup.group(_COMMENT))
-            close_node()
-        elif token == _CDATA:
-            if not open_tags:
-                raise XMLParseError(
-                    "character data outside document element", position
-                )
-            open_node(KIND_TEXT, None, markup.group(_CDATA))
-            close_node()
+                if which == _COMMENT:
+                    kind, name, data = KIND_COMMENT, -1, token.group(_COMMENT)
+                elif which == _CDATA:
+                    if not current:
+                        raise XMLParseError(
+                            "character data outside document element", token.start()
+                        )
+                    kind, name, data = KIND_TEXT, -1, token.group(_CDATA)
+                else:
+                    target, body = token.group(_TARGET, _PI_BODY)
+                    if target.lower() == "xml":  # the XML declaration is not a node
+                        continue
+                    kind, name, data = KIND_PI, intern(target, len(string_ids)), body.strip()
+                add_kind(kind)
+                add_parent(current)
+                add_end(count)
+                add_name(name)
+                add_text(intern(data, len(string_ids)))
+                add_offset(len(attr_names))
+                count += 1
         else:
-            target, body = markup.group(_TARGET, _PI_BODY)
-            if target.lower() != "xml":  # the XML declaration is not a node
-                open_node(KIND_PI, target, body.strip())
-                close_node()
-        position = markup.end()
+            break
 
-    if open_tags:
+    if current:
         raise XMLParseError("unexpected end of input: unclosed element", length)
     if not seen_document_element:
         raise XMLParseError("document has no document element", length)
-    return Document.from_columns(builder.finish())
+    subtree_end[0] = count - 1
+    return Document.from_columns(
+        derive_columns(
+            kinds=kinds,
+            parent=parent,
+            subtree_end=subtree_end,
+            names=names,
+            texts=texts,
+            attr_offsets=attr_offsets,
+            attr_names=attr_names,
+            attr_values=attr_values,
+            strings=list(string_ids),
+        )
+    )
 
 
 def _skip_doctype(text: str, position: int) -> int:
     """Return the position after the DOCTYPE declaration at ``position``.
 
-    Reached for every ``<`` that :data:`_MARKUP` does not recognise, so
+    Reached for every ``<`` that begins none of :data:`_TOKEN`'s markup, so
     anything that is not a DOCTYPE is malformed markup and raises.
     """
     if not text.startswith("<!DOCTYPE", position):
@@ -240,7 +303,7 @@ def _skip_doctype(text: str, position: int) -> int:
 
 
 def _malformed(text: str, position: int) -> XMLParseError:
-    """Say what is wrong with the markup at ``position`` that :data:`_MARKUP` refused."""
+    """Say what is wrong with the markup at ``position`` that :data:`_TOKEN` refused."""
     for opener, terminator in (("<!--", "-->"), ("<![CDATA[", "]]>")):
         if text.startswith(opener, position):
             return XMLParseError(

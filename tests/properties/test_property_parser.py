@@ -7,6 +7,7 @@
   :mod:`xml.etree.ElementTree` as the independent third opinion.
 """
 
+import re
 from xml.etree import ElementTree
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import XMLParseError
 from repro.store import dump_snapshot
-from repro.xmlmodel import parse_xml, serialize
+from repro.xmlmodel import Columns, Document, parse_xml, serialize
 from repro.xmlmodel.nodes import ElementNode
 from repro.xpath.parser import parse
 from repro.xpath.unparse import unparse
@@ -160,6 +161,68 @@ def _our_shape(element):
     )
 
 
+def _slots(document):
+    columns = document.columns
+    return {
+        name: dict(value) if isinstance(value, dict) else list(value)
+        for name, value in ((name, getattr(columns, name)) for name in Columns.__slots__)
+    }
+
+
+def _verdict(scanner, text, keep_whitespace_text):
+    """The document, or the error the scanner rejected ``text`` with."""
+    try:
+        return scanner(text, keep_whitespace_text=keep_whitespace_text)
+    except XMLParseError as error:
+        return error
+    except (ValueError, OverflowError):
+        # Only the oracle: it lets a bad character reference escape from
+        # ``int()`` / ``chr()``; the scanner must word it (asserted below).
+        return XMLParseError("invalid character reference")
+
+
+def _says(error):
+    return str(error).rsplit(" (at offset", 1)[0]
+
+
+#: What the oracle has read past when it starts looking for a terminator.
+_OPENER = re.compile(r"<!--|<!\[CDATA\[|<\?[^\s?<>]*|[\"']")
+_END_TAG = re.compile(r"</[^<>]*>")
+_ATTRIBUTE_HEAD = re.compile(r"[^\s=]+\s*=\s*[\"']")
+#: Faults inside a start tag that the oracle, reading left to right, meets
+#: before a later syntax error in the same tag — which the scanner, taking
+#: the tag as one token, reports first.
+_MET_EARLIER_BY_THE_ORACLE = re.compile(
+    r"multiple document elements|unknown entity|unterminated entity reference"
+    r"|duplicate attribute|invalid character reference"
+)
+
+
+def _same_fault(text, ours, theirs):
+    """Do the two errors name one fault, each in its scanner's own terms?
+
+    Same words and same offset, except where the two scanners always
+    differed: the scanner points at the construct it rejects, the oracle
+    at how far it had read.
+    """
+    if _says(ours) != _says(theirs):
+        return bool(_MET_EARLIER_BY_THE_ORACLE.match(_says(theirs))) and (
+            theirs.position is None or theirs.position < ours.position
+        )
+    if ours.position == theirs.position:
+        return True
+    skipped = text[ours.position : theirs.position]
+    if _says(ours).startswith("mismatched end tag"):
+        return bool(_END_TAG.fullmatch(skipped))
+    if _says(ours).startswith("unterminated construct"):
+        return bool(_OPENER.fullmatch(skipped))
+    if _says(ours).startswith("duplicate attribute"):
+        return bool(_ATTRIBUTE_HEAD.fullmatch(skipped))
+    if _says(ours) == "character data outside document element":
+        return skipped.isspace()
+    return False
+
+
 class TestXMLScannerDifferential:
     @given(xml_texts(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -167,6 +230,7 @@ class TestXMLScannerDifferential:
         document = parse_xml(text, keep_whitespace_text=keep_whitespace_text)
         oracle = parse_xml_oracle(text, keep_whitespace_text=keep_whitespace_text)
         assert not document.has_nodes
+        assert _slots(document) == _slots(oracle)
         blob = dump_snapshot(document)
         assert blob == reference_dump(oracle)  # text → bytes, no shared code
         assert blob == dump_snapshot(oracle)  # nodes → columns in _freeze
@@ -178,6 +242,27 @@ class TestXMLScannerDifferential:
     def test_scanner_equals_element_tree(self, text):
         ours = parse_xml(text, keep_whitespace_text=True).root.document_element()
         assert _our_shape(ours) == _et_shape(ElementTree.fromstring(text))
+
+    @given(xml_texts(), st.data(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_character_off_gets_the_same_verdict(self, text, data, keep_whitespace_text):
+        at = data.draw(st.integers(0, len(text) - 1))
+        change = data.draw(st.sampled_from(["delete", "replace", "insert"]))
+        character = data.draw(st.sampled_from("<>&\"'/=!?;[]- x#\n"))
+        mutated = (
+            text[:at]
+            + (character if change != "delete" else "")
+            + text[at + (change != "insert") :]
+        )
+        ours = _verdict(parse_xml, mutated, keep_whitespace_text)
+        theirs = _verdict(parse_xml_oracle, mutated, keep_whitespace_text)
+        if isinstance(theirs, Document):
+            assert isinstance(ours, Document), (mutated, ours)
+            assert _slots(ours) == _slots(theirs)
+            assert dump_snapshot(ours) == reference_dump(theirs)
+        else:
+            assert isinstance(ours, XMLParseError), (mutated, theirs)
+            assert _same_fault(mutated, ours, theirs), (mutated, ours, theirs)
 
     MALFORMED = [
         "",
@@ -233,6 +318,12 @@ class TestXMLScannerDifferential:
         # (The oracle lets these escape as ValueError; the scanner must not.)
         with pytest.raises(XMLParseError):
             parse_xml(text)
+
+    def test_one_huge_text_node_is_one_token(self):
+        data = "x" * (1 << 20)
+        document = parse_xml(f"<a>{data}&amp;</a>")
+        assert document.size == 3 and not document.has_nodes
+        assert document.columns.strings == ["a", data + "&"]
 
     def test_deep_nesting_is_iterative(self):
         depth = 100_000

@@ -6,9 +6,9 @@ codec did until PR 16 — from the :class:`~repro.xmlmodel.nodes.XMLNode`
 tree alone: structure arrays from ``parent`` / ``children`` pointers,
 partitions and the string table from a walk over ``document.nodes`` — and
 reads nothing from ``document.columns`` or ``document.index``.  Equal
-bytes therefore mean the column derivation (scanner or ``_freeze``), the
-structure bookkeeping of ``ColumnBuilder`` and the section packing all
-agree with an implementation that shares none of their code, and that the
+bytes therefore mean the facts a producer records (scanner or
+``_freeze``), the links and partitions ``derive_columns`` makes of them
+and the section packing all agree with an implementation that shares none of their code, and that the
 content key of every stored document is unchanged.
 """
 

@@ -93,19 +93,23 @@ class TestManifest:
         assert store.keys() == ["doc", "other"]
         assert store.stat("other").root_tag == "x"
 
-    def test_repeated_stats_do_not_reparse_the_manifest(self, store, monkeypatch):
-        import json as json_module
-
+    def test_repeated_stats_do_not_reparse_the_manifest(self, store, count_json_decodes):
         store.put(XML, key="doc")
         store.stat("doc")  # prime
-        calls = []
-        original = json_module.load
-        monkeypatch.setattr(
-            json_module, "load", lambda *a, **k: calls.append(1) or original(*a, **k)
-        )
-        for _ in range(10):
-            store.stat("doc")
-        assert calls == []  # served from the mtime-keyed cache
+        with count_json_decodes() as decodes:
+            for _ in range(10):
+                store.stat("doc")
+        assert decodes == []  # served from the stat-keyed cache
+
+    def test_a_writer_never_rereads_what_it_wrote(self, store, count_json_decodes):
+        store.put(XML, key="doc")  # reads the checkpoint, once
+        with count_json_decodes() as decodes:
+            for i in range(10):
+                store.put(f"<a n='{i}'/>", key=f"doc{i}")
+                assert store.stat(f"doc{i}").nodes == 2
+            store.delete("doc3")
+            assert len(store) == 10
+        assert decodes == []
 
     def test_delete_removes_key_but_keeps_bytes(self, store):
         entry = store.put(XML, key="doc")
@@ -137,29 +141,43 @@ class TestManifest:
         store.put(XML, key="doc")
         store.put("<x/>", key="other")
         path = os.path.join(store.root, "manifest.json")
-        with open(path) as handle:
-            payload = json.load(handle)
-        with open(path, "w") as handle:  # how builds before PR 16 wrote it
+        payload = {
+            "version": 1,
+            "entries": {entry.key: entry.to_json() for entry in store.list()},
+        }
+        with open(path + ".tmp", "w") as handle:  # how builds before PR 16 wrote it
             json.dump(payload, handle, indent=2, sort_keys=True)
+        os.replace(path + ".tmp", path)
         reopened = CorpusStore(store.root)
         assert reopened.keys() == ["doc", "other"]
         assert reopened.stat("doc") == store.stat("doc")
         assert reopened.get("other").root_tag == "x"
+        # ... and it is a checkpoint like any other: appends go after it.
+        reopened.put("<y/>", key="third")
+        with open(path) as handle:
+            assert handle.read().startswith(json.dumps(payload, indent=2, sort_keys=True) + "\n{")
+        third = CorpusStore(store.root)
+        assert third.keys() == store.keys() == ["doc", "other", "third"]
+        assert [third.get(key).root_tag for key in third.keys()] == ["a", "x", "y"]
 
     def test_manifest_bytes_do_not_depend_on_put_order(self, tmp_path):
         def manifest_after(order):
             store = CorpusStore(tmp_path / "-".join(order))
             for key in order:
                 store.put(f"<{key}/>", key=key)
+            store.compact()
             with open(os.path.join(store.root, "manifest.json"), "rb") as handle:
                 return handle.read()
 
         first = manifest_after(["b", "a", "c"])
         assert first == manifest_after(["c", "b", "a"])
+        assert first.endswith(b"}\n") and first.count(b"\n") == 1  # no deltas
         payload = json.loads(first)
         assert list(payload) == sorted(payload)
+        assert payload["version"] == 2
         assert list(payload["entries"]) == ["a", "b", "c"]
         assert all(list(entry) == sorted(entry) for entry in payload["entries"].values())
+        assert first == json.dumps(payload, sort_keys=True).encode() + b"\n"
 
     def test_missing_snapshot_file_is_reported(self, store):
         entry = store.put(XML, key="doc")
