@@ -107,10 +107,10 @@ def _run_network(state, clients):
             AsyncServingClient.connect(host, port) for _ in range(clients)
         ])
         try:
-            stripes = [requests[index::clients] for index in range(clients)]
+            shares = [requests[index::clients] for index in range(clients)]
             batches = await asyncio.gather(*[
-                connection.evaluate_batch(stripe, ids=True)
-                for connection, stripe in zip(connections, stripes)
+                connection.evaluate_batch(share, ids=True)
+                for connection, share in zip(connections, shares)
             ])
         finally:
             await asyncio.gather(*[c.aclose() for c in connections])

@@ -1,20 +1,16 @@
 """E17 — cross-process sharded serving vs. the best single-process path.
 
 The workload is the one the GIL punishes hardest: many *distinct*
-documents, each asked *distinct* CPU-heavy Core XPath queries.  Request
-coalescing (E15's mechanism) gets no purchase — every request is unique —
-so a single process is hard-bounded at one core of pure-Python
-evaluation no matter how many threads it runs.  The sharded tier
+documents, each asked *distinct* CPU-heavy Core XPath queries, so a
+single process is hard-bounded at one core of pure-Python evaluation.  The sharded tier
 (:class:`repro.serving.ShardedPool`, ``docs/serving.md``) escapes that
 bound: documents are sharded across worker processes warmed from mmap'd
 store snapshots, and requests/results cross as id-native wire frames.
 
 Measured paths, all over the same corpus store:
 
-* ``batch``       — ``XPathEngine.evaluate_batch`` (serial, pooled
-  evaluators; the in-process baseline);
-* ``concurrent4`` — ``XPathEngine.evaluate_concurrent(max_workers=4)``
-  (threads under the GIL — no coalescing possible here);
+* ``batch``       — ``XPathEngine.evaluate_batch`` (serial, one
+  evaluator per document and engine kind; the in-process baseline);
 * ``many``        — ``evaluate_many_ids`` per document (the legacy batch
   path);
 * ``sharded-N``   — ``ShardedPool.evaluate_batch(ids=True)`` at 1/2/4
@@ -54,7 +50,7 @@ _DOCUMENTS = {
 }
 
 #: Distinct heavy queries per document (formatted with a per-key salt so
-#: no two requests in the batch are ever identical → zero coalescing).
+#: no two requests in the batch are ever identical).
 _QUERY_TEMPLATES = (
     "//a[ancestor::a]/descendant::a[not(child::b)]/ancestor::a[descendant::a]",
     "//a[child::a]/child::a[child::a]/ancestor::a[descendant::a]",
@@ -120,15 +116,6 @@ def _run_batch(state):
     ]
 
 
-def _run_concurrent(state):
-    return [
-        result.ids
-        for result in state["engine"].evaluate_concurrent(
-            _engine_requests(state), max_workers=4, ids=True
-        )
-    ]
-
-
 def _run_many(state):
     out = []
     for key in sorted(state["documents"]):
@@ -172,7 +159,6 @@ def test_sharded_results_identical_to_every_single_process_path():
     """Fidelity gate (always asserted): same ids everywhere, every count."""
     state = _state()
     batch = _run_batch(state)
-    assert batch == _run_concurrent(state)
     assert batch == _run_many(state)
     for workers in WORKER_COUNTS:
         assert _run_sharded(state, workers) == batch, workers
@@ -183,7 +169,6 @@ def test_sharded_speedup_floor_vs_best_single_process_path():
     state = _state()
     singles = {
         "batch": _best_time(lambda: _run_batch(state)),
-        "concurrent4": _best_time(lambda: _run_concurrent(state)),
         "many": _best_time(lambda: _run_many(state)),
     }
     sharded = {
@@ -211,7 +196,7 @@ def test_sharded_speedup_floor_vs_best_single_process_path():
     )
     # Identity is asserted unconditionally above; the wall-clock floor
     # needs hardware that can express it (a 4-worker pool cannot beat one
-    # core on a 1-core host) and a quiet machine (strict mode, like E15).
+    # core on a 1-core host) and a quiet machine (strict mode).
     strict = os.environ.get(
         "BENCH_SPEEDUP_STRICT", "0" if os.environ.get("CI") else "1"
     )

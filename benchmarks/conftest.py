@@ -10,16 +10,10 @@ per-experiment index and does two things:
   :func:`report`, which writes to the terminal even under pytest's output
   capture at the end of the run (use ``-s`` to see the tables inline).
 
-When timed benchmarks actually ran (i.e. not under
-``--benchmark-disable``), the session also writes a machine-readable
-``BENCH_results.json`` — a flat ``{bench name: median ops/s}`` mapping
-plus a ``_meta`` block — so CI can archive the perf trajectory across
-PRs as an artifact.  Set ``BENCH_RESULTS_PATH`` to choose the output
-path (setting it also forces the file to be written, even empty).
+The committed performance record is the ledger (``python3 -m ledger
+run``, ``BENCH_ledger.jsonl``), not these timings.
 """
 
-import json
-import os
 import sys
 
 import pytest
@@ -37,41 +31,3 @@ def _print_reports_at_session_end():
     yield
     if _REPORTS:
         sys.stdout.write("\n".join(_REPORTS) + "\n")
-
-
-def _recorded_benchmarks(session):
-    """Yield ``(fullname, median_seconds)`` for every timed benchmark."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return
-    for bench in bench_session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        if stats is None:
-            continue
-        median = getattr(getattr(stats, "stats", stats), "median", None)
-        if median:
-            yield bench.fullname, median
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write ``BENCH_results.json`` (bench name → median ops/s) after a run.
-
-    Skipped entirely when nothing was timed (tier-1 runs, smoke runs
-    under ``--benchmark-disable``) unless ``BENCH_RESULTS_PATH`` is set,
-    so ordinary test sessions never litter the working tree.
-    """
-    forced_path = os.environ.get("BENCH_RESULTS_PATH")
-    rows = dict(_recorded_benchmarks(session))
-    if not rows and not forced_path:
-        return
-    path = forced_path or os.path.join(str(session.config.rootpath), "BENCH_results.json")
-    payload = {name: 1.0 / median for name, median in sorted(rows.items())}
-    payload["_meta"] = {
-        "unit": "median ops/s",
-        "python": sys.version.split()[0],
-        "benchmarks": len(rows),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    sys.stdout.write(f"\nbench results written to {path}\n")

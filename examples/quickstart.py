@@ -2,10 +2,10 @@
 
 Run with ``python examples/quickstart.py``.  The engine is the one
 stateful entry point: it registers documents (index forced once), plans
-queries through its own LRU cache, pools evaluators per document, and
-answers with ``QueryResult`` objects carrying the payload plus metadata
-(engine chosen, fragment, cache hit, wall time).  The final section
-shows the batch/concurrent serving layer and the engine's counters.
+queries through its own LRU cache, keeps one evaluator per document and
+engine kind, and answers with ``QueryResult`` objects carrying the
+payload plus metadata (engine chosen, fragment, cache hit, wall time).
+The final section shows a batch and the engine's counters.
 """
 
 import pathlib
@@ -62,17 +62,16 @@ def main() -> None:
         years = [node.get_attribute("year") for node in nodes]
         print(f"{kind:<10} engine selects books from years {years}")
 
-    # Batch + concurrent serving: one shared registry / plan cache /
-    # evaluator pool; identical requests in flight coalesce onto one
-    # evaluation (r.coalesced marks the requests that shared a result).
+    # A batch shares the registry, the plan cache and the document's
+    # evaluators (one per engine kind), and answers exactly as one
+    # evaluate() per request would.
     requests = [(query, doc) for query in queries] * 8
-    serial = engine.evaluate_batch(requests)
-    concurrent = engine.evaluate_concurrent(requests, max_workers=8)
+    batch = engine.evaluate_batch(requests)
     identical = all(
-        a.value == b.value for a, b in zip(serial, concurrent)
+        result.value == engine.evaluate(query, target).value
+        for result, (query, target) in zip(batch, requests)
     )
-    print(f"\nconcurrent batch of {len(requests)}: identical to serial: {identical}, "
-          f"{sum(r.coalesced for r in concurrent)} coalesced")
+    print(f"\nbatch of {len(requests)}: identical to one request at a time: {identical}")
 
     print("\nengine counters after the session:")
     for line in engine.stats().describe().splitlines():

@@ -18,16 +18,15 @@ from typing import Mapping
 
 #: Lock hierarchy, outermost first.  A ``with`` on a later lock may nest
 #: lexically inside a ``with`` on an earlier one, never the reverse.
-#: Re-acquiring the same name is allowed (``_serving_lock``/``_stripe``
-#: are RLocks).  This tuple is the single source of truth the table in
+#: Re-acquiring the same name is allowed (``_serving_lock`` is an
+#: RLock).  This tuple is the single source of truth the table in
 #: ``docs/analysis.md`` is generated from.
 LOCK_ORDER: tuple[str, ...] = (
     "_lock",            # DocumentRegistry: LRU order + counters; CorpusStore:
                         # manifest journal (the manifest's flock is taken
                         # inside it, never the reverse)
-    "_stripe",          # DocHandle: per-document index/evaluator state
+    "_handle_lock",     # DocHandle: the document's index build and evaluators
     "_plan_lock",       # XPathEngine: plan-cache access
-    "_inflight_lock",   # XPathEngine: single-flight table
     "_store_lock",      # XPathEngine: attached store + hydration cache
     "_serving_lock",    # XPathEngine: serving pool / network server (RLock)
     "_shutdown_lock",   # XPathServer: background-thread lifecycle
@@ -60,14 +59,6 @@ SHARED_CLASS_ATTRS: Mapping[tuple[str, str], str] = {
     ("Gauge", "_value"): "_telemetry_lock",
     # telemetry/slowlog.py — mutable threshold (entries ride a deque)
     ("SlowQueryLog", "_threshold"): "_telemetry_lock",
-}
-
-#: Attribute → guarding lock *on the same receiver*: ``obj.<attr> = …``
-#: must sit inside ``with obj.<lock>`` for the same ``obj``.  Used where
-#: the writer is not a method of the owning class (the registry retires
-#: handles it no longer tracks).
-SHARED_RECEIVER_ATTRS: Mapping[str, str] = {
-    "_retired": "_stripe",  # DocHandle: retirement flag
 }
 
 #: Path fragments the lock-discipline rule applies to.
@@ -219,9 +210,6 @@ class AnalysisConfig:
     lock_order: tuple[str, ...] = LOCK_ORDER
     shared_class_attrs: Mapping[tuple[str, str], str] = field(
         default_factory=lambda: dict(SHARED_CLASS_ATTRS)
-    )
-    shared_receiver_attrs: Mapping[str, str] = field(
-        default_factory=lambda: dict(SHARED_RECEIVER_ATTRS)
     )
     lock_scope: tuple[str, ...] = LOCK_SCOPE
     init_methods: frozenset[str] = frozenset({"__init__", "__new__"})

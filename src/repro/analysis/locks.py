@@ -3,9 +3,9 @@
 Two static race/deadlock lints over the declared lock registry in
 :mod:`repro.analysis.config`:
 
-* a write to an attribute declared shared (``SHARED_CLASS_ATTRS`` /
-  ``SHARED_RECEIVER_ATTRS``) must sit *lexically* inside a ``with`` on
-  the declared guarding lock of the same receiver — construction
+* a write to an attribute declared shared (``SHARED_CLASS_ATTRS``) must
+  sit *lexically* inside a ``with`` on the declared guarding lock of
+  ``self`` — construction
   (``__init__``/``__new__``) is exempt, because the object is not yet
   published;
 * a ``with`` that acquires a lock from the declared hierarchy while
@@ -27,7 +27,7 @@ from repro.analysis.framework import Finding, Project, Rule, register
 
 
 def _receiver_of(node: ast.expr) -> Optional[str]:
-    """``self._lock`` → ``"self"``; ``handle._stripe`` → ``"handle"``."""
+    """``self._lock`` → ``"self"``; ``handle._handle_lock`` → ``"handle"``."""
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
         return node.value.id
     return None
@@ -113,23 +113,13 @@ class _ScopeVisitor(ast.NodeVisitor):
         if not isinstance(target, ast.Attribute):
             return
         receiver = _receiver_of(target)
-        if receiver is None:
+        if receiver != "self" or not self.class_stack:
             return
         attr = target.attr
-        in_init = bool(
-            self.function_stack
-        ) and self.function_stack[-1] in self.config.init_methods
-
-        lock_attr = None
-        if self.class_stack and receiver == "self":
-            lock_attr = self.config.shared_class_attrs.get(
-                (self.class_stack[-1], attr)
-            )
-        if lock_attr is None:
-            lock_attr = self.config.shared_receiver_attrs.get(attr)
+        lock_attr = self.config.shared_class_attrs.get((self.class_stack[-1], attr))
         if lock_attr is None:
             return
-        if in_init and receiver == "self":
+        if self.function_stack and self.function_stack[-1] in self.config.init_methods:
             return
         if self._holds(receiver, lock_attr):
             return

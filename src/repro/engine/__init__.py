@@ -2,15 +2,14 @@
 
 :class:`XPathEngine` owns the state the free-function API used to scatter
 across module globals and per-call construction — a document registry, a
-plan cache, per-(document, engine-kind) evaluator pools — plus the
-concurrent serving layer (`evaluate_batch` / `evaluate_concurrent`) and a
-:meth:`~XPathEngine.stats` snapshot.  The legacy entry points
-(:func:`repro.evaluate`, :func:`repro.evaluate_many`, …) are thin
-wrappers over the process-default engine returned by
+plan cache, one evaluator per (document, engine kind) — plus
+`evaluate_batch` and a :meth:`~XPathEngine.stats` snapshot.  The legacy
+entry points (:func:`repro.evaluate`, :func:`repro.evaluate_many`, …) are
+thin wrappers over the process-default engine returned by
 :func:`default_engine`.
 
-See ``docs/engine.md`` for the lifecycle, the thread-safety contract and
-the old-call → new-call migration table.
+See ``docs/engine.md`` for the lifecycle, threads and processes, and the
+old-call → new-call migration table.
 """
 
 from repro.engine.engine import (

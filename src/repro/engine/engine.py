@@ -2,29 +2,20 @@
 
 One engine object owns everything a serving process accumulates across
 queries — the document registry (LRU-bounded, index forced once per
-document), the plan cache, and per-(document, engine-kind) evaluator
-pools — and exposes one uniform result type
+document), the plan cache, and one evaluator per (document, engine kind)
+— and exposes one uniform result type
 (:class:`~repro.engine.result.QueryResult`) in place of the legacy
 ``XPathValue | list[XMLNode] | bool`` union.
 
-Thread-safety contract
-----------------------
+Threads and processes
+---------------------
 
-Every public method is safe to call from any number of threads sharing
-one engine:
-
-* the plan cache is guarded by one engine-level lock (lookups are
-  dict-speed, so one lock is cheaper than striping them);
-* per-document state is lock-striped in the registry
-  (:mod:`repro.engine.registry`): evaluators are *checked out* while in
-  use, so no two threads ever share an evaluator instance;
-* :meth:`XPathEngine.evaluate_concurrent` additionally *coalesces*
-  identical in-flight requests (same document, query and mode): when
-  eight workers ask for the same hot query at once, one evaluation runs
-  and the other seven wait on it and share the result — the classic
-  single-flight pattern of production serving layers, and the reason the
-  concurrency benchmark's throughput scales with workers even under the
-  GIL.
+Any thread may call any method.  The plan cache is guarded by one
+engine-level lock; requests on one document run one at a time under
+that document's handle lock (:mod:`repro.engine.registry`), requests on
+different documents interleave.  Throughput beyond one core comes from
+processes: :meth:`XPathEngine.serve` (a
+:class:`~repro.serving.ShardedPool`) and :meth:`XPathEngine.serve_network`.
 
 Examples
 --------
@@ -47,10 +38,8 @@ True
 
 from __future__ import annotations
 
-import sys
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
@@ -81,57 +70,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: Engines an explicit ``engine=`` override may name (mirrors the legacy API).
 ENGINE_KINDS = ("auto", "cvt", "naive", "core", "singleton")
 
-#: Interpreter thread-switch interval (seconds) while a concurrent batch is
-#: in flight.  CPython's default of 5 ms is tuned for throughput of
-#: long-running compute threads; a serving batch wants the opposite trade:
-#: finished evaluations must propagate to their waiting coalesced followers
-#: quickly so the followers can pull (and coalesce) the next requests.  The
-#: original interval is restored when the outermost batch finishes.
-CONCURRENT_SWITCH_INTERVAL = 0.001
-
-_switch_lock = threading.Lock()
-_switch_depth = 0
-_switch_saved = 0.0
-_switch_applied = 0.0
-
-
-def _enter_concurrent_regime(interval: Optional[float]) -> None:
-    """Lower the interpreter switch interval for the outermost batch.
-
-    The interval is process-global state: overlapping batches share one
-    depth counter (the first batch's interval wins until all are done).
-    """
-    global _switch_depth, _switch_saved, _switch_applied
-    if interval is None:
-        return
-    with _switch_lock:
-        if _switch_depth == 0:
-            _switch_saved = sys.getswitchinterval()
-            sys.setswitchinterval(interval)
-            # Re-read rather than trust `interval`: CPython stores the
-            # interval with microsecond truncation, and the restore guard
-            # below must compare against what was actually applied.
-            _switch_applied = sys.getswitchinterval()
-        _switch_depth += 1
-
-
-def _exit_concurrent_regime(interval: Optional[float]) -> None:
-    global _switch_depth
-    if interval is None:
-        return
-    with _switch_lock:
-        _switch_depth -= 1
-        if _switch_depth == 0 and sys.getswitchinterval() == _switch_applied:
-            # Restore only if nobody else changed the interval meanwhile —
-            # an external sys.setswitchinterval() call wins over our undo.
-            sys.setswitchinterval(_switch_saved)
-
 DocumentLike = Union[Document, DocHandle, str]
 
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One unit of work for the batch/concurrent entry points."""
+    """One unit of work for the batch entry point."""
 
     query: Union[XPathExpr, str]
     document: DocumentLike
@@ -163,9 +107,7 @@ class EngineStats:
     """A point-in-time snapshot of an engine's counters.
 
     ``dispatch`` counts evaluations by the engine that answered them (the
-    planner's pick for auto runs); ``coalesced`` counts concurrent
-    requests that joined an identical in-flight evaluation instead of
-    running their own.  ``store`` is None until a corpus store is
+    planner's pick for auto runs).  ``store`` is None until a corpus store is
     attached; ``serving`` is None until :meth:`XPathEngine.serve` starts
     a worker pool (it then merges the per-worker engine counters).
     """
@@ -174,7 +116,6 @@ class EngineStats:
     documents: RegistryStats
     dispatch: Mapping[str, int]
     queries: int = 0
-    coalesced: int = 0
     store: Optional[StoreStats] = None
     serving: "Optional[ServingStats]" = None
     kernel_backend: str = "pure"
@@ -196,7 +137,7 @@ class EngineStats:
              f"{docs.adds} add(s), {docs.reuses} reuse(s), "
              f"{docs.evictions} eviction(s)"),
             ("dispatch counts", dispatch),
-            ("queries", f"{self.queries} total, {self.coalesced} coalesced"),
+            ("queries", f"{self.queries} total"),
             ("kernel backend", self.kernel_backend),
         ]
         if self.store is not None:
@@ -211,17 +152,6 @@ class EngineStats:
         return "\n".join(lines)
 
 
-class _InFlight:
-    """A single-flight slot: one leader computes, followers wait and share."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[QueryResult] = None
-        self.error: Optional[BaseException] = None
-
-
 class XPathEngine:
     """A thread-safe session façade over documents, plans and evaluators.
 
@@ -229,7 +159,7 @@ class XPathEngine:
     ----------
     max_documents:
         LRU bound on the document registry; the least recently used
-        document (and its pooled evaluators) is dropped beyond it.
+        document (and its evaluators) is dropped beyond it.
     plan_cache_size:
         LRU bound on this engine's own :class:`PlanCache`.
     max_negation_depth:
@@ -238,8 +168,6 @@ class XPathEngine:
         :data:`~repro.evaluation.singleton.DEFAULT_MAX_NEGATION_DEPTH`).
     nesting_bound:
         Arithmetic-nesting bound forwarded to the fragment classifiers.
-    stripes:
-        Number of per-document lock stripes in the registry.
     slow_query_threshold:
         Evaluations at or above this wall time (seconds) are recorded in
         the engine's ring-buffer :attr:`slow_log`.
@@ -256,24 +184,16 @@ class XPathEngine:
         plan_cache_size: int = 512,
         max_negation_depth: int = DEFAULT_MAX_NEGATION_DEPTH,
         nesting_bound: int = DEFAULT_NESTING_BOUND,
-        stripes: int = 8,
-        switch_interval: Optional[float] = CONCURRENT_SWITCH_INTERVAL,
         slow_query_threshold: float = DEFAULT_SLOW_THRESHOLD,
     ) -> None:
         self.max_negation_depth = max_negation_depth
-        self.switch_interval = switch_interval
         self._plan_cache = PlanCache(plan_cache_size, nesting_bound)
         self._plan_lock = threading.Lock()
-        self._registry = DocumentRegistry(max_documents, stripes, engine=self)
+        self._registry = DocumentRegistry(max_documents, engine=self)
         self.metrics = MetricsRegistry()
         self.slow_log = SlowQueryLog(threshold=slow_query_threshold)
         self._queries_total = self.metrics.counter(
-            "repro_engine_queries_total",
-            "requests served (coalesced followers included)",
-        )
-        self._coalesced_total = self.metrics.counter(
-            "repro_engine_coalesced_total",
-            "requests that joined an identical in-flight evaluation",
+            "repro_engine_queries_total", "requests served"
         )
         self._dispatch_total = self.metrics.counter(
             "repro_engine_dispatch_total",
@@ -294,14 +214,12 @@ class XPathEngine:
         self._query_seconds = self.metrics.histogram(
             "repro_engine_query_seconds", "end-to-end evaluation wall time"
         )
-        self._inflight: dict[tuple, _InFlight] = {}
-        self._inflight_lock = threading.Lock()
         self._store: "Optional[CorpusStore]" = None
         self._store_mmap = False
         self._store_lock = threading.Lock()
         # Hydrated documents keyed by (snapshot hash, mmap residency),
         # weakly: re-requests of a live (still-registered) document reuse
-        # it — and its evaluator pools and cached IdSet partitions —
+        # it — and its evaluators and cached IdSet partitions —
         # without re-reading the snapshot (a warm request costs one
         # manifest mtime check), while evicted documents stay collectable
         # (the WeakValueDictionary drops entries with them).
@@ -368,7 +286,7 @@ class XPathEngine:
         A key whose document is still registered (tracked weakly by
         snapshot hash and residency, so two keys naming identical
         content share one hydration) is reused together with its
-        evaluator pools; an evicted or never-seen key costs one snapshot
+        evaluators; an evicted or never-seen key costs one snapshot
         load — never an XML parse, never an index build.  Raises
         :class:`~repro.store.StoreKeyError` for unknown keys.
         """
@@ -609,7 +527,7 @@ class XPathEngine:
         request = QueryRequest(
             query, document, context, variables, engine, ids, trace
         )
-        return self._evaluate_request(request, coalesce=False)
+        return self._evaluate_request(request)
 
     def evaluate_detached(
         self,
@@ -631,7 +549,7 @@ class XPathEngine:
         legacy free functions use: they must not grow process-lifetime
         state on behalf of callers that never asked for a session.
 
-        There is no cross-call evaluator pooling; pass one ``evaluators``
+        Without ``evaluators`` no evaluator outlives the call; pass one
         mapping across several calls (as :func:`repro.planner.evaluate_many`
         does for a batch) to reuse instances within a scope you control.
         """
@@ -653,7 +571,7 @@ class XPathEngine:
         ids: bool = False,
         trace: bool = False,
     ) -> list[QueryResult]:
-        """Evaluate a batch sequentially, sharing plans, indexes and pools.
+        """Evaluate a batch sequentially, sharing plans, indexes and evaluators.
 
         Requests are ``(query, document)`` pairs or :class:`QueryRequest`
         objects; the keyword arguments are defaults applied to the pair
@@ -663,55 +581,7 @@ class XPathEngine:
             self._as_request(item, context, variables, engine, ids, trace)
             for item in requests
         )
-        return [self._evaluate_request(item, coalesce=False) for item in items]
-
-    def evaluate_concurrent(
-        self,
-        requests: Iterable[Union[QueryRequest, tuple]],
-        max_workers: int = 4,
-        context: Optional[Context] = None,
-        variables: Optional[Mapping[str, XPathValue]] = None,
-        engine: str = "auto",
-        ids: bool = False,
-        trace: bool = False,
-    ) -> list[QueryResult]:
-        """Evaluate a batch on a thread pool, coalescing identical requests.
-
-        Results come back in input order and are identical to
-        :meth:`evaluate_batch` on the same requests.  Identical requests
-        in flight at the same moment share a single evaluation (their
-        results are marked ``coalesced=True``), which is what makes a hot
-        repeated-query workload scale with ``max_workers`` even though
-        the evaluators themselves are pure Python.
-
-        Note the deliberate process-wide side effect: while the batch is
-        in flight, the interpreter's thread-switch interval is lowered to
-        this engine's ``switch_interval`` (default
-        :data:`CONCURRENT_SWITCH_INTERVAL`, restored afterwards), which
-        also makes *unrelated* threads in the host process switch more
-        often.  Construct the engine with ``switch_interval=None`` to
-        opt out when embedding alongside other CPU-bound threads.
-        """
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        items = self._resolve_requests(
-            self._as_request(item, context, variables, engine, ids, trace)
-            for item in requests
-        )
-        if not items:
-            return []
-        _enter_concurrent_regime(self.switch_interval)
-        try:
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-engine"
-            ) as executor:
-                futures = [
-                    executor.submit(self._evaluate_request, request, True)
-                    for request in items
-                ]
-                return [future.result() for future in futures]
-        finally:
-            _exit_concurrent_regime(self.switch_interval)
+        return [self._evaluate_request(item) for item in items]
 
     # -- statistics ------------------------------------------------------------
 
@@ -737,7 +607,6 @@ class XPathEngine:
             for child in self._dispatch_total.children()
         }
         queries = int(self._queries_total.value())
-        coalesced = int(self._coalesced_total.value())
         store = (
             StoreStats(
                 hits=int(self._store_hits_total.value()),
@@ -752,7 +621,6 @@ class XPathEngine:
             documents=self._registry.stats(),
             dispatch=dispatch,
             queries=queries,
-            coalesced=coalesced,
             store=store,
             serving=serving,
             kernel_backend=active_backend().name,
@@ -785,8 +653,8 @@ class XPathEngine:
 
         In particular, equal XML *text* must resolve to one registered
         document per batch — parsing it per request would yield distinct
-        trees, so identical requests could never coalesce and the
-        registry would fill with duplicates.
+        trees, each with its own index and evaluators, and the registry
+        would fill with duplicates.
         """
         parsed: dict[str, DocHandle] = {}
         resolved = []
@@ -811,64 +679,11 @@ class XPathEngine:
         child.inc()
         self._queries_total.inc()
 
-    def _evaluate_request(self, request: QueryRequest, coalesce: bool) -> QueryResult:
+    def _evaluate_request(self, request: QueryRequest) -> QueryResult:
+        """Register the document, then evaluate with its handle's evaluators."""
         handle = self.add(request.document)
-        if (
-            coalesce
-            and request.engine == "auto"
-            and request.context is None
-            and not request.variables
-            # A traced request never coalesces: its spans must measure
-            # *this* request's evaluation, not a leader's.
-            and not request.trace
-        ):
-            key = (
-                handle.uid,
-                request.query
-                if isinstance(request.query, str)
-                else request.query.unparse(),
-                request.ids,
-            )
-            return self._single_flight(key, request, handle)
-        return self._evaluate_pooled(request, handle)
-
-    def _evaluate_pooled(self, request: QueryRequest, handle: DocHandle) -> QueryResult:
-        """Run one request with evaluators checked out of the handle's pool."""
-        evaluators = self._registry.checkout(handle)
-        try:
-            return self._evaluate_now(request, handle.document, evaluators)
-        finally:
-            self._registry.checkin(handle, evaluators)
-
-    def _single_flight(
-        self, key: tuple, request: QueryRequest, handle: DocHandle
-    ) -> QueryResult:
-        with self._inflight_lock:
-            entry = self._inflight.get(key)
-            leader = entry is None
-            if leader:
-                entry = _InFlight()
-                self._inflight[key] = entry
-        if leader:
-            try:
-                entry.result = self._evaluate_pooled(request, handle)
-            except BaseException as error:
-                entry.error = error
-                raise
-            finally:
-                with self._inflight_lock:
-                    self._inflight.pop(key, None)
-                entry.event.set()
-            return entry.result
-        entry.event.wait()
-        if entry.error is not None:
-            raise entry.error
-        result = entry.result.as_coalesced()
-        # A follower is a served request but not an evaluation: it counts
-        # toward `queries`/`coalesced`, never toward `dispatch`.
-        self._queries_total.inc()
-        self._coalesced_total.inc()
-        return result
+        with handle._handle_lock:
+            return self._evaluate_now(request, handle.document, handle.evaluators)
 
     def _evaluate_now(
         self, request: QueryRequest, document: Document, evaluators: dict
@@ -876,7 +691,7 @@ class XPathEngine:
         """Plan, execute, stamp: the one function every entry point reaches.
 
         The plan cache doubles as the parse cache, so explicit-engine runs
-        reuse the cached AST (pooled evaluators memoise on one expr object
+        reuse the cached AST (a handle's evaluators memoise on one expr object
         per query text) and inherit the classification metadata; the plan
         executor treats an explicit engine as a one-link chain.  Stamping
         wall time here is what makes ``wall_time`` unconditionally

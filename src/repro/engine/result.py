@@ -50,13 +50,9 @@ class QueryResult:
     cache_hit:
         True if the compiled plan (which doubles as the parse cache for
         explicit-engine runs) came from the engine's plan cache.
-    coalesced:
-        True if this request joined an identical in-flight request in
-        :meth:`~repro.engine.XPathEngine.evaluate_concurrent` instead of
-        evaluating on its own.
     wall_time:
         Evaluation wall time in seconds (parse/plan + run; excludes any
-        time spent queueing in the thread pool).
+        time spent waiting for the document's lock).
     trace:
         The per-stage :class:`~repro.telemetry.Trace` span tree when the
         request asked for one (``trace=True``); None otherwise.  Lazy
@@ -87,7 +83,6 @@ class QueryResult:
         "engine",
         "classification",
         "cache_hit",
-        "coalesced",
         "wall_time",
         "trace",
         "_document",
@@ -106,7 +101,6 @@ class QueryResult:
         ids: Union[list[int], IdSet, bytes, None] = None,
         classification: Optional["Classification"] = None,
         cache_hit: bool = False,
-        coalesced: bool = False,
         wall_time: float = 0.0,
         trace: Optional["Trace"] = None,
     ) -> None:
@@ -116,7 +110,6 @@ class QueryResult:
         self.engine = engine
         self.classification = classification
         self.cache_hit = cache_hit
-        self.coalesced = coalesced
         self.wall_time = wall_time
         self.trace = trace
         self._document = document
@@ -214,23 +207,6 @@ class QueryResult:
     def document(self) -> "Document":
         """The document the query was evaluated against."""
         return self._document
-
-    # -- coalescing ------------------------------------------------------------
-
-    def as_coalesced(self) -> "QueryResult":
-        """A copy marked ``coalesced=True``, sharing this result's payload."""
-        return QueryResult(
-            query=self.query,
-            engine=self.engine,
-            document=self._document,
-            value=self._value,
-            ids=self._ids,
-            classification=self.classification,
-            cache_hit=self.cache_hit,
-            coalesced=True,
-            wall_time=self.wall_time,
-            trace=self.trace,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_node_set:

@@ -3,9 +3,9 @@
 These free functions are thin wrappers over the process-default
 :class:`repro.engine.XPathEngine` (see :func:`repro.engine.default_engine`),
 which owns the plan cache, the document registry and the per-document
-evaluator pools.  New code should talk to an engine directly — it gets
-the richer :class:`~repro.engine.result.QueryResult` (metadata, ids) and
-the batch/concurrent entry points; these wrappers keep the historic
+evaluators.  New code should talk to an engine directly — it gets the
+richer :class:`~repro.engine.result.QueryResult` (metadata, ids) and the
+batch entry point; these wrappers keep the historic
 "bare value" convention.
 
 Five engines are available, matching the paper's algorithmic landscape:
@@ -94,8 +94,8 @@ def evaluate(
     delegates to the process-default :class:`~repro.engine.XPathEngine`
     (sharing its plan cache and counters) but evaluates *detached*: the
     engine keeps no reference to ``document``.  Use the engine directly
-    to get the full :class:`~repro.engine.result.QueryResult`, evaluator
-    pooling and the batch/concurrent entry points.
+    to get the full :class:`~repro.engine.result.QueryResult`, evaluators
+    kept per document and the batch entry point.
 
     Examples
     --------

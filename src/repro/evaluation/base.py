@@ -8,10 +8,15 @@ Everything strategy-independent — operator semantics, the core function
 library, predicate filtering with positional renumbering, filter and path
 expressions — lives here so the complexity difference between the two is
 isolated to the two strategy hooks.
+
+:class:`ExprRef` is the one lifetime rule of the evaluators' per-expression
+caches (``core``'s condition sets, ``cvt``'s tables): an entry lives as
+long as its expression object.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.errors import XPathEvaluationError, XPathTypeError
@@ -43,6 +48,36 @@ from repro.xpath.ast import (
 )
 from repro.xpath.functions import validate_call
 from repro.xpath.parser import parse
+
+
+class ExprRef(weakref.ref):
+    """A weak reference to a cached expression that can find its own cache entry.
+
+    The ``weakref.KeyedRef`` pattern: the cache key (``id(expr)``) and a
+    *weak* reference to the owning evaluator ride on the reference
+    itself, so the one module-level callback below needs no closure —
+    nothing reachable from a callback points back at an evaluator or its
+    cache, and a dropped evaluator (and the document under it) is freed
+    by reference counting.  The owner's ``_forget(key)`` drops the entry
+    when the expression dies, before its id can be reused.
+    """
+
+    __slots__ = ("key", "owner")
+
+    def __new__(cls, expr: XPathExpr, owner: "weakref.ref"):
+        self = super().__new__(cls, expr, _forget_expr)
+        self.key = id(expr)
+        self.owner = owner
+        return self
+
+    def __init__(self, expr: XPathExpr, owner: "weakref.ref") -> None:
+        super().__init__(expr, _forget_expr)
+
+
+def _forget_expr(reference: ExprRef) -> None:
+    evaluator = reference.owner()
+    if evaluator is not None:
+        evaluator._forget(reference.key)
 
 
 def predicate_selects(value: XPathValue, position: int) -> bool:

@@ -49,6 +49,7 @@ import weakref
 from typing import Iterable, Optional
 
 from repro.errors import FragmentViolationError, XPathEvaluationError
+from repro.evaluation.base import ExprRef
 from repro.evaluation.context import Context
 from repro.evaluation.cvt import ContextValueTableEvaluator
 from repro.fragments.classify import violations_core_xpath
@@ -64,35 +65,6 @@ from repro.xpath.ast import (
     XPathExpr,
 )
 from repro.xpath.parser import parse
-
-
-class _ConditionRef(weakref.ref):
-    """A weak reference to a cached expression that can find its own entry.
-
-    The ``weakref.KeyedRef`` pattern: the cache key and a *weak* reference
-    to the owning evaluator ride on the reference itself, so the one
-    module-level callback below needs no closure — nothing reachable from
-    a callback points back at an evaluator or its cache, and a dropped
-    evaluator (and the document under it) is freed by reference counting.
-    """
-
-    __slots__ = ("key", "owner")
-
-    def __new__(cls, expr: XPathExpr, owner: "weakref.ref[CoreXPathEvaluator]"):
-        self = super().__new__(cls, expr, _forget_condition)
-        self.key = id(expr)
-        self.owner = owner
-        return self
-
-    def __init__(self, expr: XPathExpr, owner: "weakref.ref[CoreXPathEvaluator]") -> None:
-        super().__init__(expr, _forget_condition)
-
-
-def _forget_condition(reference: _ConditionRef) -> None:
-    """The expression died: drop its condition set before its id can be reused."""
-    evaluator = reference.owner()
-    if evaluator is not None:
-        evaluator._condition_cache.pop(reference.key, None)
 
 
 class CoreXPathEvaluator:
@@ -120,7 +92,7 @@ class CoreXPathEvaluator:
         # id(expr) -> (weak reference to expr, its condition set).  The
         # reference's callback removes the entry when the expression dies,
         # so an id reused by a later, different expression finds nothing.
-        self._condition_cache: dict[int, tuple[_ConditionRef, IdSet]] = {}
+        self._condition_cache: dict[int, tuple[ExprRef, IdSet]] = {}
         self._weak_self = weakref.ref(self)
         # Immutable, so one instance of each serves every query.
         self._root = IdSet.from_sorted([0], self._universe)  # the root's id is 0
@@ -259,8 +231,12 @@ class CoreXPathEvaluator:
         if cached is not None and cached[0]() is expr:
             return cached[1]
         result = self._compute_condition_set(expr)
-        self._condition_cache[id(expr)] = (_ConditionRef(expr, self._weak_self), result)
+        self._condition_cache[id(expr)] = (ExprRef(expr, self._weak_self), result)
         return result
+
+    def _forget(self, key: int) -> None:
+        """The expression with this id died: drop its condition set."""
+        self._condition_cache.pop(key, None)
 
     def _compute_condition_set(self, expr: XPathExpr) -> IdSet:
         if isinstance(expr, BinaryOp) and expr.op == "and":

@@ -73,7 +73,7 @@ import weakref
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.errors import XPathTypeError
-from repro.evaluation.base import BaseEvaluator, predicate_selects
+from repro.evaluation.base import BaseEvaluator, ExprRef, predicate_selects
 from repro.evaluation.context import Context
 from repro.evaluation.values import (
     NUMERIC_COMPARATORS,
@@ -319,35 +319,6 @@ def _comparator(expr: BinaryOp) -> Callable[[XPathValue, XPathValue], bool]:
 # -- tables and contexts -----------------------------------------------------------
 
 
-class _TableRef(weakref.ref):
-    """A weak reference to a tabulated expression that can find its own table.
-
-    The ``weakref.KeyedRef`` pattern of :mod:`repro.evaluation.core`: the
-    table key and a *weak* reference to the owning evaluator ride on the
-    reference itself, so the one module-level callback below needs no
-    closure and a dropped evaluator (and the document under it) is freed
-    by reference counting.
-    """
-
-    __slots__ = ("key", "owner")
-
-    def __new__(cls, expr: XPathExpr, owner: "weakref.ref[ContextValueTableEvaluator]"):
-        self = super().__new__(cls, expr, _forget_table)
-        self.key = id(expr)
-        self.owner = owner
-        return self
-
-    def __init__(self, expr: XPathExpr, owner: "weakref.ref[ContextValueTableEvaluator]") -> None:
-        super().__init__(expr, _forget_table)
-
-
-def _forget_table(reference: _TableRef) -> None:
-    """The expression died: drop its table before its id can be reused."""
-    evaluator = reference.owner()
-    if evaluator is not None:
-        evaluator._tables.pop(reference.key, None)
-
-
 #: Table key of the root context; node uids are never negative.
 _ROOT_KEY = -1
 
@@ -382,7 +353,7 @@ class ContextValueTableEvaluator(BaseEvaluator):
         # id(expr) -> (weak reference to expr, is it position-sensitive, its
         # rows).  The reference's callback removes the entry when the
         # expression dies, so an id reused by a later expression finds nothing.
-        self._tables: dict[int, tuple[_TableRef, bool, dict[object, XPathValue]]] = {}
+        self._tables: dict[int, tuple[ExprRef, bool, dict[object, XPathValue]]] = {}
         self._weak_self = weakref.ref(self)
         self._entries = 0
         self._latest: Optional[XPathExpr] = None
@@ -402,7 +373,7 @@ class ContextValueTableEvaluator(BaseEvaluator):
         table = self._tables.get(id(expr))
         if table is None or table[0]() is not expr:
             table = self._tables[id(expr)] = (
-                _TableRef(expr, self._weak_self), is_position_sensitive(expr), {},
+                ExprRef(expr, self._weak_self), is_position_sensitive(expr), {},
             )
         _, sensitive, rows = table
         key = context.key() if sensitive else context.node_key()
@@ -411,6 +382,10 @@ class ContextValueTableEvaluator(BaseEvaluator):
         value = rows[key] = super().evaluate_expr(expr, context)
         self._entries += 1
         return value
+
+    def _forget(self, key: int) -> None:
+        """The expression with this id died: drop its table."""
+        self._tables.pop(key, None)
 
     def _tabulated(self, domain: IdSet) -> None:
         """Account for a column: one tuple, and one operation, per member of its domain."""

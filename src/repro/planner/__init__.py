@@ -6,7 +6,7 @@ it.  This package turns that observation into infrastructure:
 
 * :mod:`repro.planner.plan` — :class:`QueryPlan`: a query parsed and
   fragment-classified once, with the evaluator auto-selected along the
-  ``core → cvt → naive`` chain;
+  ``core → cvt`` chain;
 * :mod:`repro.planner.cache` — :class:`PlanCache`: an LRU cache of plans
   keyed by query text, with hit/miss/eviction accounting;
 * :mod:`repro.planner.batch` — :func:`evaluate_many` /
@@ -14,7 +14,7 @@ it.  This package turns that observation into infrastructure:
   single :class:`~repro.xmlmodel.index.DocumentIndex` and per-engine
   evaluator instances.  These (and the default cache accessors) are
   views over the process-default :class:`repro.engine.XPathEngine`,
-  which owns the plan cache and the evaluator pools (and, through
+  which owns the plan cache and the per-document evaluators (and, through
   ``evaluate_batch`` with :class:`~repro.store.StoreKey` documents, the
   store-hydrated batch).
 """

@@ -14,14 +14,15 @@ anything richer        ``cvt``     polynomial context-value tables for
                                    full XPath 1.0 (Proposition 2.7)
 =====================  ==========  =====================================
 
-The remaining engines of the chain (``cvt`` after ``core``, ``naive``
-last) act as fallbacks: if an evaluator rejects the query with
-:class:`~repro.errors.FragmentViolationError` — which can only happen if
-a classifier and an evaluator ever disagree on a fragment boundary — the
-plan silently retries with the next, strictly more general engine, so a
-plan's answer is always the full-XPath semantics.  Evaluation errors
-other than fragment violations (unknown functions, type errors) propagate
-unchanged.
+``cvt`` is the fallback of a ``core`` plan: if the Core evaluator
+rejects the query with :class:`~repro.errors.FragmentViolationError` —
+which can only happen if the classifier and the evaluator ever disagree
+on the fragment boundary — the plan silently retries with ``cvt``, which
+accepts all of XPath 1.0, so a plan's answer is always the full-XPath
+semantics.  ``naive`` is no link of the chain: it is the explicit
+``engine="naive"`` oracle, exponential in the worst case (E8).
+Evaluation errors other than fragment violations (unknown functions,
+type errors) propagate unchanged.
 
 Plans hold no document state: the same plan object can be run against any
 number of documents, and per-document acceleration lives in the
@@ -65,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - the engine package imports this module
     from repro.engine.result import QueryResult
 
 #: The auto-dispatch preference order, cheapest sound evaluator first.
-AUTO_ENGINE_CHAIN = ("core", "cvt", "naive")
+AUTO_ENGINE_CHAIN = ("core", "cvt")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class QueryPlan:
     >>> from repro.xmlmodel import parse_xml
     >>> plan = plan_query("//b[child::c]")
     >>> plan.engine, plan.fallbacks
-    ('core', ('cvt', 'naive'))
+    ('core', ('cvt',))
     >>> [n.tag for n in plan.run(parse_xml("<a><b><c/></b><b/></a>"))]
     ['b']
     >>> plan.run(parse_xml("<x><b><c/></b></x>"))  # same plan, any document
@@ -184,7 +185,7 @@ class QueryPlan:
                 )
                 break
             except FragmentViolationError:
-                if kind == chain[-1]:  # unreachable on auto: "naive" accepts full XPath
+                if kind == chain[-1]:  # unreachable on auto: "cvt" accepts full XPath
                     raise
         return QueryResult(
             self.query, chain[0], document,
@@ -262,8 +263,8 @@ def plan_query(
 
     Core XPath queries (including the smaller PF and positive fragments)
     get the linear-time ``core`` engine; everything else gets the
-    polynomial ``cvt`` engine.  ``naive`` is never selected as primary —
-    it is the last-resort fallback only.
+    polynomial ``cvt`` engine, which is also the Core plans' one
+    fallback.  ``naive`` is never planned: it runs only when asked for.
 
     ``trace`` (optional) records the compile stages as ``parse`` and
     ``plan`` spans.
@@ -278,9 +279,9 @@ def plan_query(
     with maybe_span(trace, "plan"):
         classification = classify(expr, nesting_bound)
     if "Core XPath" in classification.fragments:
-        engine, fallbacks = "core", ("cvt", "naive")
+        engine, fallbacks = "core", ("cvt",)
     else:
-        engine, fallbacks = "cvt", ("naive",)
+        engine, fallbacks = "cvt", ()
     return QueryPlan(
         query=text,
         expr=expr,

@@ -1,15 +1,14 @@
 """`ShardedPool`: documents sharded across worker processes.
 
-The in-process serving layer (:meth:`repro.engine.XPathEngine
-.evaluate_concurrent`) is bounded by the GIL: its threads share one core
-of pure-Python evaluation, and everything it gains comes from coalescing
-identical requests.  A :class:`ShardedPool` escapes that bound by putting
-*evaluation itself* on N worker processes:
+An in-process :class:`~repro.engine.XPathEngine` evaluates on one core:
+pure-Python evaluation holds the GIL, whichever thread calls it.  A
+:class:`ShardedPool` scales past that by putting *evaluation itself* on
+N worker processes:
 
 * **sharding** — every registered document belongs to exactly one worker,
   assigned deterministically from its snapshot content hash
-  (:func:`repro.store.shard_of`), so each document's index, evaluator
-  pools and plan cache warm up in one process and stay there;
+  (:func:`repro.store.shard_of`), so each document's index, evaluators
+  and plan cache warm up in one process and stay there;
 * **transport** — the shared :class:`~repro.store.CorpusStore` is the
   only document channel: the parent sends keys, workers hydrate mmap'd
   snapshots (fork/spawn startup pays no XML parse and no index build, and

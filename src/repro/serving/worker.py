@@ -6,8 +6,8 @@ is deliberately a *complete, ordinary* serving process built from the
 in-process pieces:
 
 * one :class:`~repro.engine.XPathEngine` with its own plan cache,
-  document registry and evaluator pools (plan compilation happens at most
-  once per distinct query text **per worker**);
+  document registry and per-document evaluators (plan compilation
+  happens at most once per distinct query text **per worker**);
 * one :class:`~repro.store.CorpusStore` opened read-only on the shared
   store directory — the store *is* the document transport: the parent
   never ships tree bytes, only keys, and hydration uses ``mmap=True`` by

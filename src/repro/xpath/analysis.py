@@ -97,15 +97,20 @@ def query_features(expr: XPathExpr) -> QueryFeatures:
     """Measure ``expr`` for the fragment classifiers in a single traversal.
 
     A nesting depth is the largest number of nesting nodes on one path
-    from the root, so both depths are carried *down* the recursion and
-    nothing has to be returned and merged on the way back up.
+    from the root, so both depths are carried *down* the traversal with
+    each node and nothing has to be merged on the way back up.  The
+    traversal is an explicit stack, not a recursive closure: a closure
+    that calls itself is a reference cycle, which would keep the
+    ``comparisons`` (and the AST under them) alive until the cycle
+    collector runs.
     """
     functions: set[str] = set()
     comparisons: list[BinaryOp] = []
     max_predicates = arithmetic_depth = concat_arity = concat_nesting = 0
-
-    def visit(node: XPathExpr, arithmetic: int, concat: int) -> None:
-        nonlocal max_predicates, arithmetic_depth, concat_arity, concat_nesting
+    stack = [(expr, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, arithmetic, concat = pop()
         # Most frequent node types first; a LocationPath has nothing to measure.
         if isinstance(node, (Step, FilterExpr)):
             if len(node.predicates) > max_predicates:
@@ -129,10 +134,12 @@ def query_features(expr: XPathExpr) -> QueryFeatures:
             arithmetic += 1
         if arithmetic > arithmetic_depth:
             arithmetic_depth = arithmetic
-        for child in node.children():
-            visit(child, arithmetic, concat)
-
-    visit(expr, 0, 0)
+        children = node.children()
+        if children:
+            # Last child first, so children pop (and comparisons are
+            # collected) in pre-order.
+            for child in reversed(children):
+                push((child, arithmetic, concat))
     return QueryFeatures(
         max_predicates, frozenset(functions), arithmetic_depth,
         concat_arity, concat_nesting, tuple(comparisons),

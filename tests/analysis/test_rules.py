@@ -115,22 +115,29 @@ class TestLockDiscipline:
         )
         assert rules_fired(text, ENGINE) == []
 
-    def test_receiver_scoped_attr_needs_the_receivers_lock(self):
-        bad = "def retire(handle):\n    handle._retired = True\n"
+    def test_handle_lock_sits_between_registry_and_plan_locks(self):
         good = (
-            "def retire(handle):\n"
-            "    with handle._stripe:\n"
-            "        handle._retired = True\n"
+            "def f(self, handle):\n"
+            "    with self._lock:\n"
+            "        with handle._handle_lock:\n"
+            "            with self._plan_lock:\n"
+            "                pass\n"
         )
-        other = (
-            "def retire(handle, rival):\n"
-            "    with rival._stripe:\n"
-            "        handle._retired = True\n"
+        registry_inside = (
+            "def f(self, handle):\n"
+            "    with handle._handle_lock:\n"
+            "        with self._lock:\n"
+            "            pass\n"
         )
-        assert rules_fired(bad, ENGINE) == ["lock-discipline"]
+        handle_inside_plan = (
+            "def f(self, handle):\n"
+            "    with self._plan_lock:\n"
+            "        with handle._handle_lock:\n"
+            "            pass\n"
+        )
         assert rules_fired(good, ENGINE) == []
-        # Holding the *wrong object's* stripe does not cover the write.
-        assert rules_fired(other, ENGINE) == ["lock-discipline"]
+        assert rules_fired(registry_inside, ENGINE) == ["lock-discipline"]
+        assert rules_fired(handle_inside_plan, ENGINE) == ["lock-discipline"]
 
 
 WIRE_FIXTURE = textwrap.dedent(

@@ -52,12 +52,15 @@ class TestDocumentRegistry:
     def test_handle_evaluate_shortcut(self, doc):
         assert [n.tag for n in doc.evaluate("//b").nodes] == ["b"]
 
-    def test_evaluator_pool_is_populated_and_bounded(self, engine, doc):
-        for _ in range(3):
+    def test_handle_keeps_one_evaluator_per_kind(self, engine, doc):
+        engine.evaluate("//a[child::b]", doc)
+        core = doc.evaluators["core"]
+        for _ in range(2):
             engine.evaluate("//a[child::b]", doc)
-        assert engine.documents.pooled(doc, "core") == 1
+        assert doc.evaluators == {"core": core}
         engine.evaluate("count(//a)", doc)
-        assert engine.documents.pooled(doc, "cvt") == 1
+        assert sorted(doc.evaluators) == ["core", "cvt"]
+        assert doc.evaluators["core"] is core
 
 
 class TestQueryResult:
@@ -117,7 +120,7 @@ class TestExplicitEngines:
 
     def test_variables_through_pool(self, engine, doc):
         assert engine.evaluate("$x * 2", doc, variables={"x": 21.0}).value == 42.0
-        # A pooled cvt evaluator with stale bindings must not leak old values.
+        # A kept cvt evaluator with stale bindings must not leak old values.
         assert engine.evaluate("$x * 2", doc, variables={"x": 4.0}).value == 8.0
 
     def test_unknown_engine_points_at_facade(self, engine, doc):
@@ -145,7 +148,6 @@ class TestBatch:
 
     def test_empty_batch(self, engine):
         assert engine.evaluate_batch([]) == []
-        assert engine.evaluate_concurrent([], max_workers=4) == []
 
     def test_bad_request_shape_raises(self, engine, doc):
         with pytest.raises(TypeError):

@@ -1,19 +1,19 @@
 """Concurrency tests: one shared engine hammered from many threads.
 
-The thread-safety contract (docs/engine.md) promises that any number of
-threads may share one :class:`~repro.engine.XPathEngine` and observe
-exactly the results serial evaluation would produce.  These tests stress
-that promise directly with ``threading.Thread`` workers and through
-:meth:`~repro.engine.XPathEngine.evaluate_concurrent`.
+The contract (docs/engine.md, "Threads and processes") promises that any
+thread may call any method of one :class:`~repro.engine.XPathEngine` and
+observe exactly the results serial evaluation would produce.  These
+tests stress that promise with ``threading.Thread`` workers.
 """
 
+import sys
 import threading
-
-import pytest
+import time
 
 from repro.engine import XPathEngine
-from repro.errors import XPathSyntaxError
-from repro.xmlmodel import parse_xml
+from repro.errors import XPathEvaluationError
+from repro.evaluation.api import make_evaluator
+from repro.planner import plan as plan_module
 
 THREADS = 8
 ROUNDS = 25
@@ -71,82 +71,108 @@ def test_shared_engine_stress_matches_serial():
             assert value == serial[(d, q)], (seed, d, q)
 
 
-def test_evaluate_concurrent_matches_batch():
+def test_threads_on_one_document_share_one_evaluator_per_kind(monkeypatch):
+    """8 threads × mixed queries on one document ≡ serial, one evaluator per kind."""
     engine = XPathEngine()
-    docs = [engine.add(xml) for xml in XMLS]
-    requests = [
-        (query, doc) for doc in docs for query in QUERIES
-    ] * 4
-    serial = engine.evaluate_batch(requests)
-    for workers in (1, 3, 8):
-        concurrent = engine.evaluate_concurrent(requests, max_workers=workers)
-        assert [r.value for r in concurrent] == [r.value for r in serial]
+    handle = engine.add(XMLS[1])
+    serial = {
+        query: XPathEngine().evaluate(query, handle.document).value for query in QUERIES
+    }
+    built: list[str] = []
+
+    def counting_make_evaluator(document, kind, *args):
+        built.append(kind)
+        time.sleep(0.01)  # a wide window for a second thread to build its own
+        return make_evaluator(document, kind, *args)
+
+    monkeypatch.setattr(plan_module, "make_evaluator", counting_make_evaluator)
+    answers: list[tuple[str, object]] = []
+    barrier = threading.Barrier(THREADS)
+
+    def worker(seed: int) -> None:
+        barrier.wait(timeout=10)
+        for i in range(ROUNDS):
+            query = QUERIES[(seed + i) % len(QUERIES)]
+            answers.append((query, handle.evaluate(query).value))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == THREADS * ROUNDS
+    assert all(value == serial[query] for query, value in answers)
+    assert sorted(handle.evaluators) == sorted(built) == ["core", "cvt"]
+    assert engine.stats().queries == THREADS * ROUNDS
 
 
-def test_coalesced_results_are_flagged_and_counted():
+def _evaluate_in_thread(handle, query):
+    answers: list = []
+    thread = threading.Thread(target=lambda: answers.append(handle.evaluate(query).value))
+    thread.start()
+    return thread, answers
+
+
+def test_requests_on_one_document_wait_for_its_handle_lock():
     engine = XPathEngine()
-    doc = engine.add(XMLS[0])
-    # Tiny queries can finish inside one interpreter time slice, leaving no
-    # window for requests to overlap; slow evaluation down (the sleep also
-    # releases the GIL) so the in-flight overlap is deterministic.
-    inner = engine._evaluate_pooled
-
-    def slow_evaluate(request, handle):
-        import time
-
-        time.sleep(0.005)
-        return inner(request, handle)
-
-    engine._evaluate_pooled = slow_evaluate
-    requests = [("//a[child::b]", doc)] * 64
-    results = engine.evaluate_concurrent(requests, max_workers=8)
-    values = [r.value for r in results]
-    assert all(value == values[0] for value in values)
-    coalesced = sum(r.coalesced for r in results)
-    stats = engine.stats()
-    assert coalesced == stats.coalesced
-    # With 64 identical requests and 8 workers some must have coalesced …
-    assert coalesced > 0
-    # … every coalesced result shares the leader's payload verbatim …
-    assert all(r.value == values[0] for r in results if r.coalesced)
-    # … and dispatch counts only the evaluations that actually ran.
-    assert stats.dispatch["core"] == stats.queries - stats.coalesced
+    handle = engine.add(XMLS[0])
+    with handle._handle_lock:
+        thread, answers = _evaluate_in_thread(handle, "count(//a)")
+        thread.join(timeout=0.2)
+        assert thread.is_alive() and answers == []
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert answers == [2.0]
 
 
-def test_errors_propagate_to_every_waiter():
+def test_requests_on_other_documents_do_not_wait():
     engine = XPathEngine()
-    doc = engine.add(XMLS[0])
-    requests = [("//a[", doc)] * 16
-    with pytest.raises(XPathSyntaxError):
-        engine.evaluate_concurrent(requests, max_workers=8)
+    held, other = engine.add(XMLS[0]), engine.add(XMLS[2])
+    with held._handle_lock:
+        thread, answers = _evaluate_in_thread(other, "count(//book)")
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert answers == [2.0]
 
 
-def test_switch_interval_is_restored_after_batch():
-    import sys
-
-    before = sys.getswitchinterval()
+def test_errors_reach_every_thread_and_release_the_lock():
     engine = XPathEngine()
-    doc = engine.add(XMLS[0])
-    engine.evaluate_concurrent([("//a", doc)] * 8, max_workers=4)
-    assert sys.getswitchinterval() == before
-    # Also with an interval CPython truncates (microsecond storage): the
-    # restore guard must compare against the value actually applied.
-    odd = XPathEngine(switch_interval=1 / 3000)
-    odd.evaluate_concurrent([("//a", odd.add(XMLS[0]))] * 4, max_workers=2)
-    assert sys.getswitchinterval() == before
+    handle = engine.add(XMLS[0])
+    caught: list[BaseException] = []
+    barrier = threading.Barrier(THREADS)
+
+    def worker() -> None:
+        barrier.wait(timeout=10)
+        try:
+            handle.evaluate("//a[$missing]")
+        except BaseException as error:
+            caught.append(error)
+
+    threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(caught) == THREADS
+    assert all(isinstance(error, XPathEvaluationError) for error in caught)
+    assert not handle._handle_lock.locked()
+    assert handle.evaluate("count(//a)").value == 2.0
 
 
 def test_xml_text_documents_resolve_once_per_batch():
     engine = XPathEngine()
     requests = [("//a", XMLS[0]), ("//a[child::b]", XMLS[0])] * 4
-    results = engine.evaluate_concurrent(requests, max_workers=4)
+    results = engine.evaluate_batch(requests)
     assert [len(r.nodes) for r in results[:2]] == [2, 1]
     # One parse + one registration for the repeated text, not eight.
     assert engine.stats().documents.size == 1
     assert engine.stats().documents.adds == 1
-
-
-def test_max_workers_validation():
-    engine = XPathEngine()
-    with pytest.raises(ValueError):
-        engine.evaluate_concurrent([("//a", engine.add(XMLS[0]))], max_workers=0)

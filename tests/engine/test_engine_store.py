@@ -126,15 +126,11 @@ class TestStoreKeyRouting:
     def test_plain_strings_still_parse_as_xml(self, engine):
         assert engine.evaluate("//b", XML_ONE).ids == [2, 3]
 
-    def test_batch_and_concurrent_accept_store_keys(self, engine):
+    def test_batch_accepts_store_keys(self, engine):
         batch = engine.evaluate_batch(
             [("//b", StoreKey("one")), ("//y", StoreKey("two"))]
         )
         assert [result.ids for result in batch] == [[2, 3], [2, 3, 4]]
-        concurrent = engine.evaluate_concurrent(
-            [("//b", StoreKey("one"))] * 8, max_workers=4
-        )
-        assert all(result.ids == [2, 3] for result in concurrent)
 
     def test_stats_describe_includes_store_line(self, engine):
         engine.evaluate("//b", StoreKey("one"))

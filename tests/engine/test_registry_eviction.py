@@ -1,81 +1,91 @@
-"""Regression tests: LRU eviction racing checked-out evaluator pools.
+"""Regression tests: LRU eviction racing evaluations and registrations.
 
-Evicting a document while one of its pooled evaluators is checked out
-must not corrupt the pool: the in-flight evaluation finishes normally,
-its checkin is dropped (the handle is retired — pooling evaluators on an
-unreachable handle would pin the document for nothing), and a
-re-registered document starts a clean pool of its own.
+Evicting a document only drops the registry's reference: a caller that
+still holds the evicted handle keeps evaluating on it (the engine
+re-registers the document), and concurrent adds and evaluations under a
+tiny LRU bound stay correct.
 """
 
+import gc
 import threading
-
-import pytest
+import weakref
 
 from repro.engine import XPathEngine
-from repro.engine.registry import DocumentRegistry
+from repro.evaluation.api import make_evaluator
+from repro.planner import plan as plan_module
 from repro.xmlmodel import parse_xml
 
 XML = "<r><a><b/></a><a/></r>"
 
 
 class TestEvictDuringCheckout:
-    def test_checkin_after_eviction_is_dropped(self):
-        registry = DocumentRegistry(maxsize=1)
-        document = parse_xml(XML)
-        handle = registry.add(document)
-        evaluators = registry.checkout(handle)
-        registry.add(parse_xml("<other/>"))  # evicts `handle`
-        assert handle._retired
-        evaluators["core"] = object()
-        registry.checkin(handle, evaluators)
-        assert registry.pooled(handle, "core") == 0  # dropped, not pooled
-
-    def test_pool_of_reregistered_document_stays_clean(self):
-        engine = XPathEngine(max_documents=1)
-        document = parse_xml(XML)
-        handle = engine.add(document)
-        # Check out mid-flight state, then evict while it is out.
-        evaluators = engine.documents.checkout(handle)
-        engine.add("<other/>")
-        engine.documents.checkin(handle, {"core": object(), **evaluators})
-        # Re-registering builds a fresh handle with an empty, working pool.
-        fresh = engine.add(document)
-        assert fresh is not handle
-        assert not fresh._retired
-        assert engine.documents.pooled(fresh, "core") == 0
-        engine.evaluate("//a[child::b]", fresh)
-        assert engine.documents.pooled(fresh, "core") == 1
-
     def test_evicted_handle_still_evaluates(self):
         engine = XPathEngine(max_documents=1)
         first = engine.add(XML)
         engine.add("<other/>")
         assert engine.evaluate("//a", first).ids == [2, 4]
 
-    def test_clear_retires_outstanding_handles(self):
+
+class TestEvictionDropsOnlyTheReference:
+    def test_reregistered_document_gets_a_fresh_handle(self):
+        engine = XPathEngine(max_documents=1)
+        document = parse_xml(XML)
+        handle = engine.add(document)
+        engine.evaluate("//a[child::b]", handle)
+        core = handle.evaluators["core"]
+        engine.add("<other/>")  # evicts `handle`
+        fresh = engine.add(document)
+        assert fresh is not handle
+        assert fresh.evaluators == {}
+        assert engine.evaluate("//a[child::b]", fresh).ids == [2]
+        assert sorted(fresh.evaluators) == ["core"]
+        assert fresh.evaluators["core"] is not core
+        assert handle.evaluators == {"core": core}  # the old ticket's own
+
+    def test_eviction_during_an_evaluation_lets_it_finish(self, monkeypatch):
+        engine = XPathEngine(max_documents=1)
+        document = parse_xml(XML)
+        handle = engine.add(document)
+
+        def evict_then_build(*args):
+            engine.add("<other/>")  # evicts `handle` while its lock is held
+            return make_evaluator(*args)
+
+        monkeypatch.setattr(plan_module, "make_evaluator", evict_then_build)
+        assert engine.evaluate("//a[child::b]", handle).ids == [2]
+        assert document not in engine.documents
+        assert sorted(handle.evaluators) == ["core"]
+        assert not handle._handle_lock.locked()
+
+    def test_clear_keeps_held_handles_working(self):
         engine = XPathEngine()
         handle = engine.add(XML)
-        evaluators = engine.documents.checkout(handle)
+        assert handle.evaluate("//a").ids == [2, 4]
         engine.documents.clear()
-        evaluators["core"] = object()
-        engine.documents.checkin(handle, evaluators)
-        assert engine.documents.pooled(handle, "core") == 0
+        assert len(engine.documents) == 0
+        assert handle.evaluate("//a").ids == [2, 4]
+        assert handle.document in engine.documents
+        assert engine.stats().documents.adds == 1
 
-    def test_overlapping_checkouts_round_trip(self):
-        registry = DocumentRegistry(maxsize=4)
-        handle = registry.add(parse_xml(XML))
-        taken = [registry.checkout(handle) for _ in range(3)]
-        for evaluators in taken:
-            evaluators["core"] = object()
-            registry.checkin(handle, evaluators)
-        assert registry.pooled(handle, "core") == 3
-        registry.checkin(handle, {})  # spurious empty checkin is a no-op
-        assert registry.pooled(handle, "core") == 3
+    def test_evicted_handle_takes_its_evaluators_with_it(self):
+        engine = XPathEngine(max_documents=1)
+        handle = engine.add(XML)
+        engine.evaluate("//a[child::b]", handle)
+        core_ref = weakref.ref(handle.evaluators["core"])
+        gc.collect()
+        gc.disable()
+        try:
+            engine.add("<other/>")
+            assert core_ref() is not None  # the caller still holds the handle
+            del handle
+            assert core_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestConcurrentAddStress:
     def test_concurrent_adds_and_evaluations_with_tiny_lru(self):
-        engine = XPathEngine(max_documents=2, stripes=4)
+        engine = XPathEngine(max_documents=2)
         documents = [parse_xml(f"<r n='{i}'><a><b/></a></r>") for i in range(8)]
         errors = []
         barrier = threading.Barrier(6)
@@ -99,9 +109,9 @@ class TestConcurrentAddStress:
         stats = engine.stats().documents
         assert stats.size <= 2
         assert stats.evictions > 0
-        # Every pool on every *live* handle is bounded and usable.
+        # Every *live* handle holds at most one evaluator per engine kind.
         for handle in list(engine.documents._handles.values()):
-            assert not handle._retired
+            assert set(handle.evaluators) <= {"core"}
 
     def test_concurrent_add_of_same_fresh_document_registers_once(self):
         engine = XPathEngine(max_documents=8)

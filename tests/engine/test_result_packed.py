@@ -179,12 +179,6 @@ class TestPoolReply:
         assert result.ids is result.ids
         assert [n.order for n in result.nodes] == expected
 
-    def test_coalesced_copies_share_the_payload_not_the_list(self, pool):
-        result = pool.evaluate("//c", "doc")
-        twin = result.as_coalesced()
-        assert twin.packed_ids is result.packed_ids
-        assert twin.ids == result.ids and twin.ids is not result.ids
-
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(documents(max_nodes=30), core_xpath_queries(allow_negation=True))

@@ -42,11 +42,9 @@ def test_evicted_plans_leave_no_tables_behind():
         result = engine.evaluate_detached(generic(i), DOCUMENT, evaluators=evaluators)
         assert len(result.ids) == AS
     evaluator = evaluators["cvt"]
-    # Only the plans still in the plan cache keep their tables, give or take
-    # the comparisons of a few evicted ones that the classifier's recursive
-    # closure holds until the cycle collector next runs.
-    assert 0 < len(evaluator._tables) <= 2 * TABLES_PER_TEXT * plan_cache_size
-    gc.collect()
+    # Exactly the plans still in the plan cache keep their tables: an evicted
+    # plan's tables die with it, by reference count, not at the next run of
+    # the cycle collector.
     assert evaluator.table_count() == len(evaluator._tables) == TABLES_PER_TEXT * plan_cache_size
     # The path, then seven sub-expressions per candidate.
     assert evaluator.table_entries() == texts * (1 + 7 * AS)

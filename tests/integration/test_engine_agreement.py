@@ -190,9 +190,6 @@ class TestEntryPointsAgree:
             "evaluate_batch": session.evaluate_batch(
                 [(query, handle)], context=context
             )[0].value,
-            "evaluate_concurrent": session.evaluate_concurrent(
-                [(query, handle)], context=context
-            )[0].value,
             "free evaluate": evaluate(query, small, engine="auto", context=context),
             "evaluate_many": evaluate_many(small, [query], context=context)[0],
         }
@@ -216,9 +213,6 @@ class TestEntryPointsAgree:
                 query, small, context=context, ids=True
             ).ids,
             "evaluate_batch": lambda: session.evaluate_batch(
-                [(query, handle)], context=context, ids=True
-            )[0].ids,
-            "evaluate_concurrent": lambda: session.evaluate_concurrent(
                 [(query, handle)], context=context, ids=True
             )[0].ids,
             "evaluate_many_ids": lambda: evaluate_many_ids(

@@ -31,7 +31,7 @@ class TestEngineSelection:
     def test_core_xpath_selects_core(self, query):
         plan = plan_query(query)
         assert plan.engine == "core"
-        assert plan.fallbacks == ("cvt", "naive")
+        assert plan.fallbacks == ("cvt",)
         assert "Core XPath" in plan.classification.fragments
 
     @pytest.mark.parametrize(
@@ -47,7 +47,7 @@ class TestEngineSelection:
     def test_richer_queries_select_cvt(self, query):
         plan = plan_query(query)
         assert plan.engine == "cvt"
-        assert plan.fallbacks == ("naive",)
+        assert plan.fallbacks == ()
         assert "Core XPath" not in plan.classification.fragments
 
     def test_engine_chain_is_ordered_prefix_of_auto_chain(self):

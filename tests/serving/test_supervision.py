@@ -9,7 +9,6 @@ an OOM killer would.
 
 import os
 import signal
-import threading
 import time
 
 import pytest
@@ -79,15 +78,28 @@ class TestRecovery:
         """The acceptance scenario: SIGKILL from outside, mid-batch."""
         requests, expected = _mixed_batch(60)
         with ShardedPool(store, workers=2) as pool:
-            victim = pool._pool[0].process.pid
-            killer = threading.Timer(
-                0.02, lambda: os.kill(victim, signal.SIGKILL)
-            )
-            killer.start()
+            victim = pool._pool[0]
+            victim_pid = victim.process.pid
+            send = pool._send
+            killed = []
+
+            # Kill on the victim's first frame of the batch rather than
+            # on a timer: a timer races the batch, which on a fast host
+            # finishes before any timer fires.  The frame is in flight
+            # and the rest of the victim's shard is still queued, so the
+            # death is always seen mid-batch.
+            def send_then_kill(worker, frame):
+                send(worker, frame)
+                if worker is victim and not killed:
+                    killed.append(victim_pid)
+                    os.kill(victim_pid, signal.SIGKILL)
+
+            pool._send = send_then_kill
             try:
                 results = pool.evaluate_batch(requests)
             finally:
-                killer.cancel()
+                del pool._send
+            assert killed == [victim_pid]
             assert _payload(results) == expected
             stats = pool.stats()
             assert stats.restarts >= 1

@@ -98,7 +98,7 @@ class TestPlanCommand:
         assert main(["plan", "//a[not(child::b)]"]) == 0
         out = capsys.readouterr().out
         assert "selected engine     : core" in out
-        assert "fallback chain      : cvt -> naive" in out
+        assert "fallback chain      : cvt" in out
 
     def test_stats_prints_plan_cache_counters(self, capsys):
         query = "//a[child::stats-probe]"

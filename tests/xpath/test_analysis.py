@@ -1,5 +1,10 @@
 """Unit tests for the static query analyses."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.xpath.analysis import (
     arithmetic_nesting_depth,
     axes_used,
@@ -10,6 +15,7 @@ from repro.xpath.analysis import (
     max_predicates_per_step,
     negation_depth,
     query_depth,
+    query_features,
     step_count,
     uses_function,
 )
@@ -101,3 +107,29 @@ class TestStructuralCounts:
         assert arity == 4
         assert nesting == 2
         assert concat_arity_and_nesting(parse("child::a")) == (0, 0)
+
+
+class TestQueryFeatures:
+    def test_comparisons_come_in_pre_order(self):
+        expr = parse("//a[b = 1][c != 2 and (d < 3 or e > 4)] | f[g = concat(h, 'x')] = 5")
+        comparisons = [
+            node for node in expr.walk() if getattr(node, "op", None) in ("=", "!=", "<", ">")
+        ]
+        found = query_features(expr).comparisons
+        assert len(found) == len(comparisons) == 6
+        assert all(mine is theirs for mine, theirs in zip(found, comparisons))
+
+    @pytest.mark.parametrize(
+        "text", ["/a[b = 1 and c != 'x']/d", "concat('a', concat(b, 'c')) = -(1 + 2)", "a"]
+    )
+    def test_a_measured_expression_dies_by_reference_count(self, text):
+        gc.collect()
+        gc.disable()
+        try:
+            expr = parse(text)
+            references = [weakref.ref(node) for node in expr.walk()]
+            query_features(expr)
+            del expr
+            assert [reference() for reference in references] == [None] * len(references)
+        finally:
+            gc.enable()
