@@ -8,10 +8,11 @@ blocking pipe conversation) — are findings, with two escapes:
 
 * a call that is directly ``await``-ed is a coroutine, not a block
   (``await asyncio.sleep(...)``, ``await event.wait()``);
-* a call inside the argument list of a declared dispatcher escape
+* a call inside the argument list of a declared escape
   (``run_in_executor``, ``asyncio.to_thread``, ``asyncio.wait_for``) is
   being handed to a thread or wrapped, which is exactly the sanctioned
-  pattern: the dispatcher thread is the pool's one caller.
+  pattern: a blocking pool call waits on an executor thread while the
+  event loop drives the pool.
 
 Nested ``def``/``lambda`` bodies are skipped: they execute on whatever
 thread calls them, which for this codebase is the executor.
@@ -95,8 +96,8 @@ class _AsyncBody(ast.NodeVisitor):
                     self.rule.finding(
                         self.path, node.lineno,
                         f"blocking call '{label}(...)' inside an async "
-                        "body; await it, or route it through the "
-                        "dispatcher thread (run_in_executor)",
+                        "body; await it, or hand it to an executor "
+                        "thread (run_in_executor)",
                     )
                 )
         self.generic_visit(node)
@@ -107,7 +108,7 @@ class AsyncBlocking(Rule):
     name = "async-blocking"
     description = (
         "no blocking calls inside async def bodies of the network tier "
-        "except via the declared dispatcher-thread escapes"
+        "except via the declared executor-thread escapes"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:

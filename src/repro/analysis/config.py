@@ -30,8 +30,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "_store_lock",      # XPathEngine: attached store + hydration cache
     "_serving_lock",    # XPathEngine: serving pool / network server (RLock)
     "_shutdown_lock",   # XPathServer: background-thread lifecycle
-    "_dispatch_lock",   # XPathServer: pool dispatch serialisation
-    "_lifecycle_lock",  # ShardedPool: open/closed transition
+    "_lifecycle_lock",  # ShardedPool: who drives the pipes, open/closed
     "_env_lock",        # serving.pool module: worker-env mutation
     "_telemetry_lock",  # telemetry: shard/child/family creation (leaf lock)
 )
@@ -51,8 +50,11 @@ SHARED_CLASS_ATTRS: Mapping[tuple[str, str], str] = {
     ("DocumentRegistry", "adds"): "_lock",
     ("DocumentRegistry", "reuses"): "_lock",
     ("DocumentRegistry", "evictions"): "_lock",
-    # serving/pool.py — the open/closed transition
+    # serving/pool.py — the open/closed transition and the pipes' driver
     ("ShardedPool", "_closed"): "_lifecycle_lock",
+    ("ShardedPool", "_loop"): "_lifecycle_lock",
+    ("ShardedPool", "_loop_thread"): "_lifecycle_lock",
+    ("ShardedPool", "_handoffs"): "_lifecycle_lock",
     # serving/server.py — background-thread handle
     ("XPathServer", "_thread"): "_shutdown_lock",
     # telemetry/metrics.py — the one unsharded metric value
@@ -112,8 +114,8 @@ BLOCKING_CALLS: frozenset[str] = frozenset(
 
 #: Method names that block whatever they are called on: sync socket and
 #: pipe I/O, thread/future synchronisation, and the pool's synchronous
-#: entry points (``pool.evaluate_batch`` and friends run a blocking pipe
-#: conversation and may only be reached from the dispatcher thread).
+#: entry points (``pool.evaluate_batch`` and friends wait for the pipes,
+#: and raise on the thread of the event loop that drives the pool).
 BLOCKING_METHODS: frozenset[str] = frozenset(
     {
         "sleep", "recv", "recv_bytes", "send_bytes", "sendall", "accept",
@@ -161,7 +163,10 @@ FROZEN_ATTRS: Mapping[str, tuple[str, ...]] = {
 #: anything expected must arrive as the typed ``ReproError`` taxonomy.
 LOOP_FUNCTIONS: Mapping[str, frozenset[str]] = {
     "repro/serving/worker.py": frozenset({"worker_main"}),
-    "repro/serving/server.py": frozenset({"_dispatcher_main"}),
+    # The reader callback that drives the worker pipes (under an event
+    # loop or the blocking pump), and the completion hook it runs for
+    # every settled exchange.
+    "repro/serving/pool.py": frozenset({"_on_ready", "finish"}),
 }
 
 #: Exception names considered "broad" by the hygiene rule.

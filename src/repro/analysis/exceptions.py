@@ -10,9 +10,10 @@ Two tiers:
   handler whose body neither raises, logs, nor reads the bound exception
   is swallowing errors it cannot even name;
 * **serving loops** (``LOOP_FUNCTIONS``: the worker's receive loop and
-  the server's dispatcher thread) — merely *using* the error is not
-  enough, because one of these threads dying or mis-converting takes the
-  whole serving tier with it: a broad catch here must re-raise or log,
+  the pool's reader callback and completion hook) — merely *using* the
+  error is not enough, because one of these loops dying or
+  mis-converting takes the whole serving tier with it: a broad catch
+  here must re-raise or log,
   and anything expected must already arrive as the typed
   :mod:`repro.errors` / ``ServingError`` taxonomy.
 """

@@ -229,10 +229,9 @@ class XPathEngine:
         self._serving: "Optional[ShardedPool]" = None
         self._serving_finalizer = None
         self._network_server = None
-        # The pool is a single-dispatcher backend (one pipe conversation
-        # per worker); this lock is what upholds the engine's public
-        # thread-safety contract over it — concurrent sharded batches,
-        # stats round-trips and serve()/shutdown() calls serialise here.
+        # Guards the pool and server handles: serve()/shutdown() and the
+        # sharded batches and stats round-trips that use the pool
+        # serialise here, so none of them meets a pool being replaced.
         self._serving_lock = threading.RLock()
 
     # -- documents -------------------------------------------------------------
@@ -398,7 +397,8 @@ class XPathEngine:
         StoreKey(key))``).  Reuses a live pool regardless of its worker
         count; starts one with ``workers`` processes otherwise.  Safe
         from any thread (batches from concurrent threads serialise on
-        the engine's serving lock — the pool is one conversation).
+        the engine's serving lock), also while :meth:`serve_network`'s
+        event loop drives the pool.
         ``trace=True`` asks the workers for per-stage span trees (see
         :meth:`repro.serving.ShardedPool.evaluate_batch`).
         """
@@ -425,12 +425,12 @@ class XPathEngine:
         :class:`repro.serving.XPathServer` over it on a background
         thread; returns the running server (its bound address is
         ``server.address`` — ``port=0`` picks an ephemeral port).  The
-        server shares the engine's serving lock, so
-        :meth:`evaluate_sharded` from this process stays safe while
-        network clients are being served.  A second call returns the
-        live server.  ``serve_kwargs`` go to :meth:`serve` (pool
-        construction).  :meth:`shutdown_serving` drains the server
-        before closing the pool.
+        server's event loop drives the pool; :meth:`evaluate_sharded`
+        and :meth:`stats` from other threads hand their requests to it,
+        so they stay safe while network clients are being served.  A
+        second call returns the live server.  ``serve_kwargs`` go to
+        :meth:`serve` (pool construction).  :meth:`shutdown_serving`
+        drains the server before closing the pool.
         """
         with self._serving_lock:
             server = self._network_server
@@ -446,7 +446,6 @@ class XPathEngine:
                 max_inflight=max_inflight,
                 idle_timeout=idle_timeout,
                 banner=banner,
-                dispatch_lock=self._serving_lock,
             )
             server.start_background()
             self._network_server = server
@@ -454,12 +453,11 @@ class XPathEngine:
 
     def shutdown_serving(self) -> None:
         """Drain the network server (if any) and close the pool (idempotent)."""
-        server = self._network_server
-        if server is not None:
-            # Outside the serving lock: the server's dispatcher needs the
-            # lock to flush its in-flight requests during the drain.
-            server.shutdown(graceful=True)
         with self._serving_lock:
+            # Under the serving lock, no evaluate_sharded/stats call is
+            # waiting on the server's loop when it lets go of the pool.
+            if self._network_server is not None:
+                self._network_server.shutdown(graceful=True)
             self._network_server = None
             if self._serving_finalizer is not None:
                 self._serving_finalizer()  # runs pool.close() exactly once

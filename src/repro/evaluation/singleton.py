@@ -26,6 +26,7 @@ from typing import Optional
 from repro.errors import FragmentViolationError, XPathEvaluationError, XPathTypeError
 from repro.evaluation.context import Context, initial_context
 from repro.evaluation.values import compare as value_compare
+from repro.evaluation.values import xpath_round
 from repro.xmlmodel.axes import axis_step
 from repro.xmlmodel.document import Document
 from repro.xmlmodel.nodes import XMLNode
@@ -62,7 +63,7 @@ _DETERMINISTIC_FUNCTIONS = {
     "contains": lambda args: str(args[1]) in str(args[0]),
     "floor": lambda args: float(math.floor(args[0])),
     "ceiling": lambda args: float(math.ceil(args[0])),
-    "round": lambda args: float(math.floor(args[0] + 0.5)),
+    "round": lambda args: xpath_round(args[0]),
     "true": lambda args: True,
     "false": lambda args: False,
 }

@@ -319,7 +319,16 @@ def negate(value: XPathValue) -> float:
 
 
 def xpath_round(value: float) -> float:
-    """Round to the nearest integer, ties towards positive infinity (XPath rule)."""
+    """Round to the nearest integer, ties towards positive infinity (XPath rule).
+
+    XPath 1.0 §4.4: NaN, ±∞ and ±0 are returned unchanged, and an
+    argument in [−0.5, −0) rounds to −0.  The result is a number (a
+    float), like every XPath number.
+    """
     if math.isnan(value) or math.isinf(value):
         return value
-    return math.floor(value + 0.5)
+    floor = math.floor(value)
+    rounded = float(floor + 1 if value - floor >= 0.5 else floor)
+    if rounded == 0.0 and math.copysign(1.0, value) < 0:
+        return -0.0
+    return rounded

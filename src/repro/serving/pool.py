@@ -16,10 +16,13 @@ N worker processes:
 * **wire format** — requests and results cross as the compact id-native
   frames of :mod:`repro.serving.wire` (query text + key in, sorted int32
   id arrays / scalars out), never as pickled nodes;
-* **dispatch** — a batch is split by shard, streamed to each worker under
-  a bounded in-flight window (both pipe directions keep flowing, so a
-  batch larger than the OS pipe buffer cannot deadlock), and reassembled
-  in input order by correlation id;
+* **conversations** — each worker has one :class:`_Conversation`, a
+  state machine without I/O: its queue and bounded in-flight window of
+  queries and control frames, answered strictly in arrival order.  Two
+  thin drivers do the pipe I/O: a blocking ``connection.wait`` pump, or
+  an event loop's readers (:meth:`ShardedPool.attach_loop`, as
+  :class:`~repro.serving.XPathServer` does), so one shard's slow query
+  never holds up another shard's answer;
 * **supervision** — a worker that dies (crash, kill, torn frame) is
   restarted with capped exponential backoff and re-warmed from the
   mmap'd store, and the requests that were in flight on it are replayed
@@ -43,15 +46,17 @@ machine and the operations guide.
 
 from __future__ import annotations
 
+import asyncio
+import logging
 import multiprocessing
 import os
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
 import repro
 import repro.errors as _errors
@@ -69,7 +74,7 @@ from repro.telemetry.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.xpath.ast import XPathExpr
 
-#: Frames in flight per worker before the dispatcher waits for replies.
+#: Frames in flight per worker before the pool waits for replies.
 #: Big enough to hide IPC latency, small enough that request and reply
 #: frames together stay far below any OS pipe buffer.
 DEFAULT_WINDOW = 32
@@ -87,16 +92,14 @@ DEFAULT_MAX_RETRIES = 2
 RESTART_BACKOFF = 0.05
 RESTART_BACKOFF_CAP = 1.0
 
-#: How long the dispatcher waits for a reply before re-checking that the
-#: owing workers are still alive (long evaluations just loop).
-_LIVENESS_POLL = 1.0
-
 #: LRU bound on the pool's parent-side document hydrations (the lazy
 #: rehydrations backing ``QueryResult.nodes``); mirrors the engine
 #: registry's default bound so a long-lived pool cannot pin the corpus.
 PARENT_DOCUMENT_BOUND = 64
 
 _env_lock = threading.Lock()
+
+logger = logging.getLogger("repro.serving.pool")
 
 
 class ServingError(ReproError):
@@ -132,16 +135,6 @@ class ServingTimeout(ServingError):
         super().__init__(message)
         self.worker = worker
         self.attempts = attempts
-
-
-class _WorkerDied(ServingError):
-    """Internal: a pipe operation found the worker dead (supervised)."""
-
-    def __init__(self, worker: "_Worker", what: str = "died mid-conversation") -> None:
-        super().__init__(
-            f"worker {worker.index} (pid {worker.process.pid}) {what}"
-        )
-        self.worker = worker
 
 
 def _default_start_method() -> str:
@@ -310,22 +303,150 @@ class _LazyDocument:
         return getattr(self._resolve(), name)
 
 
-class _Worker:
-    """One child process plus the parent's end of its pipe.
 
-    ``restarts`` counts the supervisor restarts this slot has consumed;
-    ``failed`` marks a slot whose budget is exhausted — its shard's
-    requests fail fast with :class:`WorkerCrashed` instead of hanging.
+
+#: The reply each request frame is owed.  A QUERY's TRACE frame, if it
+#: asked for one, arrives just before its reply and is absorbed into it.
+_REPLIES = {
+    wire.MSG_QUERY: (wire.MSG_RESULT_IDS, wire.MSG_RESULT_VALUE, wire.MSG_ERROR),
+    wire.MSG_WARM: (wire.MSG_READY,),
+    wire.MSG_PING: (wire.MSG_PONG,),
+    wire.MSG_STATS: (wire.MSG_STATS_REPLY,),
+    wire.MSG_DRAIN: (wire.MSG_DRAINED,),
+}
+
+
+@dataclass(slots=True, eq=False)
+class _Exchange:
+    """One request frame and the reply a worker owes it.
+
+    The first ``outcome`` (reply message or exception) wins and runs
+    ``on_done``.  A worker death re-sends the frame to the restarted
+    process, except a ``barrier`` — a restarted worker's own WARM, which
+    nothing after it may overtake.
     """
 
-    __slots__ = ("index", "process", "conn", "restarts", "failed")
+    frame: bytes
+    on_done: Optional[Callable] = None
+    barrier: bool = False
+    timeout: Optional[float] = None
+    attempts: int = 0
+    sent: Optional[float] = None  # perf_counter of the first send
+    deadline: Optional[float] = None
+    trace: Optional[dict] = None  # the TRACE payload, if any
+    outcome: object = None
+    finished: Optional[float] = None
 
-    def __init__(self, index: int, process, conn) -> None:
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.restarts = 0
-        self.failed = False
+    def finish(self, outcome) -> None:
+        if self.outcome is not None:
+            return
+        self.outcome = outcome
+        self.finished = perf_counter()
+        if self.on_done is not None:
+            try:
+                self.on_done(self)
+            except Exception:
+                # A faulty completion must not strand the other exchanges
+                # its driver settles in the same pass.
+                logger.exception("an exchange's completion callback failed")
+
+
+@dataclass(slots=True, eq=False)
+class _Conversation:
+    """One worker's side of the pool↔worker dialogue, with no I/O.
+
+    ``queue`` holds exchanges not yet sent, ``inflight`` those sent and
+    unanswered, oldest first.  A worker answers strictly in arrival
+    order, so the next reply frame belongs to ``inflight[0]``.
+    """
+
+    window: int
+    queue: deque = field(default_factory=deque)
+    inflight: deque = field(default_factory=deque)
+
+    def sendable(self, now: float) -> list:
+        """Move what the window admits from the queue into flight."""
+        queue, inflight = self.queue, self.inflight
+        sent = []
+        while queue and len(inflight) < self.window and not (
+            inflight and inflight[0].barrier
+        ):
+            exchange = queue.popleft()
+            if exchange.outcome is not None:
+                continue  # settled before it was sent
+            exchange.attempts += 1
+            if exchange.sent is None:
+                exchange.sent = now
+                if exchange.timeout is not None:
+                    exchange.deadline = now + exchange.timeout
+            inflight.append(exchange)
+            sent.append(exchange)
+        return sent
+
+    def on_reply(self, message: wire.Message) -> Optional[_Exchange]:
+        """The exchange ``message`` answers (None for a TRACE frame)."""
+        if not self.inflight:
+            raise ServingError(f"unsolicited frame of type {message.type}")
+        head = self.inflight[0]
+        request = head.frame[4]
+        if message.type == wire.MSG_TRACE and request == wire.MSG_QUERY:
+            head.trace = message.payload
+            return None
+        if message.type not in _REPLIES[request]:
+            raise ServingError(
+                f"frame of type {message.type} answers a type-{request} request"
+            )
+        return self.inflight.popleft()
+
+    def overdue(self, now: float) -> list:
+        return [
+            exchange for exchange in self.inflight
+            if exchange.deadline is not None and exchange.deadline <= now
+        ]
+
+    def next_deadline(self) -> Optional[float]:
+        return min(
+            (e.deadline for e in self.inflight if e.deadline is not None),
+            default=None,
+        )
+
+
+class _Ticket:
+    """A blocking call's exchanges, counted down as they settle."""
+
+    __slots__ = ("plan", "owed", "event")
+
+    def __init__(self, plan: list) -> None:
+        self.plan = plan  # [(worker, exchange), ...]
+        self.owed = len(plan)
+        self.event: Optional[threading.Event] = None  # set when owed hits 0
+        for _, exchange in plan:
+            exchange.on_done = self._done
+
+    def _done(self, exchange: _Exchange) -> None:
+        self.owed -= 1
+        if not self.owed and self.event is not None:
+            self.event.set()
+
+
+@dataclass(slots=True, eq=False)
+class _Worker:
+    """One worker slot: its process, the parent's pipe end, its conversation.
+
+    ``conn`` is None while the slot has no live process; ``failed``
+    marks a slot past its restart budget (its requests fail fast with
+    :class:`WorkerCrashed`).  ``watching``/``respawn`` belong to the
+    event-loop driver.
+    """
+
+    index: int
+    process: object
+    conn: object
+    conversation: _Conversation
+    restarts: int = 0
+    failed: bool = False
+    watching: Optional[tuple] = None
+    respawn: object = None
 
 
 class ShardedPool:
@@ -352,7 +473,7 @@ class ShardedPool:
         :meth:`__init__` returns, so the first query hits a warm index.
         Restarted workers are always re-warmed before rejoining rotation.
     window:
-        Frames in flight per worker before the dispatcher waits.
+        Frames in flight per worker before the pool waits for replies.
     max_restarts:
         Supervisor restarts each worker slot may consume over the pool's
         lifetime; beyond it the slot is permanently failed and its
@@ -369,11 +490,12 @@ class ShardedPool:
     restart_backoff:
         Base of the capped exponential restart backoff (seconds).
 
-    The pool is **not** thread-safe: it is a single-dispatcher backend
-    (put it behind an :class:`~repro.engine.XPathEngine` or your own lock
-    to share it).  It is a context manager; :meth:`drain` stops admission
-    and shuts down gracefully, :meth:`close` is drain-with-deadline and
-    is idempotent.
+    The pool is thread-safe: blocking calls take turns driving the pipes,
+    or, while an event loop drives them (:meth:`attach_loop`), hand their
+    exchanges to the loop (on the loop's own thread they raise
+    :class:`ServingError` instead of deadlocking).  It is a context
+    manager; :meth:`drain` stops admission and shuts down gracefully,
+    :meth:`close` is drain-with-deadline and is idempotent.
     """
 
     def __init__(
@@ -411,11 +533,15 @@ class ShardedPool:
         self.request_timeout = request_timeout
         self.restart_backoff = restart_backoff
         self._closed = False
-        # drain()/close() may race from different threads (a front door's
-        # signal handler vs. its request loop): this lock makes the
-        # open→closed transition atomic, so exactly one caller runs
-        # _shutdown and the others observe an already-closed pool.
+        # Who drives the pipes (a blocking call holds it for its whole
+        # pump), and the open→closed transition: exactly one of racing
+        # drain()/close() calls runs _shutdown.
         self._lifecycle_lock = threading.Lock()
+        # The event-loop driver: loop, thread, handed-over calls, timer.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[int] = None
+        self._handoffs: list[_Ticket] = []
+        self._timer, self._timer_at = None, 0.0
         # Supervision counters live in a telemetry registry so the ops
         # endpoints can expose them without a parallel bookkeeping path;
         # stats() renders the same counters into ServingStats.
@@ -438,7 +564,7 @@ class ShardedPool:
         )
         self._requests_total = self.metrics.counter(
             "repro_pool_requests_total",
-            "Requests dispatched through evaluate_batch.",
+            "Requests answered by a worker.",
         )
         self._request_seconds = self.metrics.histogram(
             "repro_pool_request_seconds",
@@ -451,7 +577,9 @@ class ShardedPool:
         try:
             for index in range(workers):
                 process, conn = self._spawn(index)
-                self._pool.append(_Worker(index, process, conn))
+                self._pool.append(
+                    _Worker(index, process, conn, _Conversation(window))
+                )
             if warm:
                 self.warm_up()
         except BaseException:
@@ -470,73 +598,57 @@ class ShardedPool:
         budget a :class:`WorkerCrashed` naming the worker is raised
         (never a raw ``EOFError``/``OSError`` from the pipe).
         """
-        self._require_open()
         layout = self.store.shard_layout(self.workers)
+        plan = [
+            (worker, _Exchange(
+                wire.encode_warm([entry.key for entry in layout[worker.index]])
+            ))
+            for worker in self._pool
+            if not worker.failed
+        ]
+        self._run(plan)
         counts = [0] * self.workers
-        pending = []
-        for worker in self._pool:
-            if worker.failed:
-                continue
-            keys = [entry.key for entry in layout[worker.index]]
-            try:
-                self._send(worker, wire.encode_warm(keys))
-            except _WorkerDied:
-                counts[worker.index] = self._revive(worker)
-                continue
-            pending.append(worker)
-        for worker in pending:
-            try:
-                counts[worker.index] = self._expect(
-                    worker, wire.MSG_READY
-                ).hydrated
-            except _WorkerDied:
-                counts[worker.index] = self._revive(worker)
+        for worker, exchange in plan:
+            if isinstance(exchange.outcome, Exception):
+                raise exchange.outcome
+            counts[worker.index] = exchange.outcome.hydrated
         return counts
 
     def ping(self, timeout: float = 5.0) -> tuple[bool, ...]:
         """Probe every worker with PING; returns per-worker liveness.
 
         A worker is healthy when it answers PONG (with its own pid)
-        within the shared ``timeout``.  The probe never restarts anyone —
-        it is the read-only health check a front door polls; the next
-        evaluation supervises.  Like every pool method, call it between
-        batches (the pool is a single-dispatcher backend).
+        within the shared ``timeout``.  A worker already dead reports
+        False and is left for the next evaluation to supervise (one that
+        dies during the probe is restarted like on any call).  A
+        drain/close racing the probe waits for it.
         """
-        # Snapshot the roster under the lifecycle lock: the open check and
-        # the worker list must be one atomic observation, or a drain/close
-        # racing this probe can close pipes between the check and the
-        # sends.  (I/O happens outside the lock — a slow PONG must not
-        # block drain() for the whole probe timeout; a pipe torn down by a
-        # concurrent close surfaces as a typed ServingError below.)
-        with self._lifecycle_lock:
-            self._require_open()
-            roster = tuple(self._pool)
-        deadline = time.monotonic() + timeout
-        health = []
-        for worker in roster:
-            if worker.failed:
-                health.append(False)
-                continue
-            try:
-                self._send(worker, wire.encode_ping(worker.index))
-                message = self._expect(worker, wire.MSG_PONG, deadline=deadline)
-                health.append(message.pid == worker.process.pid)
-            except ServingError:
-                health.append(False)
-        return tuple(health)
+        deadline = perf_counter() + timeout
+        plan = [
+            (worker, _Exchange(wire.encode_ping(worker.index)))
+            for worker in self._pool
+            if not worker.failed and worker.process.is_alive()
+        ]
+        self._run(plan, deadline, supervise=False)
+        healthy = {
+            worker.index: exchange.outcome.pid == worker.process.pid
+            for worker, exchange in plan
+            if isinstance(exchange.outcome, wire.Message)
+        }
+        return tuple(healthy.get(index, False) for index in range(self.workers))
 
     def drain(self, timeout: float = 5.0) -> tuple[Optional[int], ...]:
         """Stop admission, flush the workers, then shut down.
 
         Sends ``DRAIN`` to every live worker and collects ``DRAINED``
-        acknowledgements under one pool-wide ``timeout``; because every
-        request is answered before the pool returns it (the dispatcher
-        fully drains each batch), the acknowledgement doubles as a
+        acknowledgements under one pool-wide ``timeout``; a worker
+        answers in arrival order, so the acknowledgement doubles as a
         zero-lost-requests receipt.  Returns the per-worker served count
         from each acknowledgement (``None`` for workers that were already
         dead or missed the deadline — those are terminated).  The pool is
         closed afterwards; further calls raise :class:`ServingError`.
         """
+        self._take_back(timeout)
         with self._lifecycle_lock:
             self._require_open()
             self._closed = True
@@ -552,6 +664,7 @@ class ShardedPool:
         thread: exactly one caller shuts the workers down, the rest
         return (or raise, for ``drain`` on a closed pool) once it has.
         """
+        self._take_back(timeout)
         with self._lifecycle_lock:
             if self._closed:
                 return
@@ -562,35 +675,32 @@ class ShardedPool:
         self, timeout: float, graceful: bool
     ) -> tuple[Optional[int], ...]:
         """Common drain/close mechanics under one pool-wide deadline."""
-        deadline = time.monotonic() + timeout
+        deadline = perf_counter() + timeout
         acks: list[Optional[int]] = [None] * len(self._pool)
-        pending = []
-        frame = wire.encode_drain() if graceful else wire.encode_shutdown()
-        for worker in self._pool:
-            if worker.failed:
-                continue
-            try:
-                worker.conn.send_bytes(frame)
-            except (OSError, ValueError):
-                continue  # already dead or closed: join/terminate below
-            pending.append(worker)
+        live = [worker for worker in self._pool if worker.conn is not None]
         if graceful:
-            for worker in pending:
+            ticket = _Ticket([
+                (worker, _Exchange(wire.encode_drain()))
+                for worker in live
+            ])
+            for worker, exchange in ticket.plan:
+                self._submit(worker, exchange)
+            self._pump(ticket, deadline)
+            for worker, exchange in ticket.plan:
+                if isinstance(exchange.outcome, wire.Message):
+                    acks[worker.index] = exchange.outcome.served
+        else:
+            for worker in live:
                 try:
-                    message = self._expect(
-                        worker, wire.MSG_DRAINED, deadline=deadline
-                    )
-                    acks[worker.index] = message.served
-                except ServingError:
-                    pass  # dead or overdue: terminated below
+                    worker.conn.send_bytes(wire.encode_shutdown())
+                except (OSError, ValueError):
+                    pass  # already dead or closed: join/terminate below
         for worker in self._pool:
-            try:
+            if worker.conn is not None:
                 worker.conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
         for worker in self._pool:
             if worker.process.is_alive():
-                worker.process.join(max(0.0, deadline - time.monotonic()))
+                worker.process.join(max(0.0, deadline - perf_counter()))
         stragglers = [w for w in self._pool if w.process.is_alive()]
         for worker in stragglers:  # pragma: no cover - hang backstop
             worker.process.kill()
@@ -641,18 +751,16 @@ class ShardedPool:
         evaluating each request in process.  ``ids=True`` enforces the
         ``evaluate_many_ids`` contract (node-set answers only).  The
         first failing request (by input order) re-raises its worker-side
-        exception — after the whole batch has been drained, so the
-        connection protocol stays clean for the next call.  Every key is
+        exception — after the whole batch has been answered, so the
+        conversations stay clean for the next call.  Every key is
         validated against the manifest before anything is enqueued: an
         unknown key rejects the whole batch (counted in
         :class:`ServingStats` ``rejected``) without dispatching a frame.
 
-        ``return_errors=True`` is the network front door's contract (one
-        multiplexed batch carries many clients' unrelated requests):
-        nothing raises — a failing request's slot carries its rebuilt
-        exception object instead of a result, an unknown key fails only
-        its own slot (still counted in ``rejected``), and the rest of
-        the batch proceeds normally.
+        ``return_errors=True`` makes nothing raise: a failing request's
+        slot carries its rebuilt exception object instead of a result,
+        an unknown key fails only its own slot (still counted in
+        ``rejected``), and the rest of the batch proceeds normally.
 
         ``trace=True`` asks the workers for per-stage spans: each
         result's ``trace`` is a ``pool``-tier span tree
@@ -677,91 +785,103 @@ class ShardedPool:
             return []
 
         # Validate the whole batch against the manifest before enqueuing
-        # anything: a bad key must not leave earlier requests half-staged.
+        # anything (_run does): a bad key leaves nothing half-staged.
         entries: list = []
-        for query, key in items:
+        plan, exchanges = [], []
+        for seq, (query, key) in enumerate(items):
             try:
-                entries.append(self.store.stat(key))
+                entry = self.store.stat(key)
             except StoreKeyError as error:
                 self._rejected_total.inc()
                 if not return_errors:
                     raise
                 entries.append(error)
-        self._supervise()
-
-        queues: list[deque] = [deque() for _ in self._pool]
-        hashes: list[Optional[str]] = [None] * len(items)
-        replies: list = [None] * len(items)
-        for seq, (query, key) in enumerate(items):
-            entry = entries[seq]
-            if isinstance(entry, Exception):
-                replies[seq] = entry
+                exchanges.append(None)
                 continue
-            hashes[seq] = entry.hash
-            shard = shard_of(entry.hash, self.workers)
-            frame = wire.encode_query(seq, key, query, ids_only=ids, trace=trace)
-            queues[shard].append((frame, seq))
-        sent_at: dict[int, float] = {}
-        done_at: dict[int, float] = {}
-        traces: dict[int, dict] = {}
-        self._dispatch(queues, replies, sent_at, done_at, traces)
+            exchange = _Exchange(
+                wire.encode_query(seq, key, query, ids_only=ids, trace=trace),
+                timeout=self.request_timeout,
+            )
+            plan.append((self._pool[shard_of(entry.hash, self.workers)], exchange))
+            entries.append(entry)
+            exchanges.append(exchange)
+        self._run(plan)
 
         results = []
-        failure: Optional[tuple[int, Exception]] = None
-        for seq, message in enumerate(replies):
-            query, key = items[seq]
-            if isinstance(message, Exception):
-                if failure is None:
-                    failure = (seq, message)
-                results.append(message if return_errors else None)
-                continue
-            if message.type == wire.MSG_ERROR:
-                error = rebuild_error(*message.error)
-                if failure is None:
-                    failure = (seq, error)
-                results.append(error if return_errors else None)
-                continue
-            sent = sent_at.get(seq, batch_start)
-            done = done_at.get(seq, sent)
-            wall = done - sent
-            self._requests_total.inc()
-            self._request_seconds.observe(wall)
-            pool_trace = None
-            if trace:
-                pool_trace = Trace("pool")
-                pool_trace.add_span(
-                    "enqueue", offset=0.0, duration=sent - batch_start
-                )
-                pool_trace.add_span(
-                    "dispatch", offset=sent - batch_start, duration=wall
-                )
-            if message.type == wire.MSG_RESULT_IDS:
-                result = QueryResult(
-                    query=query,
-                    engine="sharded",
-                    document=self._document(hashes[seq]),
-                    ids=message.packed,
-                    wall_time=wall,
-                    trace=pool_trace,
-                )
-            else:
-                result = QueryResult(
-                    query=query, engine="sharded", document=None,
-                    value=message.value, wall_time=wall, trace=pool_trace,
-                )
-            if pool_trace is not None:
-                pool_trace.add_span(
-                    "decode",
-                    offset=done - batch_start,
-                    duration=perf_counter() - done,
-                )
-                worker_payload = traces.get(seq)
-                if worker_payload is not None:
-                    pool_trace.add_child(Trace.from_dict(worker_payload))
-            results.append(result)
+        failure: Optional[Exception] = None
+        for seq, exchange in enumerate(exchanges):
+            answer = entries[seq] if exchange is None else self._answer(
+                items[seq][0], entries[seq].hash, exchange, batch_start, trace
+            )
+            if isinstance(answer, Exception):
+                failure = failure or answer
+                answer = answer if return_errors else None
+            results.append(answer)
         if failure is not None and not return_errors:
-            raise failure[1]
+            raise failure
         return results
+
+    def submit(
+        self, query: str, key: str, done, ids: bool = False, trace: bool = False
+    ) -> None:
+        """Queue one query, on the thread of the loop that drives the pool.
+
+        The frame goes to its shard's worker at once; ``done`` runs on
+        the loop with the :class:`~repro.engine.QueryResult`, or with the
+        exception that is the answer.  As in :meth:`evaluate_batch`
+        otherwise (it is :class:`~repro.serving.XPathServer`'s path).
+        """
+        submitted = perf_counter()
+        if self._loop is None:
+            done(ServingError("no event loop drives the pool"))
+            return
+        try:
+            entry = self.store.stat(key)
+        except StoreKeyError as error:
+            self._rejected_total.inc()
+            done(error)
+            return
+        worker = self._pool[shard_of(entry.hash, self.workers)]
+        self._submit(worker, _Exchange(
+            wire.encode_query(0, key, query, ids_only=ids, trace=trace),
+            lambda settled: done(
+                self._answer(query, entry.hash, settled, submitted, trace)
+            ),
+            timeout=self.request_timeout,
+        ))
+        self._flush(worker)
+
+    def _answer(self, query, content_hash, exchange, started, traced):
+        """A settled query exchange as its QueryResult, or its error."""
+        message = exchange.outcome
+        if isinstance(message, Exception):
+            return message
+        if message.type == wire.MSG_ERROR:
+            return rebuild_error(*message.error)
+        sent, done = exchange.sent, exchange.finished
+        wall = done - sent
+        self._requests_total.inc()
+        self._request_seconds.observe(wall)
+        pool_trace = None
+        if traced:
+            pool_trace = Trace("pool")
+            pool_trace.add_span("enqueue", offset=0.0, duration=sent - started)
+            pool_trace.add_span("dispatch", offset=sent - started, duration=wall)
+        if message.type == wire.MSG_RESULT_IDS:
+            payload = dict(document=self._document(content_hash), ids=message.packed)
+        else:
+            payload = dict(document=None, value=message.value)
+        result = QueryResult(
+            query=query, engine="sharded", wall_time=wall, trace=pool_trace,
+            **payload,
+        )
+        if pool_trace is not None:
+            pool_trace.add_span(
+                "decode", offset=done - started, duration=perf_counter() - done
+            )
+            if exchange.trace is not None:
+                pool_trace.add_child(Trace.from_dict(exchange.trace))
+        return result
 
     # -- statistics --------------------------------------------------------
 
@@ -775,27 +895,25 @@ class ShardedPool:
         ``retries``/``timeouts`` totals persist across restarts).
         """
         self._require_open()
-        self._supervise()
+        plan = [
+            (worker, _Exchange(wire.encode_stats_request()))
+            for worker in self._pool
+            if not worker.failed
+        ]
+        self._run(plan)
+        replies = {worker.index: exchange.outcome for worker, exchange in plan}
         per_worker = []
         for worker in self._pool:
-            payload = None
-            if not worker.failed:
-                try:
-                    payload = self._stats_roundtrip(worker)
-                except _WorkerDied:
-                    try:
-                        self._revive(worker)
-                        payload = self._stats_roundtrip(worker)
-                    except (WorkerCrashed, _WorkerDied):
-                        payload = None
-            if payload is None:
-                per_worker.append(self._dead_worker_stats(worker))
-            else:
-                per_worker.append(
-                    WorkerStats(
-                        **payload, alive=True, restarts=worker.restarts
-                    )
-                )
+            reply = replies.get(worker.index)
+            alive = isinstance(reply, wire.Message)
+            payload = reply.payload if alive else dict(  # a failed slot: zeroes
+                worker=worker.index, pid=worker.process.pid or 0, served=0,
+                queries=0, dispatch={}, plan_hits=0, plan_misses=0,
+                documents=0, store_hits=0, store_loads=0,
+            )
+            per_worker.append(
+                WorkerStats(**payload, alive=alive, restarts=worker.restarts)
+            )
         dispatch: dict[str, int] = {}
         for stats in per_worker:
             for engine, count in stats.dispatch.items():
@@ -822,81 +940,375 @@ class ShardedPool:
         :mod:`repro.telemetry.exposition`: the pool registry's counters
         and latency histogram, then gauge/counter families derived from
         a fresh :meth:`stats` round-trip (per-worker served counts and
-        the merged engine counters).  Like :meth:`stats`, call it
-        between batches — it talks to the workers.
+        the merged engine counters).  Like :meth:`stats`, it talks to
+        the workers.
         """
         stats = self.stats()
-        families = self.metrics.snapshot()
-        families.append(
+        return self.metrics.snapshot() + [
             gauge_family(
                 "repro_pool_workers", "Worker process slots.", self.workers
-            )
-        )
-        families.append(
+            ),
             gauge_family(
-                "repro_pool_workers_alive",
-                "Worker processes currently alive.",
+                "repro_pool_workers_alive", "Worker processes currently alive.",
                 sum(1 for row in stats.per_worker if row.alive),
-            )
-        )
-        families.append(
+            ),
             counter_family(
                 "repro_pool_worker_served_total",
                 "Requests served, by worker slot.",
-                [
-                    ({"worker": str(row.worker)}, row.served)
-                    for row in stats.per_worker
-                ],
-            )
-        )
-        families.append(
+                [({"worker": str(row.worker)}, row.served)
+                 for row in stats.per_worker],
+            ),
             counter_family(
                 "repro_pool_worker_dispatch_total",
                 "Engine dispatch counts merged across workers.",
-                [
-                    ({"engine": name}, count)
-                    for name, count in sorted(stats.dispatch.items())
-                ],
-            )
-        )
-        families.append(
+                [({"engine": name}, count)
+                 for name, count in sorted(stats.dispatch.items())],
+            ),
             counter_family(
                 "repro_pool_worker_plan_cache_total",
                 "Merged worker plan-cache lookups, by outcome.",
-                [
-                    ({"outcome": "hit"}, stats.plan_hits),
-                    ({"outcome": "miss"}, stats.plan_misses),
-                ],
-            )
-        )
-        families.append(
+                [({"outcome": "hit"}, stats.plan_hits),
+                 ({"outcome": "miss"}, stats.plan_misses)],
+            ),
             gauge_family(
                 "repro_pool_worker_documents",
                 "Documents hydrated across the workers.",
                 stats.documents,
+            ),
+        ]
+
+    # -- the event-loop driver ---------------------------------------------
+
+    def attach_loop(self) -> None:
+        """Let the running event loop drive the pool (call on its thread).
+
+        A reader on every worker's pipe and process sentinel; restarts
+        wait on timers.  Blocking calls from other threads now hand their
+        exchanges to the loop, and :meth:`submit` is the loop's own path.
+        """
+        loop = asyncio.get_running_loop()
+        with self._lifecycle_lock:
+            self._require_open()
+            if self._loop is not None:
+                raise ServingError("an event loop already drives the pool")
+            self._loop, self._loop_thread = loop, threading.get_ident()
+        for worker in self._pool:
+            if worker.conn is not None:
+                self._watch(worker)
+                self._flush(worker)
+
+    def detach_loop(self) -> None:
+        """Give the pool back to blocking mode (call on the driving loop).
+
+        What the loop still owes anyone fails with :class:`ServingError`;
+        a late reply is read and dropped by the pool's next driver.
+        """
+        with self._lifecycle_lock:
+            if self._loop is None:
+                return
+            self._loop = self._loop_thread = None
+            handed, self._handoffs = self._handoffs, []
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        stranded = [exchange for ticket in handed for _, exchange in ticket.plan]
+        for worker in self._pool:
+            self._unwatch(worker)
+            stranded += worker.conversation.inflight
+            stranded += worker.conversation.queue
+            if worker.respawn is not None:  # restart now, without the loop
+                worker.respawn.cancel()
+                self._respawn(worker)
+        for exchange in stranded:
+            exchange.finish(ServingError(
+                "the event loop stopped driving the pool before the answer"
+            ))
+
+    def _take_back(self, timeout: float) -> None:
+        """Detach a driving event loop, from any thread, before shutdown."""
+        loop = self._loop
+        if loop is None:
+            return
+        if threading.get_ident() == self._loop_thread:
+            self.detach_loop()
+            return
+        detached = threading.Event()
+
+        def detach() -> None:
+            self.detach_loop()
+            detached.set()
+
+        try:
+            loop.call_soon_threadsafe(detach)
+        except RuntimeError:  # the loop closed without detaching
+            with self._lifecycle_lock:
+                self._loop = self._loop_thread = None
+            return
+        detached.wait(timeout)
+
+    def _accept(self) -> None:
+        """On the loop: take up the exchanges blocking calls handed over."""
+        with self._lifecycle_lock:
+            tickets, self._handoffs = self._handoffs, []
+        for ticket in tickets:
+            for worker, exchange in ticket.plan:
+                self._submit(worker, exchange)
+        for worker in self._pool:
+            self._flush(worker)
+
+    def _watch(self, worker: _Worker) -> None:
+        loop = self._loop
+        if loop is not None:
+            conn, process = worker.conn, worker.process
+            loop.add_reader(conn.fileno(), self._on_ready, worker, conn)
+            loop.add_reader(process.sentinel, self._on_ready, worker, process)
+            worker.watching = (loop, conn.fileno(), process.sentinel)
+
+    def _unwatch(self, worker: _Worker) -> None:
+        if worker.watching is not None:
+            loop, fd, sentinel = worker.watching
+            loop.remove_reader(fd)
+            loop.remove_reader(sentinel)
+            worker.watching = None
+
+    def _on_ready(self, worker: _Worker, source) -> None:
+        """Both drivers: ``worker``'s pipe has a frame, or its process ended
+        (then its last replies are read before it is buried)."""
+        conn = worker.conn
+        if source is conn:
+            self._read(worker)
+        elif source is worker.process and conn is not None:
+            while worker.conn is conn and conn.poll():
+                self._read(worker)
+            if worker.conn is conn:
+                self._died(worker)
+
+    def _on_deadline(self) -> None:
+        self._timer = None
+        self._expire(perf_counter())
+        self._arm_timer()
+
+    def _arm_timer(self) -> None:
+        """Keep the loop's one timer at the earliest request deadline."""
+        wake = self._next_deadline()
+        if wake is None or (self._timer is not None and self._timer_at <= wake):
+            return
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer_at = wake
+        self._timer = self._loop.call_later(
+            max(0.0, wake - perf_counter()), self._on_deadline
+        )
+
+    def _next_deadline(self) -> Optional[float]:
+        if self.request_timeout is None:
+            return None
+        return min(
+            (due for worker in self._pool
+             if (due := worker.conversation.next_deadline()) is not None),
+            default=None,
+        )
+
+    # -- the blocking driver -----------------------------------------------
+
+    def _run(self, plan: list, deadline: Optional[float] = None,
+             supervise: bool = True) -> None:
+        """Settle ``plan``'s ``(worker, exchange)`` pairs, or stop at ``deadline``.
+
+        Pumps the pipes on this thread (after burying workers that died
+        idle, if ``supervise``), or hands the exchanges to the driving
+        event loop and waits.
+        """
+        if not plan:
+            self._require_open()
+            return
+        ticket = _Ticket(plan)
+        with self._lifecycle_lock:
+            self._require_open()
+            if self._loop is None:
+                if supervise:
+                    self._supervise()
+                for worker, exchange in plan:
+                    self._submit(worker, exchange)
+                self._pump(ticket, deadline)
+                return
+            if threading.get_ident() == self._loop_thread:
+                raise ServingError(
+                    "a blocking pool call on the event loop that drives the "
+                    "pool would deadlock; use submit() there"
+                )
+            ticket.event = threading.Event()
+            self._handoffs.append(ticket)
+            self._loop.call_soon_threadsafe(self._accept)
+        ticket.event.wait(
+            None if deadline is None else max(0.0, deadline - perf_counter())
+        )
+
+    def _pump(self, ticket: _Ticket, deadline: Optional[float] = None) -> None:
+        """The blocking driver: ``connection.wait`` until ``ticket`` is settled.
+
+        On the pipe and process sentinel of each worker that owes a reply
+        (a death wakes it at once), bounded by the nearest deadline.
+        """
+        while ticket.owed:
+            if deadline is not None and perf_counter() >= deadline:
+                return
+            waits = {}
+            for worker in self._pool:
+                self._flush(worker)
+                if worker.conn is not None and worker.conversation.inflight:
+                    waits[worker.conn] = (worker, worker.conn)
+                    waits[worker.process.sentinel] = (worker, worker.process)
+            if not ticket.owed:
+                return
+            if not waits:  # pragma: no cover - an owed exchange always has a worker
+                raise ServingError("exchanges are owed but no worker owes a reply")
+            wake = min(
+                (t for t in (deadline, self._next_deadline()) if t is not None),
+                default=None,
             )
-        )
-        return families
+            ready = connection_wait(
+                list(waits),
+                None if wake is None else max(0.0, wake - perf_counter()),
+            )
+            for key in ready:
+                self._on_ready(*waits[key])
+            if self.request_timeout is not None:
+                self._expire(perf_counter())
 
-    def _stats_roundtrip(self, worker: _Worker) -> dict:
-        self._send(worker, wire.encode_stats_request())
-        return self._expect(worker, wire.MSG_STATS_REPLY).payload
+    # -- the conversations, under either driver ----------------------------
 
-    def _dead_worker_stats(self, worker: _Worker) -> WorkerStats:
-        return WorkerStats(
-            worker=worker.index,
-            pid=worker.process.pid or 0,
-            served=0,
-            queries=0,
-            dispatch={},
-            plan_hits=0,
-            plan_misses=0,
-            documents=0,
-            store_hits=0,
-            store_loads=0,
-            alive=False,
-            restarts=worker.restarts,
+    def _submit(self, worker: _Worker, exchange: _Exchange) -> None:
+        if worker.failed:
+            exchange.finish(WorkerCrashed(
+                f"worker {worker.index} is permanently failed (restart "
+                "budget exhausted); request was never dispatched",
+                worker=worker.index,
+            ))
+        else:
+            worker.conversation.queue.append(exchange)
+
+    def _flush(self, worker: _Worker) -> None:
+        """Send what ``worker``'s window admits; a failed send is its death."""
+        if worker.conn is None:
+            return
+        try:
+            for exchange in worker.conversation.sendable(perf_counter()):
+                self._send(worker, exchange.frame)
+        except (OSError, ValueError):
+            self._died(worker)
+        if self._loop is not None and self.request_timeout is not None:
+            self._arm_timer()
+
+    def _read(self, worker: _Worker) -> None:
+        """Take one frame from ``worker``'s pipe into its conversation."""
+        try:
+            message = wire.decode(worker.conn.recv_bytes())
+            exchange = worker.conversation.on_reply(message)
+        except (EOFError, OSError, ReproError) as error:
+            if isinstance(error, ReproError):  # a malformed or out-of-turn frame
+                logger.warning("worker %d broke the protocol: %s", worker.index, error)
+            self._died(worker)
+            return
+        if exchange is not None:
+            exchange.finish(message)
+            if worker.conversation.queue:
+                self._flush(worker)  # the reply freed a slot in the window
+
+    def _expire(self, now: float) -> None:
+        """Fail overdue requests; their worker is presumed hung and replaced."""
+        for worker in self._pool:
+            late = worker.conversation.overdue(now)
+            for exchange in late:
+                self._timeouts_total.inc()
+                exchange.finish(ServingTimeout(
+                    f"request timed out after {self.request_timeout:.3g}s on "
+                    f"worker {worker.index} (sent {exchange.attempts} time(s))",
+                    worker=worker.index,
+                    attempts=exchange.attempts,
+                ))
+            if late:
+                self._died(worker)
+
+    def _died(self, worker: _Worker) -> None:
+        """Bury ``worker``; replay what it owed on a fresh process, or fail it.
+
+        Within ``max_restarts``, replayable exchanges are requeued (each
+        at most ``max_retries`` times) and the slot restarts after the
+        backoff; past it the slot fails, with all it owed or had queued.
+        """
+        self._unwatch(worker)
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join(5.0)
+        worker.conn.close()
+        worker.conn = None
+        conversation = worker.conversation
+        lost = [e for e in conversation.inflight if e.outcome is None]
+        conversation.inflight.clear()
+        if self._closed:
+            lost += conversation.queue
+            conversation.queue.clear()
+            for exchange in lost:
+                exchange.finish(ServingError("the pool is closed"))
+            return
+        if worker.restarts >= self.max_restarts:
+            worker.failed = True
+            for exchange in lost:
+                exchange.finish(WorkerCrashed(
+                    f"worker {worker.index} crashed and exhausted its restart "
+                    f"budget with this request in flight "
+                    f"(sent {exchange.attempts} time(s))",
+                    worker=worker.index,
+                    attempts=exchange.attempts,
+                ))
+            while conversation.queue:
+                self._submit(worker, conversation.queue.popleft())
+            return
+        replay = []
+        for exchange in lost:
+            if exchange.barrier:
+                exchange.finish(ServingError(f"worker {worker.index} died warming"))
+            elif exchange.attempts > self.max_retries:
+                exchange.finish(WorkerCrashed(
+                    f"request exhausted its retry budget: worker "
+                    f"{worker.index} died {exchange.attempts} time(s) with it "
+                    f"in flight (max_retries={self.max_retries})",
+                    worker=worker.index,
+                    attempts=exchange.attempts,
+                ))
+            else:
+                replay.append(exchange)
+                self._retries_total.inc()
+        conversation.queue.extendleft(reversed(replay))
+        backoff = min(
+            self.restart_backoff * (2 ** worker.restarts), RESTART_BACKOFF_CAP
         )
+        if self._loop is not None:
+            worker.respawn = self._loop.call_later(backoff, self._respawn, worker)
+        else:
+            time.sleep(backoff)
+            self._respawn(worker)
+
+    def _respawn(self, worker: _Worker) -> None:
+        """Start a buried worker's new process; it warms up before it serves."""
+        worker.respawn = None
+        worker.restarts += 1
+        self._restarts_total.inc()
+        worker.process, worker.conn = self._spawn(worker.index)
+        layout = self.store.shard_layout(self.workers)
+        warm = wire.encode_warm([entry.key for entry in layout[worker.index]])
+        worker.conversation.queue.appendleft(
+            _Exchange(warm, barrier=True)
+        )
+        self._watch(worker)
+        self._flush(worker)
+
+    def _supervise(self) -> None:
+        """Bury (and so restart) workers that died while the pool was idle."""
+        for worker in self._pool:
+            if worker.conn is not None and not worker.process.is_alive():
+                self._died(worker)
 
     # -- internals ---------------------------------------------------------
 
@@ -917,63 +1329,6 @@ class ShardedPool:
         child_conn.close()
         return process, parent_conn
 
-    def _supervise(self) -> None:
-        """Sentinel poll: revive workers that died while the pool was idle.
-
-        Budget-exhausted slots stay failed (their shard's requests fail
-        fast in dispatch); the batch as a whole proceeds.
-        """
-        for worker in self._pool:
-            if not worker.failed and not worker.process.is_alive():
-                try:
-                    self._revive(worker)
-                except WorkerCrashed:
-                    pass  # marked failed; dispatch attributes per request
-
-    def _revive(self, worker: _Worker) -> int:
-        """Restart a dead worker with capped exponential backoff.
-
-        Reaps the dead process, sleeps the backoff, starts a fresh
-        process on a fresh pipe and re-warms the worker's shard from the
-        store before it rejoins rotation; loops (budget-limited) if the
-        replacement dies while warming.  Returns the hydrated-document
-        count.  Past ``max_restarts`` the slot is marked ``failed`` and
-        :class:`WorkerCrashed` is raised naming the worker.
-        """
-        while True:
-            exitcode = worker.process.exitcode
-            if worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(5.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-            if worker.restarts >= self.max_restarts:
-                worker.failed = True
-                raise WorkerCrashed(
-                    f"worker {worker.index} exited with code {exitcode} and "
-                    f"exhausted its restart budget "
-                    f"({worker.restarts}/{self.max_restarts} restarts used)",
-                    worker=worker.index,
-                )
-            time.sleep(
-                min(
-                    self.restart_backoff * (2 ** worker.restarts),
-                    RESTART_BACKOFF_CAP,
-                )
-            )
-            worker.restarts += 1
-            self._restarts_total.inc()
-            worker.process, worker.conn = self._spawn(worker.index)
-            layout = self.store.shard_layout(self.workers)
-            keys = [entry.key for entry in layout[worker.index]]
-            try:
-                self._send(worker, wire.encode_warm(keys))
-                return self._expect(worker, wire.MSG_READY).hydrated
-            except _WorkerDied:
-                continue  # the replacement died warming: back off and retry
-
     def _document(self, content_hash: str) -> _LazyDocument:
         """The parent-side document for lazy node materialisation.
 
@@ -983,267 +1338,22 @@ class ShardedPool:
         against (mmap'd by default, so the pages are the worker's
         pages).  Hydrations are shared per content hash and LRU-bounded
         at :data:`PARENT_DOCUMENT_BOUND` — results handed out before an
-        eviction keep their own reference and stay valid.
+        eviction keep their own reference and stay valid.  Every step is
+        one dict operation: the loop thread and a blocking caller may
+        both be here.
         """
-        document = self._documents.get(content_hash)
+        document = self._documents.pop(content_hash, None)
         if document is None:
             document = _LazyDocument(
                 lambda: self.store.get(content_hash, mmap=self.mmap)
             )
-            self._documents[content_hash] = document
-            if len(self._documents) > PARENT_DOCUMENT_BOUND:
-                self._documents.popitem(last=False)
-        else:
-            self._documents.move_to_end(content_hash)
+        self._documents[content_hash] = document
+        if len(self._documents) > PARENT_DOCUMENT_BOUND:
+            self._documents.popitem(last=False)
         return document
 
-    def _dispatch(
-        self,
-        queues: list[deque],
-        replies: list,
-        sent_at: dict[int, float],
-        done_at: dict[int, float],
-        traces: dict[int, dict],
-    ) -> None:
-        """Stream queued frames to the workers and collect every reply.
-
-        Windowed duplex pumping with supervision: each worker has at most
-        ``window`` unanswered frames, replies are read as they arrive (so
-        neither pipe direction can fill up and deadlock), and a worker
-        dying mid-batch is restarted and its in-flight window *replayed*
-        onto the restarted process — queries are idempotent reads, so the
-        replay is invisible to the caller.  Replay is bounded by
-        ``max_retries`` per request and ``request_timeout`` wall-clock;
-        past either bound the affected request's slot in ``replies``
-        carries a typed :class:`WorkerCrashed` / :class:`ServingTimeout`
-        (surfaced by input order after the batch drains), never a hang.
-
-        ``sent_at``/``done_at`` collect per-seq ``perf_counter`` stamps
-        (first send, reply arrival) for latency accounting; ``traces``
-        collects TRACE frame payloads by seq — a worker sends them
-        immediately before the result frame they annotate.
-        """
-        inflight: list[dict[int, bytes]] = [{} for _ in self._pool]
-        attempts: dict[int, int] = {}
-        deadlines: dict[int, float] = {}
-        outstanding = sum(len(queue) for queue in queues)
-
-        def fail(seq: int, error: Exception) -> None:
-            nonlocal outstanding
-            replies[seq] = error
-            deadlines.pop(seq, None)
-            outstanding -= 1
-
-        def fail_worker_requests(worker: _Worker) -> None:
-            """Fail everything routed at a permanently failed worker."""
-            window = inflight[worker.index]
-            for seq in sorted(window):
-                fail(
-                    seq,
-                    WorkerCrashed(
-                        f"worker {worker.index} crashed and exhausted its "
-                        f"restart budget with this request in flight "
-                        f"(sent {attempts.get(seq, 0)} time(s))",
-                        worker=worker.index,
-                        attempts=attempts.get(seq, 0),
-                    ),
-                )
-            window.clear()
-            queue = queues[worker.index]
-            while queue:
-                _, seq = queue.popleft()
-                fail(
-                    seq,
-                    WorkerCrashed(
-                        f"worker {worker.index} is permanently failed "
-                        f"(restart budget exhausted); request was never "
-                        "dispatched",
-                        worker=worker.index,
-                        attempts=attempts.get(seq, 0),
-                    ),
-                )
-
-        def handle_death(worker: _Worker) -> None:
-            """Restart a dead worker and replay its window, budget permitting."""
-            window = sorted(inflight[worker.index].items())
-            inflight[worker.index].clear()
-            try:
-                self._revive(worker)
-            except WorkerCrashed:
-                inflight[worker.index] = {seq: frame for seq, frame in window}
-                fail_worker_requests(worker)
-                return
-            replayable = []
-            for seq, frame in window:
-                if attempts.get(seq, 0) > self.max_retries:
-                    fail(
-                        seq,
-                        WorkerCrashed(
-                            f"request exhausted its retry budget: worker "
-                            f"{worker.index} died {attempts[seq]} time(s) "
-                            f"with it in flight "
-                            f"(max_retries={self.max_retries})",
-                            worker=worker.index,
-                            attempts=attempts[seq],
-                        ),
-                    )
-                else:
-                    replayable.append((frame, seq))
-                    self._retries_total.inc()
-            queues[worker.index].extendleft(reversed(replayable))
-
-        while outstanding:
-            # 0) fail fast anything routed at a permanently failed worker
-            for worker in self._pool:
-                if worker.failed and (
-                    inflight[worker.index] or queues[worker.index]
-                ):
-                    fail_worker_requests(worker)
-            # 1) wall-clock deadlines: an overdue request means its worker
-            #    is hung — time the request out, kill and restart the worker,
-            #    replay the rest of its window
-            if deadlines:
-                now = time.monotonic()
-                for worker in self._pool:
-                    window = inflight[worker.index]
-                    overdue = [
-                        seq for seq in window
-                        if deadlines.get(seq, float("inf")) <= now
-                    ]
-                    if not overdue:
-                        continue
-                    for seq in sorted(overdue):
-                        del window[seq]
-                        self._timeouts_total.inc()
-                        fail(
-                            seq,
-                            ServingTimeout(
-                                f"request timed out after "
-                                f"{self.request_timeout:.3g}s on worker "
-                                f"{worker.index} "
-                                f"(sent {attempts.get(seq, 0)} time(s))",
-                                worker=worker.index,
-                                attempts=attempts.get(seq, 0),
-                            ),
-                        )
-                    worker.process.kill()
-                    handle_death(worker)
-            # 2) admission: top up every live worker's window
-            for worker in self._pool:
-                if worker.failed:
-                    continue
-                queue = queues[worker.index]
-                while queue and len(inflight[worker.index]) < self.window:
-                    frame, seq = queue[0]
-                    try:
-                        self._send(worker, frame)
-                    except _WorkerDied:
-                        handle_death(worker)
-                        break
-                    queue.popleft()
-                    inflight[worker.index][seq] = frame
-                    attempts[seq] = attempts.get(seq, 0) + 1
-                    sent_at.setdefault(seq, perf_counter())
-                    if (
-                        self.request_timeout is not None
-                        and seq not in deadlines
-                    ):
-                        deadlines[seq] = (
-                            time.monotonic() + self.request_timeout
-                        )
-            if not outstanding:
-                break
-            owing = [
-                worker for worker in self._pool if inflight[worker.index]
-            ]
-            if not owing:
-                continue  # a revival just requeued everything: re-admit
-            # 3) wait for replies (bounded by liveness poll and deadlines)
-            poll = _LIVENESS_POLL
-            if deadlines:
-                soonest = min(deadlines.values())
-                poll = max(0.0, min(poll, soonest - time.monotonic()))
-            ready = connection_wait(
-                [worker.conn for worker in owing], timeout=poll
-            )
-            if not ready:
-                for worker in owing:
-                    if not worker.process.is_alive():
-                        handle_death(worker)
-                continue
-            # 4) collect replies
-            ready_set = set(ready)
-            for worker in owing:
-                if worker.conn not in ready_set:
-                    continue
-                try:
-                    message = self._receive(worker)
-                except _WorkerDied:
-                    handle_death(worker)
-                    continue
-                if message.type not in (
-                    wire.MSG_RESULT_IDS, wire.MSG_RESULT_VALUE,
-                    wire.MSG_ERROR, wire.MSG_TRACE,
-                ):
-                    raise ServingError(
-                        f"worker {worker.index} sent frame type "
-                        f"{message.type} where a result was expected"
-                    )
-                if message.seq not in inflight[worker.index]:
-                    raise ServingError(
-                        f"worker {worker.index} answered unknown request "
-                        f"{message.seq}"
-                    )
-                if message.type == wire.MSG_TRACE:
-                    # The span tree for a request still in flight: its
-                    # result frame follows on the same pipe.  Absorb it
-                    # without resolving the seq.
-                    traces[message.seq] = message.payload
-                    continue
-                del inflight[worker.index][message.seq]
-                deadlines.pop(message.seq, None)
-                done_at[message.seq] = perf_counter()
-                replies[message.seq] = message
-                outstanding -= 1
-
     def _send(self, worker: _Worker, frame: bytes) -> None:
-        try:
-            worker.conn.send_bytes(frame)
-        except (OSError, ValueError):
-            raise _WorkerDied(worker) from None
-
-    def _receive(self, worker: _Worker) -> wire.Message:
-        try:
-            return wire.decode(worker.conn.recv_bytes())
-        except (EOFError, OSError):
-            raise _WorkerDied(worker) from None
-
-    def _expect(
-        self, worker: _Worker, msg_type: int, deadline: Optional[float] = None
-    ) -> wire.Message:
-        poll = _LIVENESS_POLL
-        if deadline is not None:
-            poll = min(poll, max(0.0, deadline - time.monotonic()))
-        while not worker.conn.poll(poll):
-            if not worker.process.is_alive():
-                raise _WorkerDied(
-                    worker,
-                    f"exited with code {worker.process.exitcode} while "
-                    "a reply was expected",
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServingTimeout(
-                    f"worker {worker.index} sent no reply before the "
-                    "deadline",
-                    worker=worker.index,
-                )
-        message = self._receive(worker)
-        if message.type != msg_type:
-            raise ServingError(
-                f"worker {worker.index} sent frame type {message.type}, "
-                f"expected {msg_type}"
-            )
-        return message
+        worker.conn.send_bytes(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

@@ -35,15 +35,15 @@ A connection declares its protocol with its first byte:
   ``{"value": …}`` / ``{"error": {"type":…, "message":…}}`` /
   ``{"overloaded": true, …}``).
 
-Both protocols share one request path — admit → job → dispatcher →
-callback → settle — and differ only in the per-connection encoder that
-turns a result, error, overload, stats, metrics or drained receipt into
-bytes.  The event loop reads, admits and queues a ``_Job`` carrying a
-completion callback; the dispatcher thread runs the pool conversation
-and hands each finished batch back with one ``call_soon_threadsafe``;
-``_settle`` — a plain function on the loop, no Task, no Future, no timer
-— releases admission, encodes and writes, and the request is done in
-that loop turn when the socket took every byte.  A node-set answer is
+Both protocols share one request path — admit → shard conversation →
+reply callback → settle, all on the event loop's thread, which drives
+the pool (:meth:`~repro.serving.ShardedPool.attach_loop`) — and differ
+only in the per-connection encoder that turns a result, error, overload,
+stats, metrics or drained receipt into bytes.  The loop's reader on the
+worker's pipe runs ``_settle`` — a plain function, no Task, no Future,
+no timer — which releases admission, encodes and writes, and the request
+is done in that loop turn when the socket took every byte.  A node-set
+answer is
 the pool reply's own packed id bytes from pipe to socket
 (``QueryResult.packed_ids``); only the JSON encoder turns them into
 Python ints.
@@ -58,9 +58,8 @@ bound is *rejected immediately* with a typed ``OVERLOADED`` frame (JSON:
 ``{"overloaded": true}``) carrying the current in-flight count and the
 capacity — it is never queued, so offered load beyond capacity costs the
 server O(1) memory per rejection instead of an unbounded backlog.
-Admitted requests are micro-batched onto the pool by a single dispatcher
-thread (the pool is a single-dispatcher backend), so many clients' small
-requests amortise into the pool's windowed batch protocol.
+Each shard's requests stream through its own worker conversation, so a
+cheap query on one shard never waits for a slow one on another.
 
 Slow clients cannot wedge the server: a write the socket does not take
 whole leaves the loop turn and becomes a coroutine that waits, in order
@@ -109,7 +108,6 @@ import asyncio
 import json
 import logging
 import os
-import queue
 import threading
 import time
 from collections import deque
@@ -130,53 +128,9 @@ from repro.telemetry.trace import Trace, maybe_span
 
 logger = logging.getLogger("repro.serving.server")
 
-#: Fallback cap on one dispatcher micro-batch when the pool's window
-#: arithmetic is unavailable (never hit in practice).
-DEFAULT_BATCH_MAX = 128
-
 #: Completed traced requests kept in the server's trace ring buffer
 #: (retrieved with the JSON shim's ``{"op": "trace"}``).
 TRACE_BUFFER = 64
-
-
-class _Job:
-    """One request travelling to the dispatcher thread.
-
-    Either a query (``collect`` is None; ``query``/``key``/``ids``/``trace``
-    say what to evaluate) or a STATS/METRICS collection (``collect`` is
-    the payload builder, run on the dispatcher thread because assembling
-    it talks to the pool, a single-dispatcher backend).  ``done`` is the
-    completion callback: the dispatcher hands it, with the result or the
-    exception object, back to the event loop (:func:`_complete`).
-    """
-
-    __slots__ = ("done", "collect", "query", "key", "ids", "trace")
-
-    def __init__(
-        self, done, collect=None, query=None, key=None, ids=False, trace=False
-    ) -> None:
-        self.done = done
-        self.collect = collect
-        self.query = query
-        self.key = key
-        self.ids = ids
-        self.trace = trace
-
-
-def _complete(finished: "list[tuple]") -> None:
-    """On the loop: run the completion callback of every finished job."""
-    for done, result in finished:
-        try:
-            done(result)
-        except Exception:
-            # A bug in one request's completion must not drop the rest
-            # of the batch it happened to share a loop turn with.
-            logger.exception("request completion failed untyped")
-
-
-def _set_future(future: "asyncio.Future", result) -> None:
-    if not future.done():
-        future.set_result(result)
 
 
 class _BinaryEncoder:
@@ -280,7 +234,7 @@ class _Connection:
 
     __slots__ = (
         "reader", "writer", "peer", "encoder", "lock", "backlog", "pending",
-        "flushed", "served", "errors", "closing", "eof",
+        "answers", "flushed", "served", "errors", "closing",
     )
 
     def __init__(self, reader, writer) -> None:
@@ -292,12 +246,12 @@ class _Connection:
         self.lock = asyncio.Lock()      # one in-order write stream per client
         self.backlog = 0                # writes handed to _flush, not yet done
         self.pending = 0                # responses owed to this client
+        self.answers = deque()          # admitted queries' answers, in request order
         self.flushed = asyncio.Event()  # set whenever pending == 0
         self.flushed.set()
         self.served = 0
         self.errors = 0
         self.closing = False
-        self.eof = False
 
 
 class XPathServer:
@@ -319,7 +273,7 @@ class XPathServer:
     max_inflight:
         Admission bound on concurrently in-flight requests across every
         connection.  Default: the pool's ``workers × window`` — the most
-        the dispatch windows can keep busy; anything above that would
+        the worker windows can keep busy; anything above that would
         only queue.
     idle_timeout:
         Seconds a connection may sit idle (no request in flight, nothing
@@ -331,12 +285,10 @@ class XPathServer:
         Deadline for :meth:`drain`'s flush-everything phase.
     banner:
         Free-text server identification echoed in the HELLO frame.
-    dispatch_lock:
-        Lock the dispatcher holds around every pool call.  The pool is a
-        single-dispatcher backend; pass a lock shared with any other
-        caller of the same pool (:meth:`repro.engine.XPathEngine
-        .serve_network` passes the engine's serving lock, so
-        ``evaluate_sharded`` stays safe while the server runs).
+
+    While the server runs, its event loop drives the pool (blocking pool
+    calls from other threads hand their requests to it); afterwards a
+    pool it was given is open for blocking use again.
     """
 
     def __init__(
@@ -351,7 +303,6 @@ class XPathServer:
         write_timeout: float = 30.0,
         drain_timeout: float = 5.0,
         banner: str = "repro-xpath",
-        dispatch_lock: Optional["threading.Lock"] = None,
     ) -> None:
         if isinstance(pool, ShardedPool):
             self._pool: Optional[ShardedPool] = pool
@@ -367,21 +318,18 @@ class XPathServer:
         self.write_timeout = write_timeout
         self.drain_timeout = drain_timeout
         self.banner = banner
-        self._dispatch_lock = dispatch_lock or threading.Lock()
 
         self._own_pool = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[tuple[str, int]] = None
         self._connections: set[_Connection] = set()
-        self._jobs: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._dispatcher: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
         self._closed = False
         self._inflight = 0
         self._idle_event: Optional[asyncio.Event] = None
         # Counters live in a telemetry registry (incremented on the loop
-        # thread, read for STATS/METRICS on the dispatcher thread — the
+        # thread, read for STATS/METRICS on an executor thread — the
         # registry's per-thread shards make that safe).  _inflight and
         # _peak_inflight stay plain ints: they gate admission on the loop
         # thread and are exposed as derived gauges.
@@ -426,7 +374,6 @@ class XPathServer:
         self._thread_ready: Optional[threading.Event] = None
         self._thread_error: Optional[BaseException] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._stop_graceful = True
 
     # -- properties --------------------------------------------------------
 
@@ -452,7 +399,7 @@ class XPathServer:
     # -- async lifecycle ---------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        """Bind the listening socket and start the dispatcher; returns address."""
+        """Bind the listening socket and drive the pool; returns address."""
         if self._server is not None:
             return self.address
         if self._closed:
@@ -470,15 +417,14 @@ class XPathServer:
             self._own_pool = False
         if self.max_inflight is None:
             self.max_inflight = self._pool.workers * self._pool.window
-        self._batch_max = max(self.max_inflight, DEFAULT_BATCH_MAX)
-        self._dispatcher = threading.Thread(
-            target=self._dispatcher_main, name="repro-serve-dispatch",
-            daemon=True,
-        )
-        self._dispatcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        self._pool.attach_loop()
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port
+            )
+        except BaseException:
+            self._pool.detach_loop()
+            raise
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         logger.info(
@@ -547,16 +493,11 @@ class XPathServer:
             int(self._overloaded_total.value()),
             int(self._connections_count.value()),
         )
-        await self._stop_dispatcher()
-        if self._own_pool and self._pool is not None and not self._pool.closed:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._pool.drain
-            )
-        self._finish_close()
+        await self._release_pool(graceful=True)
         return int(self._served_total.value())
 
     async def aclose(self) -> None:
-        """Fast shutdown: abort connections, stop the dispatcher and pool."""
+        """Fast shutdown: abort connections, let go of the pool (close it if owned)."""
         if self._closed:
             return
         self._draining = True
@@ -565,26 +506,20 @@ class XPathServer:
             await self._server.wait_closed()
         for conn in list(self._connections):
             self._close_connection(conn, abort=True)
-        await self._stop_dispatcher()
-        if self._own_pool and self._pool is not None and not self._pool.closed:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._pool.close
-            )
-        self._finish_close()
+        await self._release_pool(graceful=False)
 
-    def _finish_close(self) -> None:
+    async def _release_pool(self, graceful: bool) -> None:
+        """Stop driving the pool; drain (or close) it if the server owns it."""
+        pool = self._pool
+        if pool is not None:
+            pool.detach_loop()
+            if self._own_pool and not pool.closed:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, pool.drain if graceful else pool.close
+                )
         self._closed = True
         if self._stop_event is not None:
             self._stop_event.set()
-
-    async def _stop_dispatcher(self) -> None:
-        if self._dispatcher is None:
-            return
-        self._jobs.put(None)
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._dispatcher.join
-        )
-        self._dispatcher = None
 
     # -- background-thread lifecycle (sync callers) ------------------------
 
@@ -650,6 +585,8 @@ class XPathServer:
                 future.result(timeout)
             except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
                 future.cancel()
+                if self._pool is not None:  # the cancelled drain still lets go
+                    loop.call_soon_threadsafe(self._pool.detach_loop)
             except asyncio.CancelledError:  # pragma: no cover - loop teardown
                 pass
             thread.join(timeout)
@@ -678,71 +615,7 @@ class XPathServer:
         if self._inflight == 0 and self._idle_event is not None:
             self._idle_event.set()
 
-    # -- the dispatcher thread ---------------------------------------------
-
-    def _dispatcher_main(self) -> None:
-        """Micro-batch admitted jobs onto the pool (the pool's one caller)."""
-        stop = False
-        while not stop:
-            job = self._jobs.get()
-            if job is None:
-                break
-            batch = [job]
-            while len(batch) < self._batch_max:
-                try:
-                    extra = self._jobs.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is None:
-                    stop = True
-                    break
-                batch.append(extra)
-            for wants_ids, wants_trace in (
-                (False, False), (True, False), (False, True), (True, True)
-            ):
-                group = [
-                    j for j in batch
-                    if j.collect is None
-                    and j.ids is wants_ids
-                    and j.trace is wants_trace
-                ]
-                if not group:
-                    continue
-                try:
-                    with self._dispatch_lock:
-                        results = self._pool.evaluate_batch(
-                            [(j.query, j.key) for j in group],
-                            ids=wants_ids,
-                            return_errors=True,
-                            trace=wants_trace,
-                        )
-                except ReproError as error:  # pool closed / ServingError
-                    results = [error] * len(group)
-                except Exception as error:
-                    # Outside the typed taxonomy: a bug, not a request
-                    # failure.  Log it (the loop must survive and the
-                    # waiters must still be resolved) and fail the batch.
-                    logger.exception("dispatcher batch failed untyped")
-                    results = [error] * len(group)
-                # The whole finished batch crosses to the loop in one
-                # hand-off; each job's callback settles it there.
-                self._loop.call_soon_threadsafe(
-                    _complete, [(one.done, r) for one, r in zip(group, results)]
-                )
-            for one in batch:
-                if one.collect is None:
-                    continue
-                try:
-                    with self._dispatch_lock:
-                        payload = one.collect()
-                except ReproError as error:
-                    payload = error
-                except Exception as error:
-                    logger.exception("stats/metrics collection failed untyped")
-                    payload = error
-                self._loop.call_soon_threadsafe(
-                    _complete, [(one.done, payload)]
-                )
+    # -- operations --------------------------------------------------------
 
     def _stats_payload(self) -> dict:
         """The STATS answer: server counters + the pool's merged counters."""
@@ -781,43 +654,30 @@ class XPathServer:
         The server registry's counters and latency histogram, the
         admission gauges, then the pool's :meth:`~repro.serving
         .ShardedPool.metric_families` — one concatenated list covering
-        the whole process tree.  Talks to the pool; call it from the
-        dispatcher thread (or any other pool-safe context).
+        the whole process tree.  Waits for the pool, so call it from any
+        thread but the server's event loop.
         """
-        families = self.metrics.snapshot()
-        families.append(
+        return self.metrics.snapshot() + [
             gauge_family(
                 "repro_server_inflight",
-                "Requests admitted and not yet answered.",
-                self._inflight,
-            )
-        )
-        families.append(
+                "Requests admitted and not yet answered.", self._inflight,
+            ),
             gauge_family(
                 "repro_server_inflight_peak",
-                "High-water mark of admitted requests.",
-                self._peak_inflight,
-            )
-        )
-        families.append(
+                "High-water mark of admitted requests.", self._peak_inflight,
+            ),
             gauge_family(
                 "repro_server_max_inflight",
-                "Admission-control capacity.",
-                self.max_inflight or 0,
-            )
-        )
-        families.append(
+                "Admission-control capacity.", self.max_inflight or 0,
+            ),
             gauge_family(
                 "repro_server_connections_active",
-                "Client connections currently open.",
-                len(self._connections),
-            )
-        )
-        families.extend(self._pool.metric_families())
-        return families
+                "Client connections currently open.", len(self._connections),
+            ),
+        ] + self._pool.metric_families()
 
     def _metrics_payload(self, format: int) -> str:
-        """Render the METRICS exposition body (dispatcher thread)."""
+        """Render the METRICS exposition body (off the event loop)."""
         families = self.metric_families()
         if format == wire.METRICS_PROMETHEUS:
             return render_prometheus(families)
@@ -865,7 +725,6 @@ class XPathServer:
                     "protocol-error client=%s error=%s", conn.peer, error
                 )
         finally:
-            conn.eof = True
             # Flush what this connection is still owed before closing
             # (unless the server is draining, which flushes for us).
             if conn.pending and not self._draining:
@@ -923,9 +782,9 @@ class XPathServer:
                     wire.encode_pong(message.seq, os.getpid())
                 ))
             elif message.type == wire.MSG_STATS:
-                await self._answer_stats(conn)
+                await self._answer_collected(conn)
             elif message.type == wire.MSG_METRICS:
-                await self._answer_metrics(conn, message.flags)
+                await self._answer_collected(conn, message.flags)
             elif message.type == wire.MSG_DRAIN:
                 # Client-initiated graceful close: flush what it is owed,
                 # acknowledge with its served count, stop reading.
@@ -943,7 +802,7 @@ class XPathServer:
     # -- the request path (both protocols) ---------------------------------
 
     async def _submit(self, conn, seq, key, query, ids, wants_trace) -> None:
-        """Admit one query and hand it to the dispatcher; `_settle` answers it."""
+        """Admit one query and submit it to its shard; `_settle` answers it."""
         server_trace = Trace("server") if wants_trace else None
         with maybe_span(server_trace, "admit"):
             admitted = self._admit()
@@ -958,24 +817,31 @@ class XPathServer:
             return
         conn.pending += 1
         conn.flushed.clear()
-        self._jobs.put(_Job(
+        slot: list = []
+        conn.answers.append(slot)
+        self._pool.submit(
+            query, key,
             partial(
-                self._settle, conn, seq, key, server_trace, time.perf_counter()
+                self._settle, conn, slot, seq, key, server_trace,
+                time.perf_counter(),
             ),
-            query=query, key=key, ids=ids, trace=wants_trace,
-        ))
+            ids=ids, trace=wants_trace,
+        )
 
-    def _settle(self, conn, seq, key, server_trace, started, result) -> None:
+    def _settle(self, conn, slot, seq, key, server_trace, started, result) -> None:
         """Answer one admitted query in the loop turn its result arrived in.
 
-        A plain function, run by :func:`_complete`: release admission,
-        encode, write — and the request is done, without a Task or a
-        timer, when the socket took every byte.  Only a write that did
-        not leave whole goes on as a coroutine (:meth:`_flush`, under
-        ``conn.lock`` and ``write_timeout``), which finishes the request
-        once the transport has drained.  An answer the encoder refuses
-        (a frame above ``MAX_FRAME``) is still owed a reply: it becomes
-        an error carrying the same ``seq``.
+        A plain function, run by the pool's reader when the worker's
+        reply arrives: release admission, encode, write — and the request
+        is done, without a Task or a timer, when the socket took every
+        byte.  A connection's answers leave in request order: one that
+        arrives before an earlier request's answer waits in its ``slot``
+        (another connection's answers never wait for it).  Only a write
+        that did not leave whole goes on as a coroutine (:meth:`_flush`,
+        under ``conn.lock`` and ``write_timeout``), which finishes the
+        request once the transport has drained.  An answer the encoder
+        refuses (a frame above ``MAX_FRAME``) is still owed a reply: it
+        becomes an error carrying the same ``seq``.
         """
         self._release()
         arrived = time.perf_counter()
@@ -1007,16 +873,18 @@ class XPathServer:
             status = "ok"
             self._served_total.inc()
             conn.served += 1
-        finish = (
-            conn, seq, key, status, server_trace, started, time.perf_counter()
-        )
-        flush = self._send(conn, data)
-        if flush is None:
-            self._finish(*finish)
-        else:
-            task = self._loop.create_task(self._finish_after(flush, *finish))
-            self._flushing.add(task)
-            task.add_done_callback(self._reap)
+        slot.append((data, (conn, seq, key, status, server_trace, started)))
+        answers = conn.answers
+        while answers and answers[0]:
+            data, finish = answers.popleft()[0]
+            finish += (time.perf_counter(),)
+            flush = self._send(conn, data)
+            if flush is None:
+                self._finish(*finish)
+            else:
+                task = self._loop.create_task(self._finish_after(flush, *finish))
+                self._flushing.add(task)
+                task.add_done_callback(self._reap)
 
     async def _finish_after(self, flush, *finish) -> None:
         try:
@@ -1054,28 +922,21 @@ class XPathServer:
             conn.peer, seq, key, status, (now - started) * 1e3,
         )
 
-    async def _answer_collected(self, conn, collect, encode) -> None:
-        """Run ``collect`` on the dispatcher thread, write ``encode`` of it."""
-        future = self._loop.create_future()
-        self._jobs.put(_Job(partial(_set_future, future), collect=collect))
-        payload = await future
-        if isinstance(payload, Exception):
-            data = conn.encoder.error(payload)
+    async def _answer_collected(self, conn, metrics: Optional[int] = None) -> None:
+        """Answer STATS (METRICS in format ``metrics``), built off the loop."""
+        if metrics is None:
+            collect, encode = self._stats_payload, conn.encoder.stats
         else:
-            data = encode(payload)
+            collect = partial(self._metrics_payload, metrics)
+            encode = partial(conn.encoder.metrics, metrics)
+        try:
+            data = encode(await self._loop.run_in_executor(None, collect))
+        except ReproError as error:
+            data = conn.encoder.error(error)
+        except Exception as error:
+            logger.exception("stats/metrics collection failed untyped")
+            data = conn.encoder.error(error)
         await self._write(conn, data)
-
-    async def _answer_stats(self, conn: _Connection) -> None:
-        await self._answer_collected(
-            conn, self._stats_payload, conn.encoder.stats
-        )
-
-    async def _answer_metrics(self, conn: _Connection, format: int) -> None:
-        await self._answer_collected(
-            conn,
-            partial(self._metrics_payload, format),
-            partial(conn.encoder.metrics, format),
-        )
 
     async def _send_drained(self, conn: _Connection) -> None:
         if conn.encoder is None:
@@ -1114,10 +975,10 @@ class XPathServer:
             )
             return
         if op == "stats":
-            await self._answer_stats(conn)
+            await self._answer_collected(conn)
             return
         if op == "metrics":
-            await self._answer_metrics(conn, fmt)
+            await self._answer_collected(conn, fmt)
             return
         if op == "trace":
             # The ring buffer of completed traced requests, newest last.

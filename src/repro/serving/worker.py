@@ -65,6 +65,7 @@ retry-exhaustion scenario).
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import time
 from typing import TYPE_CHECKING, Optional
@@ -148,6 +149,7 @@ def worker_main(
     from repro.engine import XPathEngine
     from repro.store import CorpusStore
 
+    _close_inherited_sockets(conn.fileno())
     engine = XPathEngine().attach_store(CorpusStore(store_root), mmap=mmap)
     fault = _load_fault()
     served = 0
@@ -198,6 +200,27 @@ def worker_main(
                 f"worker received a reply-type frame (type {message.type})"
             )
     conn.close()
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket this process inherited except ``keep``, its pipe.
+
+    A ``fork`` child of a network server would otherwise hold its
+    listening socket and client connections (a closed port would keep
+    accepting, a closed connection never read EOF).  Pipes stay open:
+    multiprocessing's process sentinels are pipes.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:  # no /dev/fd: a spawn-only platform, nothing inherited
+        return
+    for fd in descriptors:
+        if fd > 2 and fd != keep:
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.close(fd)
+            except OSError:
+                pass  # not open (the listing's own descriptor, a gap)
 
 
 def _answer(

@@ -119,5 +119,18 @@ class TestNumberFunctions:
         assert ev(evaluator, "round(2.5)") == 3.0
         assert ev(evaluator, "round(-2.5)") == -2.0
 
+    @pytest.mark.parametrize("engine", ["auto", "cvt", "naive"])
+    def test_round_returns_a_number(self, engine):
+        """XPath 1.0 §4.4: round() is a number, and [-0.5, -0) rounds to -0."""
+        from repro.evaluation import evaluate
+
+        document = parse_xml("<r><a>0.7</a><a>1.2</a><a>1.5</a><a>3</a></r>")
+        assert evaluate("string(round(1.5))", document, engine=engine) == "2"
+        ones = evaluate("//a[round(.) = 1]", document, engine=engine)
+        assert [node.string_value() for node in ones] == ["0.7", "1.2"]
+        negative_zero = evaluate("round(-0.5)", document, engine=engine)
+        assert negative_zero == 0.0 and math.copysign(1.0, negative_zero) == -1.0
+        assert evaluate("1 div round(-0.5)", document, engine=engine) == -math.inf
+
     def test_arithmetic_on_attributes(self, evaluator):
         assert ev(evaluator, "//book[attribute::price > 8 and attribute::price < 20]/attribute::id = 'b1'") is True

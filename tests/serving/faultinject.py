@@ -22,6 +22,7 @@ Two firing modes:
 
 import contextlib
 import os
+import signal
 import uuid
 
 from repro.serving.worker import FAULT_ENV, FAULT_ONCE_ENV
@@ -58,3 +59,22 @@ def worker_fault(action, trigger, n=1, once=True, tmp_path="/tmp"):
         if token is not None:
             with contextlib.suppress(OSError):
                 os.unlink(token)
+
+
+@contextlib.contextmanager
+def frozen_workers(pool):
+    """Stop every worker process of ``pool`` for the block (SIGSTOP/SIGCONT).
+
+    A stand-in for a slow query on every shard that needs no sleeps and
+    no load: frames sent to a stopped worker wait in its pipe, so every
+    request submitted inside the block stays owed until the block ends.
+    A stopped process is not a dead one — the supervisor leaves it be.
+    """
+    pids = [worker.process.pid for worker in pool._pool]
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)

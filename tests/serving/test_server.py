@@ -2,13 +2,15 @@
 
 The server under test runs exactly as in production — background thread,
 real TCP sockets on loopback, a live worker pool behind it.  Admission
-tests hold the server's dispatch lock to freeze the pool deterministically
-(no sleeps, no load races); supervision tests inject worker faults through
-the environment the same way the pool's own suite does.
+tests stop the pool's worker processes (``frozen_workers``) to freeze the
+pool deterministically (no sleeps, no load races); supervision tests
+inject worker faults through the environment the same way the pool's own
+suite does.
 """
 
 import asyncio
 import json
+import secrets
 import socket
 import threading
 import time
@@ -27,10 +29,10 @@ from repro.serving import (
     wire,
 )
 from repro.serving.client import AsyncServingClient, json_roundtrip
-from repro.store import CorpusStore, StoreKeyError
+from repro.store import CorpusStore, StoreKey, StoreKeyError, shard_of
 from repro.xmlmodel import parse_xml
 
-from tests.serving.faultinject import worker_fault
+from tests.serving.faultinject import frozen_workers, worker_fault
 
 #: ``//x`` on the "many" document answers this many ids: one 120 KB frame,
 #: above the transport's 64 KiB high-water mark.
@@ -315,17 +317,17 @@ class TestJsonShim:
 
 class TestAdmissionControl:
     def test_overload_rejections_are_typed_and_bounded(self, pool):
-        """Freeze the dispatcher; every admit beyond the bound must reject.
+        """Freeze the workers; every admit beyond the bound must reject.
 
-        Holding the server's dispatch lock stalls the dispatcher thread
-        mid-conversation, so admitted requests cannot complete: the
-        (N+K)-request flood then deterministically yields N admissions
-        and K typed OVERLOADED rejections — nothing queues.
+        Stopped worker processes cannot answer, so admitted requests
+        cannot complete: the (N+K)-request flood then deterministically
+        yields N admissions and K typed OVERLOADED rejections — nothing
+        queues.
         """
         server = XPathServer(pool, max_inflight=4)
         with server as address:
             sock = _raw_binary_connection(address)
-            with server._dispatch_lock:
+            with frozen_workers(pool):
                 flood = b"".join(
                     wire.encode_framed(wire.encode_query(seq, "letters", "//b"))
                     for seq in range(12)
@@ -338,7 +340,7 @@ class TestAdmissionControl:
                     assert message.capacity == 4
                     assert message.inflight <= 4
                     rejected.append(message.seq)
-            # lock released: the 4 admitted requests now complete
+            # workers resumed: the 4 admitted requests now complete
             answered = [_read_frame(sock) for _ in range(4)]
             assert {m.type for m in answered} == {wire.MSG_RESULT_IDS}
             assert sorted(rejected) + sorted(m.seq for m in answered) == list(
@@ -365,7 +367,7 @@ class TestAdmissionControl:
     def test_json_shim_reports_overload(self, pool):
         server = XPathServer(pool, max_inflight=1)
         with server as (host, port):
-            with server._dispatch_lock:
+            with frozen_workers(pool):
                 sock = socket.create_connection((host, port), timeout=10.0)
                 sock.settimeout(10.0)
                 lines = b"".join(
@@ -418,7 +420,7 @@ class TestLifecycle:
         server = XPathServer(pool, idle_timeout=0.15)
         with server as address:
             sock = _raw_binary_connection(address)
-            with server._dispatch_lock:  # freeze: the response stays owed
+            with frozen_workers(pool):  # the response stays owed
                 sock.sendall(
                     wire.encode_framed(wire.encode_query(5, "letters", "//b"))
                 )
@@ -506,6 +508,29 @@ class TestSupervisionEdges:
                 assert result.ids == _expected_ids(query, key)
             else:
                 assert result.value == 4.0
+
+    def test_hung_worker_times_out_on_the_loop_and_is_replaced(
+        self, store, tmp_path
+    ):
+        """The request deadline is a loop timer: the client gets a typed
+        ServingTimeout, the hung worker is replaced, the next query works."""
+        with worker_fault("hang", "query", n=1, tmp_path=tmp_path):
+            with ShardedPool(
+                store, workers=1, warm=False, request_timeout=0.5
+            ) as pool:
+                server = XPathServer(pool)
+                with server as (host, port):
+                    with ServingClient(host, port) as client:
+                        started = time.monotonic()
+                        (timed_out,) = client.evaluate_batch(
+                            [("//b", "letters")], return_errors=True
+                        )
+                        assert time.monotonic() - started < 5.0
+                        assert client.evaluate("count(//x)", "row").value == 4.0
+                        stats = client.server_stats()["pool"]
+        assert isinstance(timed_out, ServingError), timed_out
+        assert str(timed_out).startswith("ServingTimeout: request timed out")
+        assert (stats["timeouts"], stats["restarts"]) == (1, 1)
 
     def test_drain_flushes_a_slow_client_before_the_receipt(self, pool):
         """Satellite: drain waits for a client that is slow to read."""
@@ -623,9 +648,10 @@ class TestWritePath:
                     key, query = cycle[len(sent) % 3]
                     sock.sendall(_framed_query(len(sent), key, query))
                     sent.append((key, query))
-                # Answers come back in dispatch order: once ours is here,
-                # the wave before it has been settled.
-                bystander.evaluate("//b", "letters")
+                # A STATS round trip queues behind every worker's earlier
+                # frames: once it is answered, the wave before it has been
+                # settled.
+                bystander.server_stats()
             for seq, asked in enumerate(sent):  # now read, late but completely
                 assert _read_raw_frame(sock) == wire.encode_result_ids(
                     seq, expected[asked]
@@ -727,14 +753,14 @@ class TestInterruptedBatch:
 
     Every batch numbers its requests from ``seq`` 0, so a reply that
     arrives after its batch gave up would be taken for the next batch's
-    answer.  The dispatch lock stands in for a slow query: the reply is
-    owed until it is released.
+    answer.  Stopped workers stand in for a slow query: the reply is owed
+    until they resume.
     """
 
     def test_sync_client_closes_after_a_timed_out_batch(self, server):
         server_obj, (host, port) = server
         client = ServingClient(host, port, timeout=0.05)
-        with server_obj._dispatch_lock:
+        with frozen_workers(server_obj.pool):
             with pytest.raises(TimeoutError):
                 client.evaluate("count(//x)", "many")
         # the late reply (30000.0, seq 0) must not answer this request
@@ -747,7 +773,7 @@ class TestInterruptedBatch:
 
         async def scenario():
             client = await AsyncServingClient.connect(host, port)
-            with server_obj._dispatch_lock:
+            with frozen_workers(server_obj.pool):
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(
                         client.evaluate("count(//x)", "many"), 0.05
@@ -766,3 +792,132 @@ class TestInterruptedBatch:
             with pytest.raises(XPathSyntaxError):  # raised after the batch drained
                 client.evaluate_batch([("//b[", "letters"), ("//b", "letters")])
             assert client.evaluate("count(//x)", "row").value == 4.0
+
+
+class TestEventLoopDrivesThePool:
+    """The server's loop owns the worker pipes: no dispatcher thread, no
+    cross-shard waiting, and blocking pool calls from other threads."""
+
+    def test_a_slow_shard_does_not_hold_up_another_shard(self, tmp_path):
+        """Head of line: `//b` on an idle shard answers while the other
+        shard spends ≥ 300 ms on a query for another connection."""
+        store = CorpusStore(tmp_path / "head-of-line")
+        slow = store.put("<r>" + "<a><b/><c/></a>" * 500 + "</r>", key="slow").hash
+        for n in range(64):  # a small document on the other shard
+            fast = store.put(f"<a><b/><n>{n}</n></a>", key="fast").hash
+            if shard_of(fast, 2) != shard_of(slow, 2):
+                break
+        assert shard_of(fast, 2) != shard_of(slow, 2)
+        # A text no worker has seen: nothing answers it from a cache.
+        slow_query = (
+            "count(//*/following::*[position() = last() - "
+            f"{3 + secrets.randbelow(1000)}])"
+        )
+        with ShardedPool(store, workers=2) as pool:
+            server = XPathServer(pool)
+            with server as address:
+                with ServingClient(*address) as client:
+                    assert client.evaluate("//b", "fast").ids == [2]
+                    assert client.evaluate("count(/*)", "slow").value == 1.0
+                    busy = _raw_binary_connection(address)
+                    started = time.perf_counter()
+                    busy.sendall(_framed_query(1, "slow", slow_query))
+                    time.sleep(0.05)  # the slow query is on its worker now
+                    asked = time.perf_counter()
+                    assert client.evaluate("//b", "fast").ids == [2]
+                    waited = time.perf_counter() - asked
+                    answer = _read_frame(busy)
+                    slow_took = time.perf_counter() - started
+                    busy.close()
+        assert answer.type == wire.MSG_RESULT_VALUE, answer
+        assert slow_took >= 0.3, f"the slow query took only {slow_took:.3f}s"
+        assert waited <= 0.05, (
+            f"//b waited {waited * 1e3:.0f} ms behind a "
+            f"{slow_took * 1e3:.0f} ms query on another shard"
+        )
+
+    def test_no_dispatcher_thread_and_no_blocking_call_on_the_loop(self, pool):
+        server = XPathServer(pool)
+        with server:
+            names = {thread.name for thread in threading.enumerate()}
+            assert "repro-serve-dispatch" not in names
+            outcome = []
+            done = threading.Event()
+
+            def on_the_loop():
+                try:
+                    pool.stats()
+                except ServingError as error:
+                    outcome.append(error)
+                done.set()
+
+            server._loop.call_soon_threadsafe(on_the_loop)
+            assert done.wait(5.0)
+            assert len(outcome) == 1 and "deadlock" in str(outcome[0])
+            # from any other thread the same call is handed to the loop
+            assert pool.stats().workers == 2
+        assert not pool.closed
+        assert pool.evaluate("count(//x)", "row").value == 4.0  # blocking again
+
+    def test_served_engine_under_network_and_thread_load(self, store):
+        """A pipelining network client, two threads of evaluate_sharded and
+        a thread of engine.stats(), all at once on one served engine."""
+        engine = XPathEngine().attach_store(store)
+        requests = [
+            ("//b", "letters"), ("count(//x)", "row"),
+            ("//b[child::c]", "letters"), ("//x", "many"),
+        ] * 6
+
+        def payload(result):
+            return result.ids if result.is_node_set else result.value
+
+        expected = [payload(engine.evaluate(q, StoreKey(k))) for q, k in requests]
+        server = engine.serve_network(workers=2)
+        failures, sharded, stats = [], [], []
+
+        def run(call, sink):
+            try:
+                for _ in range(4):
+                    sink.append(call())
+            except Exception as error:  # pragma: no cover - the regression
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=run, args=(
+                lambda: [payload(r) for r in engine.evaluate_sharded(requests)],
+                sharded,
+            ))
+            for _ in range(2)
+        ] + [threading.Thread(
+            target=run, args=(lambda: engine.stats().serving, stats)
+        )]
+
+        async def pipelined():
+            async with await AsyncServingClient.connect(
+                *server.address, window=16
+            ) as client:
+                return [
+                    [payload(r) for r in await client.evaluate_batch(requests)]
+                    for _ in range(4)
+                ]
+
+        try:
+            for thread in threads:
+                thread.start()
+            remote = asyncio.run(pipelined())
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            engine.shutdown_serving()
+        assert not failures, failures
+        assert remote == [expected] * 4
+        assert sharded == [expected] * 8
+        assert len(stats) == 4 and all(s.workers == 2 for s in stats)
+        assert server._inflight == 0 and not server._connections
+        pool = server.pool
+        assert pool.closed and engine.serving is None
+        assert all(
+            not worker.conversation.inflight and not worker.conversation.queue
+            for worker in pool._pool
+        )

@@ -9,12 +9,19 @@ an OOM killer would.
 
 import os
 import signal
+import socket
 import time
 
 import pytest
 
 from repro.planner import evaluate_many_ids
-from repro.serving import ServingTimeout, ShardedPool, WorkerCrashed
+from repro.serving import (
+    ServingClient,
+    ServingTimeout,
+    ShardedPool,
+    WorkerCrashed,
+    XPathServer,
+)
 from repro.store import CorpusStore, StoreKeyError
 from repro.xmlmodel import chain_document, parse_xml, wide_document
 
@@ -298,3 +305,36 @@ class TestDifferentialUnderFaults:
             ) as pool:
                 results = pool.evaluate_batch(requests, ids=True)
         assert [r.ids for r in results] == expected * 30
+
+
+@pytest.mark.skipif("fork" not in START_METHODS, reason="needs the fork start method")
+class TestForkedWorkersHoldNoServerSockets:
+    def test_a_restarted_worker_keeps_no_connection_or_port_open(self, store):
+        """A worker forked while a server listens must not inherit its sockets.
+
+        Holding a copy of a client connection keeps an idle-closed
+        connection from ever reading EOF; holding the listening socket
+        keeps a closed server's port accepting.
+        """
+        with ShardedPool(store, workers=2, start_method="fork") as pool:
+            server = XPathServer(pool, idle_timeout=1.0)
+            host, port = server.start_background()
+            idle = socket.create_connection((host, port), timeout=10.0)
+            idle.sendall(b"RPW1")  # accepted: its descriptor exists now
+            idle.settimeout(10.0)
+            assert idle.recv(4)  # the HELLO frame's header
+            victim = pool._pool[0].process.pid
+            os.kill(victim, signal.SIGKILL)
+            with ServingClient(host, port) as client:
+                assert client.evaluate("count(//x)", "row").value == 4.0
+                deadline = time.monotonic() + 10.0
+                while client.server_stats()["pool"]["restarts"] < 1:
+                    assert time.monotonic() < deadline, "never restarted"
+                    time.sleep(0.02)
+            assert pool._pool[0].process.pid != victim
+            while idle.recv(65536):  # the rest of HELLO, then the idle close
+                pass
+            idle.close()
+            server.shutdown(graceful=True)
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((host, port), timeout=2.0)
