@@ -2,7 +2,7 @@
 
 The front door (:class:`repro.serving.XPathServer`, ``docs/serving.md``)
 adds stream framing, connection multiplexing, admission control and a
-dispatcher thread on top of the worker pool.  This experiment measures
+listener on the pool's event loop on top of the worker pool.  This experiment measures
 what that ingress costs and proves what it may never change:
 
 * **fidelity** (always asserted, CI included): results fetched over TCP
@@ -18,8 +18,8 @@ what that ingress costs and proves what it may never change:
   not a speedup).
 
 The engine and the server share one pool (``engine.serve_network``), so
-the comparison isolates exactly the wire + event-loop + dispatcher
-overhead — worker-side evaluation is byte-for-byte the same work.
+the comparison isolates exactly the wire + event-loop overhead —
+worker-side evaluation is byte-for-byte the same work.
 """
 
 import asyncio

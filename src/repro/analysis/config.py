@@ -29,8 +29,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "_plan_lock",       # XPathEngine: plan-cache access
     "_store_lock",      # XPathEngine: attached store + hydration cache
     "_serving_lock",    # XPathEngine: serving pool / network server (RLock)
-    "_shutdown_lock",   # XPathServer: background-thread lifecycle
-    "_lifecycle_lock",  # ShardedPool: who drives the pipes, open/closed
+    "_lifecycle_lock",  # ShardedPool: the open→closed transition
     "_env_lock",        # serving.pool module: worker-env mutation
     "_telemetry_lock",  # telemetry: shard/child/family creation (leaf lock)
 )
@@ -50,13 +49,9 @@ SHARED_CLASS_ATTRS: Mapping[tuple[str, str], str] = {
     ("DocumentRegistry", "adds"): "_lock",
     ("DocumentRegistry", "reuses"): "_lock",
     ("DocumentRegistry", "evictions"): "_lock",
-    # serving/pool.py — the open/closed transition and the pipes' driver
+    # serving/pool.py — the open/closed transition
     ("ShardedPool", "_closed"): "_lifecycle_lock",
     ("ShardedPool", "_loop"): "_lifecycle_lock",
-    ("ShardedPool", "_loop_thread"): "_lifecycle_lock",
-    ("ShardedPool", "_handoffs"): "_lifecycle_lock",
-    # serving/server.py — background-thread handle
-    ("XPathServer", "_thread"): "_shutdown_lock",
     # telemetry/metrics.py — the one unsharded metric value
     ("Gauge", "_value"): "_telemetry_lock",
     # telemetry/slowlog.py — mutable threshold (entries ride a deque)
@@ -163,9 +158,9 @@ FROZEN_ATTRS: Mapping[str, tuple[str, ...]] = {
 #: anything expected must arrive as the typed ``ReproError`` taxonomy.
 LOOP_FUNCTIONS: Mapping[str, frozenset[str]] = {
     "repro/serving/worker.py": frozenset({"worker_main"}),
-    # The reader callback that drives the worker pipes (under an event
-    # loop or the blocking pump), and the completion hook it runs for
-    # every settled exchange.
+    # The reader callback the pool's event loop runs for every worker
+    # pipe and sentinel, and the completion hook it runs for every
+    # settled exchange.
     "repro/serving/pool.py": frozenset({"_on_ready", "finish"}),
 }
 

@@ -396,9 +396,9 @@ class XPathEngine:
         same requests in process (``engine.evaluate(query,
         StoreKey(key))``).  Reuses a live pool regardless of its worker
         count; starts one with ``workers`` processes otherwise.  Safe
-        from any thread (batches from concurrent threads serialise on
-        the engine's serving lock), also while :meth:`serve_network`'s
-        event loop drives the pool.
+        from any thread but the pool's event loop (batches from
+        concurrent threads serialise on the engine's serving lock), also
+        while :meth:`serve_network` serves on that loop.
         ``trace=True`` asks the workers for per-stage span trees (see
         :meth:`repro.serving.ShardedPool.evaluate_batch`).
         """
@@ -422,12 +422,12 @@ class XPathEngine:
         """Put the network front door on this engine's serving pool.
 
         Starts (or reuses) the engine's :meth:`serve` pool and binds an
-        :class:`repro.serving.XPathServer` over it on a background
-        thread; returns the running server (its bound address is
-        ``server.address`` — ``port=0`` picks an ephemeral port).  The
-        server's event loop drives the pool; :meth:`evaluate_sharded`
-        and :meth:`stats` from other threads hand their requests to it,
-        so they stay safe while network clients are being served.  A
+        :class:`repro.serving.XPathServer` over it on the pool's own
+        event loop thread (no thread of its own); returns the running
+        server (its bound address is ``server.address`` — ``port=0``
+        picks an ephemeral port).  :meth:`evaluate_sharded` and
+        :meth:`stats` hand their requests to that same loop, so they
+        stay safe while network clients are being served.  A
         second call returns the live server.  ``serve_kwargs`` go to
         :meth:`serve` (pool construction).  :meth:`shutdown_serving`
         drains the server before closing the pool.
@@ -454,8 +454,8 @@ class XPathEngine:
     def shutdown_serving(self) -> None:
         """Drain the network server (if any) and close the pool (idempotent)."""
         with self._serving_lock:
-            # Under the serving lock, no evaluate_sharded/stats call is
-            # waiting on the server's loop when it lets go of the pool.
+            # The server runs on the pool's loop: it stops first, then
+            # the pool (and its loop thread) closes.
             if self._network_server is not None:
                 self._network_server.shutdown(graceful=True)
             self._network_server = None

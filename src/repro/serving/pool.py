@@ -18,11 +18,12 @@ N worker processes:
   id arrays / scalars out), never as pickled nodes;
 * **conversations** — each worker has one :class:`_Conversation`, a
   state machine without I/O: its queue and bounded in-flight window of
-  queries and control frames, answered strictly in arrival order.  Two
-  thin drivers do the pipe I/O: a blocking ``connection.wait`` pump, or
-  an event loop's readers (:meth:`ShardedPool.attach_loop`, as
-  :class:`~repro.serving.XPathServer` does), so one shard's slow query
-  never holds up another shard's answer;
+  queries and control frames, answered strictly in arrival order.  One
+  driver does the pipe I/O: the pool's own event loop, on one daemon
+  thread from construction to close, with a reader on every pipe and
+  process sentinel, so one shard's slow query never holds up another
+  shard's answer.  Blocking calls hand their exchanges to that loop and
+  wait; :class:`~repro.serving.XPathServer` runs on it;
 * **supervision** — a worker that dies (crash, kill, torn frame) is
   restarted with capped exponential backoff and re-warmed from the
   mmap'd store, and the requests that were in flight on it are replayed
@@ -47,14 +48,14 @@ machine and the operations guide.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import logging
 import multiprocessing
 import os
+import sys
 import threading
-import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
@@ -171,11 +172,14 @@ def rebuild_error(type_name: str, message: str) -> Exception:
     """Rebuild a worker-side exception from its wire descriptor.
 
     Exception types are looked up in the library's own namespaces only
-    (:mod:`repro.errors`, the store errors) — a worker cannot make the
-    parent instantiate arbitrary types.  Unknown or unreconstructable
-    types degrade to :class:`ServingError` with the original text.
+    (:mod:`repro.errors`, the store and wire errors, and this module's
+    :class:`ServingError` family, so a network client gets the pool's
+    :class:`ServingTimeout` / :class:`WorkerCrashed` typed) — a peer
+    cannot make this process instantiate arbitrary types.  Unknown or
+    unreconstructable types degrade to :class:`ServingError` with the
+    original text.
     """
-    for namespace in (_errors, _corpus, wire):
+    for namespace in (_errors, _corpus, wire, sys.modules[__name__]):
         candidate = getattr(namespace, type_name, None)
         if (
             isinstance(candidate, type)
@@ -332,7 +336,7 @@ class _Exchange:
     timeout: Optional[float] = None
     attempts: int = 0
     sent: Optional[float] = None  # perf_counter of the first send
-    deadline: Optional[float] = None
+    expiry: Optional[asyncio.TimerHandle] = None  # armed at the first send
     trace: Optional[dict] = None  # the TRACE payload, if any
     outcome: object = None
     finished: Optional[float] = None
@@ -342,6 +346,8 @@ class _Exchange:
             return
         self.outcome = outcome
         self.finished = perf_counter()
+        if self.expiry is not None:
+            self.expiry.cancel()
         if self.on_done is not None:
             try:
                 self.on_done(self)
@@ -377,8 +383,6 @@ class _Conversation:
             exchange.attempts += 1
             if exchange.sent is None:
                 exchange.sent = now
-                if exchange.timeout is not None:
-                    exchange.deadline = now + exchange.timeout
             inflight.append(exchange)
             sent.append(exchange)
         return sent
@@ -398,35 +402,27 @@ class _Conversation:
             )
         return self.inflight.popleft()
 
-    def overdue(self, now: float) -> list:
-        return [
-            exchange for exchange in self.inflight
-            if exchange.deadline is not None and exchange.deadline <= now
-        ]
-
-    def next_deadline(self) -> Optional[float]:
-        return min(
-            (e.deadline for e in self.inflight if e.deadline is not None),
-            default=None,
-        )
-
 
 class _Ticket:
-    """A blocking call's exchanges, counted down as they settle."""
+    """A blocking call's exchanges, counted down on the loop as they settle."""
 
-    __slots__ = ("plan", "owed", "event")
+    __slots__ = ("owed", "event")
 
     def __init__(self, plan: list) -> None:
-        self.plan = plan  # [(worker, exchange), ...]
         self.owed = len(plan)
-        self.event: Optional[threading.Event] = None  # set when owed hits 0
+        self.event = threading.Event()  # set when owed hits 0
         for _, exchange in plan:
             exchange.on_done = self._done
 
     def _done(self, exchange: _Exchange) -> None:
         self.owed -= 1
-        if not self.owed and self.event is not None:
+        if not self.owed:
             self.event.set()
+
+    def wait(self, deadline: Optional[float]) -> None:
+        self.event.wait(
+            None if deadline is None else max(0.0, deadline - perf_counter())
+        )
 
 
 @dataclass(slots=True, eq=False)
@@ -435,8 +431,8 @@ class _Worker:
 
     ``conn`` is None while the slot has no live process; ``failed``
     marks a slot past its restart budget (its requests fail fast with
-    :class:`WorkerCrashed`).  ``watching``/``respawn`` belong to the
-    event-loop driver.
+    :class:`WorkerCrashed`).  While ``conn`` is set the loop reads it and
+    the process sentinel; ``respawn`` is the pending restart's timer.
     """
 
     index: int
@@ -445,7 +441,6 @@ class _Worker:
     conversation: _Conversation
     restarts: int = 0
     failed: bool = False
-    watching: Optional[tuple] = None
     respawn: object = None
 
 
@@ -490,12 +485,14 @@ class ShardedPool:
     restart_backoff:
         Base of the capped exponential restart backoff (seconds).
 
-    The pool is thread-safe: blocking calls take turns driving the pipes,
-    or, while an event loop drives them (:meth:`attach_loop`), hand their
-    exchanges to the loop (on the loop's own thread they raise
-    :class:`ServingError` instead of deadlocking).  It is a context
-    manager; :meth:`drain` stops admission and shuts down gracefully,
-    :meth:`close` is drain-with-deadline and is idempotent.
+    The pool is thread-safe: it owns one event loop on one daemon thread
+    (``repro-pool``), which does all of its pipe I/O, request deadlines
+    and restart backoffs.  Blocking calls from any other thread hand
+    their exchanges to the loop and wait; on the loop's own thread they
+    raise :class:`ServingError` instead of deadlocking (:meth:`submit` is
+    the loop's path).  It is a context manager; :meth:`drain` stops
+    admission and shuts down gracefully, :meth:`close` is
+    drain-with-deadline and is idempotent; either stops the loop.
     """
 
     def __init__(
@@ -533,15 +530,15 @@ class ShardedPool:
         self.request_timeout = request_timeout
         self.restart_backoff = restart_backoff
         self._closed = False
-        # Who drives the pipes (a blocking call holds it for its whole
-        # pump), and the open→closed transition: exactly one of racing
-        # drain()/close() calls runs _shutdown.
+        # The open→closed transition: exactly one of racing drain()/close()
+        # calls runs _shutdown, and no blocking call hands the loop an
+        # exchange after it began.
         self._lifecycle_lock = threading.Lock()
-        # The event-loop driver: loop, thread, handed-over calls, timer.
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[int] = None
-        self._handoffs: list[_Ticket] = []
-        self._timer, self._timer_at = None, 0.0
+        # The one driver: its loop and the thread that runs it.
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._drive, name="repro-pool", daemon=True
+        )
         # Supervision counters live in a telemetry registry so the ops
         # endpoints can expose them without a parallel bookkeeping path;
         # stats() renders the same counters into ServingStats.
@@ -575,11 +572,16 @@ class ShardedPool:
         self._context = multiprocessing.get_context(self.start_method)
         self._pool: list[_Worker] = []
         try:
-            for index in range(workers):
-                process, conn = self._spawn(index)
-                self._pool.append(
-                    _Worker(index, process, conn, _Conversation(window))
-                )
+            try:
+                # Forked before the loop thread exists; the readers go on
+                # before the loop runs, so this needs no thread hop.
+                for index in range(workers):
+                    process, conn = self._spawn(index)
+                    worker = _Worker(index, process, conn, _Conversation(window))
+                    self._pool.append(worker)
+                    self._watch(worker)
+            finally:
+                self._thread.start()
             if warm:
                 self.warm_up()
         except BaseException:
@@ -619,17 +621,16 @@ class ShardedPool:
 
         A worker is healthy when it answers PONG (with its own pid)
         within the shared ``timeout``.  A worker already dead reports
-        False and is left for the next evaluation to supervise (one that
-        dies during the probe is restarted like on any call).  A
-        drain/close racing the probe waits for it.
+        False; the pool's loop restarts it after its backoff, as it does
+        one that dies during the probe.  A drain/close racing the probe
+        fails what it has not answered (False).
         """
         deadline = perf_counter() + timeout
         plan = [
             (worker, _Exchange(wire.encode_ping(worker.index)))
             for worker in self._pool
-            if not worker.failed and worker.process.is_alive()
         ]
-        self._run(plan, deadline, supervise=False)
+        self._run(plan, deadline, probe=True)
         healthy = {
             worker.index: exchange.outcome.pid == worker.process.pid
             for worker, exchange in plan
@@ -646,9 +647,10 @@ class ShardedPool:
         zero-lost-requests receipt.  Returns the per-worker served count
         from each acknowledgement (``None`` for workers that were already
         dead or missed the deadline — those are terminated).  The pool is
-        closed afterwards; further calls raise :class:`ServingError`.
+        closed afterwards, its loop thread stopped; further calls raise
+        :class:`ServingError`.
         """
-        self._take_back(timeout)
+        self._require_off_loop()
         with self._lifecycle_lock:
             self._require_open()
             self._closed = True
@@ -663,8 +665,12 @@ class ShardedPool:
         against a concurrent :meth:`drain`/:meth:`close` from another
         thread: exactly one caller shuts the workers down, the rest
         return (or raise, for ``drain`` on a closed pool) once it has.
+        Called on the pool's own loop (a finalizer may run there), it
+        hands the shutdown to a thread of its own and returns at once.
         """
-        self._take_back(timeout)
+        if threading.get_ident() == self._thread.ident:
+            threading.Thread(target=self.close, args=(timeout,), daemon=True).start()
+            return
         with self._lifecycle_lock:
             if self._closed:
                 return
@@ -674,30 +680,26 @@ class ShardedPool:
     def _shutdown(
         self, timeout: float, graceful: bool
     ) -> tuple[Optional[int], ...]:
-        """Common drain/close mechanics under one pool-wide deadline."""
+        """Common drain/close mechanics under one pool-wide deadline.
+
+        On the loop: the DRAIN exchange (``graceful``), then
+        :meth:`_teardown`, which stops the loop; the loop thread is
+        joined and the processes reaped here.
+        """
         deadline = perf_counter() + timeout
         acks: list[Optional[int]] = [None] * len(self._pool)
-        live = [worker for worker in self._pool if worker.conn is not None]
-        if graceful:
-            ticket = _Ticket([
-                (worker, _Exchange(wire.encode_drain()))
-                for worker in live
-            ])
-            for worker, exchange in ticket.plan:
-                self._submit(worker, exchange)
-            self._pump(ticket, deadline)
-            for worker, exchange in ticket.plan:
-                if isinstance(exchange.outcome, wire.Message):
-                    acks[worker.index] = exchange.outcome.served
-        else:
-            for worker in live:
-                try:
-                    worker.conn.send_bytes(wire.encode_shutdown())
-                except (OSError, ValueError):
-                    pass  # already dead or closed: join/terminate below
-        for worker in self._pool:
-            if worker.conn is not None:
-                worker.conn.close()
+        if self._thread.is_alive():
+            if graceful:
+                plan = [
+                    (worker, _Exchange(wire.encode_drain()))
+                    for worker in self._pool
+                ]
+                self._hand_over(plan, probe=True).wait(deadline)
+                for worker, exchange in plan:
+                    if isinstance(exchange.outcome, wire.Message):
+                        acks[worker.index] = exchange.outcome.served
+            self._loop.call_soon_threadsafe(self._teardown, graceful)
+            self._thread.join()
         for worker in self._pool:
             if worker.process.is_alive():
                 worker.process.join(max(0.0, deadline - perf_counter()))
@@ -824,7 +826,7 @@ class ShardedPool:
     def submit(
         self, query: str, key: str, done, ids: bool = False, trace: bool = False
     ) -> None:
-        """Queue one query, on the thread of the loop that drives the pool.
+        """Queue one query; call it on the pool's own event loop.
 
         The frame goes to its shard's worker at once; ``done`` runs on
         the loop with the :class:`~repro.engine.QueryResult`, or with the
@@ -832,8 +834,8 @@ class ShardedPool:
         otherwise (it is :class:`~repro.serving.XPathServer`'s path).
         """
         submitted = perf_counter()
-        if self._loop is None:
-            done(ServingError("no event loop drives the pool"))
+        if self._closed:
+            done(ServingError("the pool is closed"))
             return
         try:
             entry = self.store.stat(key)
@@ -895,10 +897,9 @@ class ShardedPool:
         ``retries``/``timeouts`` totals persist across restarts).
         """
         self._require_open()
-        plan = [
+        plan = [  # a failed slot's exchange fails at once: a zeroed row
             (worker, _Exchange(wire.encode_stats_request()))
             for worker in self._pool
-            if not worker.failed
         ]
         self._run(plan)
         replies = {worker.index: exchange.outcome for worker, exchange in plan}
@@ -977,103 +978,92 @@ class ShardedPool:
             ),
         ]
 
-    # -- the event-loop driver ---------------------------------------------
+    # -- the driver: the pool's event loop ---------------------------------
 
-    def attach_loop(self) -> None:
-        """Let the running event loop drive the pool (call on its thread).
+    def _drive(self) -> None:
+        """The loop thread: run the loop until :meth:`_teardown` stops it.
 
-        A reader on every worker's pipe and process sentinel; restarts
-        wait on timers.  Blocking calls from other threads now hand their
-        exchanges to the loop, and :meth:`submit` is the loop's own path.
+        Whatever a server left on the loop (connection tasks) is
+        cancelled and run out before the loop closes.
         """
-        loop = asyncio.get_running_loop()
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_forever()
+            leftover = asyncio.all_tasks(loop)
+            for task in leftover:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*leftover, return_exceptions=True)
+            )
+        finally:
+            loop.close()
+
+    def _run(self, plan: list, deadline: Optional[float] = None,
+             probe: bool = False) -> None:
+        """Settle ``plan``'s ``(worker, exchange)`` pairs, or stop at ``deadline``.
+
+        Hands the exchanges to the loop (see :meth:`_enqueue`) and waits.
+        """
+        self._require_off_loop()
         with self._lifecycle_lock:
             self._require_open()
-            if self._loop is not None:
-                raise ServingError("an event loop already drives the pool")
-            self._loop, self._loop_thread = loop, threading.get_ident()
-        for worker in self._pool:
-            if worker.conn is not None:
-                self._watch(worker)
-                self._flush(worker)
-
-    def detach_loop(self) -> None:
-        """Give the pool back to blocking mode (call on the driving loop).
-
-        What the loop still owes anyone fails with :class:`ServingError`;
-        a late reply is read and dropped by the pool's next driver.
-        """
-        with self._lifecycle_lock:
-            if self._loop is None:
+            if not plan:
                 return
-            self._loop = self._loop_thread = None
-            handed, self._handoffs = self._handoffs, []
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        stranded = [exchange for ticket in handed for _, exchange in ticket.plan]
+            ticket = self._hand_over(plan, probe)
+        ticket.wait(deadline)
+
+    def _hand_over(self, plan: list, probe: bool) -> _Ticket:
+        ticket = _Ticket(plan)
+        self._loop.call_soon_threadsafe(self._enqueue, plan, probe)
+        return ticket
+
+    def _enqueue(self, plan: list, probe: bool) -> None:
+        """On the loop: take up a blocking call's exchanges and send them.
+
+        A worker that died idle is buried (and so restarted) first, even
+        if its sentinel is not read yet.  A ``probe``'s exchange for a
+        worker that is down fails at once instead of waiting for the
+        restart.
+        """
         for worker in self._pool:
-            self._unwatch(worker)
-            stranded += worker.conversation.inflight
-            stranded += worker.conversation.queue
-            if worker.respawn is not None:  # restart now, without the loop
-                worker.respawn.cancel()
-                self._respawn(worker)
-        for exchange in stranded:
-            exchange.finish(ServingError(
-                "the event loop stopped driving the pool before the answer"
-            ))
-
-    def _take_back(self, timeout: float) -> None:
-        """Detach a driving event loop, from any thread, before shutdown."""
-        loop = self._loop
-        if loop is None:
-            return
-        if threading.get_ident() == self._loop_thread:
-            self.detach_loop()
-            return
-        detached = threading.Event()
-
-        def detach() -> None:
-            self.detach_loop()
-            detached.set()
-
-        try:
-            loop.call_soon_threadsafe(detach)
-        except RuntimeError:  # the loop closed without detaching
-            with self._lifecycle_lock:
-                self._loop = self._loop_thread = None
-            return
-        detached.wait(timeout)
-
-    def _accept(self) -> None:
-        """On the loop: take up the exchanges blocking calls handed over."""
-        with self._lifecycle_lock:
-            tickets, self._handoffs = self._handoffs, []
-        for ticket in tickets:
-            for worker, exchange in ticket.plan:
+            if worker.conn is not None and not worker.process.is_alive():
+                self._died(worker)
+        for worker, exchange in plan:
+            if probe and worker.conn is None:
+                exchange.finish(ServingError(f"worker {worker.index} is down"))
+            else:
                 self._submit(worker, exchange)
         for worker in self._pool:
             self._flush(worker)
 
+    def _teardown(self, graceful: bool) -> None:
+        """On the loop, last: let go of every pipe, fail what is owed, stop."""
+        for worker in self._pool:
+            if worker.respawn is not None:
+                worker.respawn.cancel()
+            if worker.conn is not None:
+                self._unwatch(worker)
+                if not graceful:
+                    with contextlib.suppress(OSError, ValueError):
+                        worker.conn.send_bytes(wire.encode_shutdown())
+                worker.conn.close()
+                worker.conn = None
+            self._strand(worker)
+        self._loop.stop()
+
     def _watch(self, worker: _Worker) -> None:
-        loop = self._loop
-        if loop is not None:
-            conn, process = worker.conn, worker.process
-            loop.add_reader(conn.fileno(), self._on_ready, worker, conn)
-            loop.add_reader(process.sentinel, self._on_ready, worker, process)
-            worker.watching = (loop, conn.fileno(), process.sentinel)
+        conn, process = worker.conn, worker.process
+        self._loop.add_reader(conn.fileno(), self._on_ready, worker, conn)
+        self._loop.add_reader(process.sentinel, self._on_ready, worker, process)
 
     def _unwatch(self, worker: _Worker) -> None:
-        if worker.watching is not None:
-            loop, fd, sentinel = worker.watching
-            loop.remove_reader(fd)
-            loop.remove_reader(sentinel)
-            worker.watching = None
+        self._loop.remove_reader(worker.conn.fileno())
+        self._loop.remove_reader(worker.process.sentinel)
 
     def _on_ready(self, worker: _Worker, source) -> None:
-        """Both drivers: ``worker``'s pipe has a frame, or its process ended
-        (then its last replies are read before it is buried)."""
+        """``worker``'s pipe has a frame, or its process ended (then its
+        last replies are read before it is buried)."""
         conn = worker.conn
         if source is conn:
             self._read(worker)
@@ -1083,100 +1073,7 @@ class ShardedPool:
             if worker.conn is conn:
                 self._died(worker)
 
-    def _on_deadline(self) -> None:
-        self._timer = None
-        self._expire(perf_counter())
-        self._arm_timer()
-
-    def _arm_timer(self) -> None:
-        """Keep the loop's one timer at the earliest request deadline."""
-        wake = self._next_deadline()
-        if wake is None or (self._timer is not None and self._timer_at <= wake):
-            return
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer_at = wake
-        self._timer = self._loop.call_later(
-            max(0.0, wake - perf_counter()), self._on_deadline
-        )
-
-    def _next_deadline(self) -> Optional[float]:
-        if self.request_timeout is None:
-            return None
-        return min(
-            (due for worker in self._pool
-             if (due := worker.conversation.next_deadline()) is not None),
-            default=None,
-        )
-
-    # -- the blocking driver -----------------------------------------------
-
-    def _run(self, plan: list, deadline: Optional[float] = None,
-             supervise: bool = True) -> None:
-        """Settle ``plan``'s ``(worker, exchange)`` pairs, or stop at ``deadline``.
-
-        Pumps the pipes on this thread (after burying workers that died
-        idle, if ``supervise``), or hands the exchanges to the driving
-        event loop and waits.
-        """
-        if not plan:
-            self._require_open()
-            return
-        ticket = _Ticket(plan)
-        with self._lifecycle_lock:
-            self._require_open()
-            if self._loop is None:
-                if supervise:
-                    self._supervise()
-                for worker, exchange in plan:
-                    self._submit(worker, exchange)
-                self._pump(ticket, deadline)
-                return
-            if threading.get_ident() == self._loop_thread:
-                raise ServingError(
-                    "a blocking pool call on the event loop that drives the "
-                    "pool would deadlock; use submit() there"
-                )
-            ticket.event = threading.Event()
-            self._handoffs.append(ticket)
-            self._loop.call_soon_threadsafe(self._accept)
-        ticket.event.wait(
-            None if deadline is None else max(0.0, deadline - perf_counter())
-        )
-
-    def _pump(self, ticket: _Ticket, deadline: Optional[float] = None) -> None:
-        """The blocking driver: ``connection.wait`` until ``ticket`` is settled.
-
-        On the pipe and process sentinel of each worker that owes a reply
-        (a death wakes it at once), bounded by the nearest deadline.
-        """
-        while ticket.owed:
-            if deadline is not None and perf_counter() >= deadline:
-                return
-            waits = {}
-            for worker in self._pool:
-                self._flush(worker)
-                if worker.conn is not None and worker.conversation.inflight:
-                    waits[worker.conn] = (worker, worker.conn)
-                    waits[worker.process.sentinel] = (worker, worker.process)
-            if not ticket.owed:
-                return
-            if not waits:  # pragma: no cover - an owed exchange always has a worker
-                raise ServingError("exchanges are owed but no worker owes a reply")
-            wake = min(
-                (t for t in (deadline, self._next_deadline()) if t is not None),
-                default=None,
-            )
-            ready = connection_wait(
-                list(waits),
-                None if wake is None else max(0.0, wake - perf_counter()),
-            )
-            for key in ready:
-                self._on_ready(*waits[key])
-            if self.request_timeout is not None:
-                self._expire(perf_counter())
-
-    # -- the conversations, under either driver ----------------------------
+    # -- the conversations -------------------------------------------------
 
     def _submit(self, worker: _Worker, exchange: _Exchange) -> None:
         if worker.failed:
@@ -1195,10 +1092,12 @@ class ShardedPool:
         try:
             for exchange in worker.conversation.sendable(perf_counter()):
                 self._send(worker, exchange.frame)
+                if exchange.timeout is not None and exchange.expiry is None:
+                    exchange.expiry = self._loop.call_later(
+                        exchange.timeout, self._expire, worker, exchange
+                    )
         except (OSError, ValueError):
             self._died(worker)
-        if self._loop is not None and self.request_timeout is not None:
-            self._arm_timer()
 
     def _read(self, worker: _Worker) -> None:
         """Take one frame from ``worker``'s pipe into its conversation."""
@@ -1215,20 +1114,20 @@ class ShardedPool:
             if worker.conversation.queue:
                 self._flush(worker)  # the reply freed a slot in the window
 
-    def _expire(self, now: float) -> None:
-        """Fail overdue requests; their worker is presumed hung and replaced."""
-        for worker in self._pool:
-            late = worker.conversation.overdue(now)
-            for exchange in late:
-                self._timeouts_total.inc()
-                exchange.finish(ServingTimeout(
-                    f"request timed out after {self.request_timeout:.3g}s on "
-                    f"worker {worker.index} (sent {exchange.attempts} time(s))",
-                    worker=worker.index,
-                    attempts=exchange.attempts,
-                ))
-            if late:
-                self._died(worker)
+    def _expire(self, worker: _Worker, exchange: _Exchange) -> None:
+        """``exchange`` outlived ``request_timeout`` (from its first send):
+        it fails, and a worker that has it in flight is presumed hung and
+        replaced (one waiting in the queue for a restart is left be)."""
+        hung = exchange in worker.conversation.inflight
+        self._timeouts_total.inc()
+        exchange.finish(ServingTimeout(
+            f"request timed out after {self.request_timeout:.3g}s on "
+            f"worker {worker.index} (sent {exchange.attempts} time(s))",
+            worker=worker.index,
+            attempts=exchange.attempts,
+        ))
+        if hung:
+            self._died(worker)
 
     def _died(self, worker: _Worker) -> None:
         """Bury ``worker``; replay what it owed on a fresh process, or fail it.
@@ -1243,15 +1142,12 @@ class ShardedPool:
         worker.process.join(5.0)
         worker.conn.close()
         worker.conn = None
+        if self._closed:
+            self._strand(worker)
+            return
         conversation = worker.conversation
         lost = [e for e in conversation.inflight if e.outcome is None]
         conversation.inflight.clear()
-        if self._closed:
-            lost += conversation.queue
-            conversation.queue.clear()
-            for exchange in lost:
-                exchange.finish(ServingError("the pool is closed"))
-            return
         if worker.restarts >= self.max_restarts:
             worker.failed = True
             for exchange in lost:
@@ -1284,15 +1180,13 @@ class ShardedPool:
         backoff = min(
             self.restart_backoff * (2 ** worker.restarts), RESTART_BACKOFF_CAP
         )
-        if self._loop is not None:
-            worker.respawn = self._loop.call_later(backoff, self._respawn, worker)
-        else:
-            time.sleep(backoff)
-            self._respawn(worker)
+        worker.respawn = self._loop.call_later(backoff, self._respawn, worker)
 
     def _respawn(self, worker: _Worker) -> None:
         """Start a buried worker's new process; it warms up before it serves."""
         worker.respawn = None
+        if self._closed:
+            return  # _teardown fails what the slot still holds
         worker.restarts += 1
         self._restarts_total.inc()
         worker.process, worker.conn = self._spawn(worker.index)
@@ -1304,17 +1198,27 @@ class ShardedPool:
         self._watch(worker)
         self._flush(worker)
 
-    def _supervise(self) -> None:
-        """Bury (and so restart) workers that died while the pool was idle."""
-        for worker in self._pool:
-            if worker.conn is not None and not worker.process.is_alive():
-                self._died(worker)
+    def _strand(self, worker: _Worker) -> None:
+        """Fail everything ``worker`` owes or has queued: the pool is closed."""
+        conversation = worker.conversation
+        owed = [*conversation.inflight, *conversation.queue]
+        conversation.inflight.clear()
+        conversation.queue.clear()
+        for exchange in owed:
+            exchange.finish(ServingError("the pool is closed"))
 
     # -- internals ---------------------------------------------------------
 
     def _require_open(self) -> None:
         if self._closed:
             raise ServingError("the pool is closed")
+
+    def _require_off_loop(self) -> None:
+        if threading.get_ident() == self._thread.ident:
+            raise ServingError(
+                "a blocking pool call on the pool's own event loop would "
+                "deadlock; use submit() there"
+            )
 
     def _spawn(self, index: int):
         """Start one worker process; returns ``(process, parent_conn)``."""

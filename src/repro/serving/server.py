@@ -36,10 +36,10 @@ A connection declares its protocol with its first byte:
   ``{"overloaded": true, …}``).
 
 Both protocols share one request path — admit → shard conversation →
-reply callback → settle, all on the event loop's thread, which drives
-the pool (:meth:`~repro.serving.ShardedPool.attach_loop`) — and differ
-only in the per-connection encoder that turns a result, error, overload,
-stats, metrics or drained receipt into bytes.  The loop's reader on the
+reply callback → settle, all on the pool's own event loop, which runs
+the server too — and differ only in the per-connection encoder that
+turns a result, error, overload, stats, metrics or drained receipt into
+bytes.  The loop's reader on the
 worker's pipe runs ``_settle`` — a plain function, no Task, no Future,
 no timer — which releases admission, encodes and writes, and the request
 is done in that loop turn when the socket took every byte.  A node-set
@@ -73,18 +73,20 @@ still owed).
 Lifecycle
 ---------
 
-``await server.start()`` binds; ``await server.drain()`` is the graceful
-path mirroring the pool's DRAIN semantics one level up: stop accepting
-connections, reject new requests as OVERLOADED, wait for the in-flight
-set to flush to every client (slow readers included, under the drain
-deadline), send each binary client a ``DRAINED`` frame carrying its
-connection's served count (JSON: ``{"drained": N}``), close the
-connections, and finally drain the pool itself if the server owns it.
-``await server.aclose()`` is the fast path.  For synchronous callers
-(:meth:`repro.engine.XPathEngine.serve_network`, the CLI, tests) the
-server also runs on a background thread with its own event loop:
-:meth:`XPathServer.start_background` / :meth:`XPathServer.shutdown`, or
-simply ``with XPathServer(...) as (host, port):``.
+The server has no thread or event loop of its own: it runs on its
+pool's loop (:class:`~repro.serving.ShardedPool` owns one from
+construction to close).  :meth:`XPathServer.start_background` binds the
+listener there; :meth:`XPathServer.shutdown` (or simply ``with
+XPathServer(...) as (host, port):``) is the graceful path, mirroring the
+pool's DRAIN semantics one level up: stop accepting connections, reject
+new requests as OVERLOADED, wait for the in-flight set to flush to every
+client (slow readers included, under the drain deadline), send each
+binary client a ``DRAINED`` frame carrying its connection's served count
+(JSON: ``{"drained": N}``), close the connections, and finally close the
+pool itself if the server built it.  A drain that outlives
+``shutdown``'s timeout is cancelled for the fast path, which
+``graceful=False`` takes at once: close the listener, abort every
+connection.
 
 Operations
 ----------
@@ -105,10 +107,11 @@ event.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import contextlib
 import json
 import logging
 import os
-import threading
 import time
 from collections import deque
 from functools import partial
@@ -263,11 +266,11 @@ class XPathServer:
         The :class:`ShardedPool` to serve (the server never closes a
         pool it was given), or a :class:`~repro.store.CorpusStore` /
         store path — then the server builds its own pool at
-        :meth:`start` with ``workers`` processes and drains it on
-        shutdown.
+        :meth:`start_background` with ``workers`` processes and closes
+        it on shutdown.
     host, port:
         Listen address; ``port=0`` binds an ephemeral port (read it from
-        :attr:`address` after :meth:`start`).
+        :attr:`address` after :meth:`start_background`).
     workers:
         Worker count when the server builds its own pool.
     max_inflight:
@@ -282,13 +285,13 @@ class XPathServer:
         Seconds one response write may take before the client is judged
         wedged and its connection aborted.
     drain_timeout:
-        Deadline for :meth:`drain`'s flush-everything phase.
+        Deadline for the graceful shutdown's flush-everything phase.
     banner:
         Free-text server identification echoed in the HELLO frame.
 
-    While the server runs, its event loop drives the pool (blocking pool
-    calls from other threads hand their requests to it); afterwards a
-    pool it was given is open for blocking use again.
+    The server runs on the pool's event loop, so the pool must outlive
+    it: shut the server down before closing a pool it was given (the
+    pool stays open for blocking calls all along).
     """
 
     def __init__(
@@ -368,18 +371,14 @@ class XPathServer:
         # Answers whose write did not leave in one piece (loop thread
         # only): the loop holds tasks weakly, so keep them until done.
         self._flushing: "set[asyncio.Task]" = set()
-        # background-thread plumbing
-        self._shutdown_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._thread_ready: Optional[threading.Event] = None
-        self._thread_error: Optional[BaseException] = None
-        self._stop_event: Optional[asyncio.Event] = None
+        # The one stopping task every shutdown() caller waits for.
+        self._stopping: Optional[asyncio.Future] = None
 
     # -- properties --------------------------------------------------------
 
     @property
     def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` (valid once :meth:`start` returned)."""
+        """The bound ``(host, port)`` (valid once :meth:`start_background` returned)."""
         if self._address is None:
             raise ServingError("the server is not started")
         return self._address
@@ -393,38 +392,16 @@ class XPathServer:
 
     @property
     def draining(self) -> bool:
-        """True once :meth:`drain` (or :meth:`aclose`) has begun."""
+        """True once :meth:`shutdown` has begun."""
         return self._draining
 
-    # -- async lifecycle ---------------------------------------------------
+    # -- lifecycle (on the pool's loop) ------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind the listening socket and drive the pool; returns address."""
-        if self._server is not None:
-            return self.address
-        if self._closed:
-            raise ServingError("the server is closed")
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        if self._pool is None:
-            # Building a pool forks+warms workers: keep it off the loop.
-            source, workers = self._pool_source, self._workers
-            self._pool = await loop.run_in_executor(
-                None, lambda: ShardedPool(source, workers=workers)
-            )
-            self._own_pool = True
-        else:
-            self._own_pool = False
-        if self.max_inflight is None:
-            self.max_inflight = self._pool.workers * self._pool.window
-        self._pool.attach_loop()
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except BaseException:
-            self._pool.detach_loop()
-            raise
+    async def _start(self) -> None:
+        """Bind the listening socket, on the pool's loop."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         logger.info(
@@ -432,34 +409,16 @@ class XPathServer:
             self._address[0], self._address[1], self.max_inflight,
             self._pool.workers,
         )
-        return self._address
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`drain`/:meth:`aclose` (or task cancellation)."""
-        if self._server is None:
-            await self.start()
-        self._stop_event = asyncio.Event()
-        await self._stop_event.wait()
+    async def _drain(self) -> None:
+        """Flush every owed answer, then send DRAINED receipts.
 
-    async def drain(self, timeout: Optional[float] = None) -> int:
-        """Gracefully shut down; returns the total requests served.
-
-        Mirrors the pool's DRAIN semantics one level up: stop accepting,
-        reject new requests as OVERLOADED, flush every owed response to
-        its client (under ``timeout``, default ``drain_timeout``), send
-        each client a DRAINED receipt with its connection's served
-        count, close the connections, then drain the pool if the server
-        owns it.  Idempotent.
+        Mirrors the pool's DRAIN semantics one level up: with admission
+        stopped, every owed response is flushed to its client (under
+        ``drain_timeout``), then each client gets a DRAINED receipt with
+        its connection's served count and is closed.
         """
-        if self._closed:
-            return int(self._served_total.value())
-        deadline = time.monotonic() + (
-            self.drain_timeout if timeout is None else timeout
-        )
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        deadline = time.monotonic() + self.drain_timeout
         # Wait for the in-flight set to empty (new requests are already
         # rejected by _admit), bounded by the drain deadline.
         self._idle_event = asyncio.Event()
@@ -493,104 +452,90 @@ class XPathServer:
             int(self._overloaded_total.value()),
             int(self._connections_count.value()),
         )
-        await self._release_pool(graceful=True)
-        return int(self._served_total.value())
 
-    async def aclose(self) -> None:
-        """Fast shutdown: abort connections, let go of the pool (close it if owned)."""
-        if self._closed:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _stop(self, graceful: bool, timeout: float) -> None:
+        """Stop admission and the listener, drain under ``timeout`` (if
+        ``graceful``), then abort what is left: every connection still
+        open is aborted, and the answers owed to it are dropped when they
+        arrive.
+        """
+        self._draining = True  # _admit answers OVERLOADED from now on
+        # Closes the listening socket at once.  (Not wait_closed(): from
+        # Python 3.12.1 on it waits for every client connection to close,
+        # which the drain itself does last.)
+        self._server.close()
+        if graceful:
+            try:
+                await asyncio.wait_for(self._drain(), timeout)
+            except asyncio.TimeoutError:
+                logger.warning("drain outlived its %.3gs timeout: aborting", timeout)
         for conn in list(self._connections):
             self._close_connection(conn, abort=True)
-        await self._release_pool(graceful=False)
+        # Slow writes still finishing end with the server, not later on
+        # the pool's loop, which outlives it.
+        flushing = list(self._flushing)
+        for task in flushing:
+            task.cancel()
+        await asyncio.gather(*flushing, return_exceptions=True)
 
-    async def _release_pool(self, graceful: bool) -> None:
-        """Stop driving the pool; drain (or close) it if the server owns it."""
-        pool = self._pool
-        if pool is not None:
-            pool.detach_loop()
-            if self._own_pool and not pool.closed:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, pool.drain if graceful else pool.close
-                )
-        self._closed = True
-        if self._stop_event is not None:
-            self._stop_event.set()
+    async def _stopped(self, graceful: bool, timeout: float) -> None:
+        """Wait for the one stopping task every shutdown() caller shares."""
+        if self._stopping is None:
+            self._stopping = asyncio.ensure_future(self._stop(graceful, timeout))
+        await asyncio.shield(self._stopping)
 
-    # -- background-thread lifecycle (sync callers) ------------------------
+    # -- lifecycle (sync callers) ------------------------------------------
 
     def start_background(self) -> tuple[str, int]:
-        """Run the server on its own thread + event loop; returns address."""
-        # The thread handle is shared with shutdown(); publish it under
-        # the same lock so a concurrent start/shutdown pair can never
-        # observe (and join/None out) a half-started thread.
-        with self._shutdown_lock:
-            if self._thread is not None:
-                return self.address
-            self._thread_ready = threading.Event()
-            thread = threading.Thread(
-                target=self._thread_main, name="repro-xpath-server", daemon=True
-            )
-            self._thread = thread
-            thread.start()
-        self._thread_ready.wait()
-        if self._thread_error is not None:
-            with self._shutdown_lock:
-                self._thread = None
-            raise self._thread_error
-        return self.address
+        """Bind on the pool's event loop; returns the bound address.
 
-    def _thread_main(self) -> None:
+        A server given a store builds its pool here, in the calling
+        thread, first.  Starts no thread: the pool's loop thread runs
+        the listener and every connection.
+        """
+        if self._address is not None:
+            return self._address
+        if self._closed:
+            raise ServingError("the server is closed")
+        if self._pool is None:
+            self._pool = ShardedPool(self._pool_source, workers=self._workers)
+            self._own_pool = True
+        if self.max_inflight is None:
+            self.max_inflight = self._pool.workers * self._pool.window
+        self._loop = self._pool._loop
         try:
-            asyncio.run(self._background_main())
-        except BaseException as error:  # pragma: no cover - loop crash guard
-            self._thread_error = error
-            self._thread_ready.set()
-
-    async def _background_main(self) -> None:
-        try:
-            await self.start()
-        except BaseException as error:
-            self._thread_error = error
-            self._thread_ready.set()
-            return
-        self._stop_event = asyncio.Event()
-        self._thread_ready.set()
-        await self._stop_event.wait()
+            asyncio.run_coroutine_threadsafe(self._start(), self._loop).result()
+        except BaseException:
+            if self._own_pool:  # a retry builds a fresh one
+                self._pool.close()
+                self._pool, self._own_pool = None, False
+            raise
+        return self._address
 
     def shutdown(self, graceful: bool = True, timeout: float = 30.0) -> None:
-        """Stop a background server from any thread (idempotent).
+        """Stop the server from any thread but the pool's loop (idempotent).
 
-        ``graceful=True`` runs :meth:`drain` (clients get their owed
-        responses and a DRAINED receipt); ``False`` runs :meth:`aclose`.
-        Concurrent callers serialise: one does the work, the rest return
+        ``graceful=True`` drains first (clients get their owed responses
+        and a DRAINED receipt); if the drain outlives ``timeout`` it is
+        cancelled, and like ``graceful=False`` the listener is closed and
+        the connections aborted.  Then a pool the server built is
+        closed.  Concurrent callers share one stopping task and return
         once it is done.
         """
-        with self._shutdown_lock:
-            thread, loop = self._thread, self._loop
-            if thread is None or loop is None or not thread.is_alive():
-                return
-            coroutine = self.drain() if graceful else self.aclose()
-            try:
-                future = asyncio.run_coroutine_threadsafe(coroutine, loop)
-            except RuntimeError:  # pragma: no cover - loop died under us
-                coroutine.close()
-                thread.join(timeout)
-                return
-            try:
-                future.result(timeout)
-            except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                future.cancel()
-                if self._pool is not None:  # the cancelled drain still lets go
-                    loop.call_soon_threadsafe(self._pool.detach_loop)
-            except asyncio.CancelledError:  # pragma: no cover - loop teardown
-                pass
-            thread.join(timeout)
-            self._thread = None
+        if self._address is None:
+            return  # never bound
+        stopped = self._stopped(graceful, timeout)
+        try:
+            future = asyncio.run_coroutine_threadsafe(stopped, self._loop)
+        except RuntimeError:  # the pool was closed first, and its loop with it
+            stopped.close()
+        else:
+            # Cancelled if the pool closes (and its loop stops) meanwhile.
+            with contextlib.suppress(concurrent.futures.CancelledError):
+                future.result()
+        self._closed = True
+        if self._own_pool:
+            self._pool.close()  # idempotent; after a drain nothing is owed
 
     def __enter__(self) -> tuple[str, int]:
         return self.start_background()

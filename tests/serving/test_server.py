@@ -1,7 +1,7 @@
 """Network front-door tests: handshake, protocols, admission, lifecycle.
 
-The server under test runs exactly as in production — background thread,
-real TCP sockets on loopback, a live worker pool behind it.  Admission
+The server under test runs exactly as in production — on its pool's event
+loop thread, real TCP sockets on loopback, a live worker pool behind it.  Admission
 tests stop the pool's worker processes (``frozen_workers``) to freeze the
 pool deterministically (no sleeps, no load races); supervision tests
 inject worker faults through the environment the same way the pool's own
@@ -24,6 +24,7 @@ from repro.serving import (
     Overloaded,
     ServingClient,
     ServingError,
+    ServingTimeout,
     ShardedPool,
     XPathServer,
     wire,
@@ -484,6 +485,21 @@ class TestLifecycle:
         finally:
             blocker.close()
 
+    def test_a_failed_bind_closes_the_built_pool_and_a_retry_builds_anew(self, store):
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        server = XPathServer(store, workers=1, port=blocker.getsockname()[1])
+        try:
+            with pytest.raises(OSError):
+                server.start_background()
+        finally:
+            blocker.close()
+        server.port = 0
+        with server as address:
+            with ServingClient(*address) as client:
+                assert client.evaluate("count(//x)", "row").value == 4.0
+
 
 class TestSupervisionEdges:
     def test_worker_crash_mid_batch_is_invisible_to_network_clients(
@@ -528,8 +544,8 @@ class TestSupervisionEdges:
                         assert time.monotonic() - started < 5.0
                         assert client.evaluate("count(//x)", "row").value == 4.0
                         stats = client.server_stats()["pool"]
-        assert isinstance(timed_out, ServingError), timed_out
-        assert str(timed_out).startswith("ServingTimeout: request timed out")
+        assert isinstance(timed_out, ServingTimeout), timed_out
+        assert "request timed out" in str(timed_out)
         assert (stats["timeouts"], stats["restarts"]) == (1, 1)
 
     def test_drain_flushes_a_slow_client_before_the_receipt(self, pool):
@@ -921,3 +937,81 @@ class TestEventLoopDrivesThePool:
             not worker.conversation.inflight and not worker.conversation.queue
             for worker in pool._pool
         )
+
+
+def _repro_threads():
+    return {thread for thread in threading.enumerate() if thread.name.startswith("repro-")}
+
+
+class TestOneLoopThread:
+    """Every pool runs exactly one thread, its event loop, and the server
+    runs on it: no thread of the server's own, none left after close."""
+
+    def test_a_timed_out_shutdown_stops_the_server_and_spares_the_pool(self, store):
+        """A drain that cannot finish (the workers are frozen with a request
+        owed) is cut off at ``timeout``: the port closes, the borrowed pool
+        still answers afterwards, and closing it leaves no thread behind."""
+        before = _repro_threads()
+        pool = ShardedPool(store, workers=2)
+        try:
+            server = XPathServer(pool)
+            address = server.start_background()
+            sock = _raw_binary_connection(address)
+            with frozen_workers(pool):
+                sock.sendall(_framed_query(1, "letters", "//b"))
+                deadline = time.monotonic() + 10.0
+                while server._inflight == 0:  # admitted: the answer is owed
+                    assert time.monotonic() < deadline, "never admitted"
+                    time.sleep(0.01)
+                started = time.monotonic()
+                server.shutdown(timeout=1.0)
+                took = time.monotonic() - started
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(address, timeout=2.0)
+            sock.close()
+            assert took <= 1.5, f"shutdown(timeout=1.0) took {took:.2f}s"
+            assert pool.evaluate("//b", "letters").ids == _expected_ids(
+                "//b", "letters"
+            )
+        finally:
+            pool.close()
+        assert not _repro_threads() - before
+
+    def test_a_standalone_pool_runs_one_thread(self, store):
+        before = set(threading.enumerate())
+        pool = ShardedPool(store, workers=2)
+        try:
+            assert pool.evaluate("count(//x)", "row").value == 4.0
+            started = set(threading.enumerate()) - before
+            assert [thread.name for thread in started] == ["repro-pool"]
+        finally:
+            pool.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_served_engine_runs_the_same_one_thread(self, store):
+        before = set(threading.enumerate())
+        engine = XPathEngine().attach_store(store)
+        server = engine.serve_network(workers=2)
+        try:
+            with ServingClient(*server.address) as client:
+                assert client.evaluate("count(//x)", "row").value == 4.0
+            [result] = engine.evaluate_sharded([("count(//x)", "row")])
+            assert result.value == 4.0
+            started = set(threading.enumerate()) - before
+            assert [thread.name for thread in started] == ["repro-pool"]
+        finally:
+            engine.shutdown_serving()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_close_on_the_pools_own_loop_shuts_down_from_another_thread(self, store):
+        """A finalizer may run on the loop: close() there cannot wait for
+        the loop, so it hands the shutdown off instead of deadlocking."""
+        pool = ShardedPool(store, workers=1, warm=False)
+        before = set(threading.enumerate())
+        pool._loop.call_soon_threadsafe(pool.close)
+        pool._thread.join(10.0)  # the loop stops before its closer is done
+        for closer in set(threading.enumerate()) - before:
+            closer.join(10.0)
+        assert not pool._thread.is_alive()
+        assert pool.closed
+        assert not pool._pool[0].process.is_alive()

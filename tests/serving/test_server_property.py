@@ -1,7 +1,7 @@
 """Property: sharded-over-TCP ≡ ``evaluate_many_ids``, under concurrency.
 
 The network tier adds stream framing, connection multiplexing, the
-admission window and a dispatcher thread on top of the pool — none of
+admission window and a listener on the pool's event loop — none of
 which may change a single answer.  Random documents are snapshotted into
 the server's store, then mixed batches (id queries, scalars, and
 always-failing requests) are driven through several concurrent TCP
