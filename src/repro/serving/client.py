@@ -1,25 +1,29 @@
 """Clients for the network serving tier (binary ``RPW1`` over TCP).
 
-Two clients for :class:`~repro.serving.server.XPathServer`'s binary
-protocol, one per concurrency model:
+One client protocol, two transports.  :class:`_ClientProtocol` is the
+client side of :class:`~repro.serving.server.XPathServer`'s binary
+conversation — the handshake, windowed batches, ``PING``, ``STATS``,
+``METRICS`` and ``DRAIN`` — written once and free of I/O: each operation
+is a generator that yields the bytes to send next, or asks for the next
+decoded reply frame, and returns the result.  A transport connects,
+sends bytes, reads one frame at a time and closes; nothing else:
 
 * :class:`ServingClient` — blocking sockets, for scripts, tests and the
   CLI.  Single-threaded use only.
 * :class:`AsyncServingClient` — asyncio streams, for callers that
   multiplex many connections in one loop (the E19 benchmark drives the
-  server with these).
+  server with these); every operation is awaitable.
 
-Both speak the same conversation: connect, send the 4-byte ``RPW1``
-preamble, read the server's ``HELLO`` (protocol-version checked), then
-pipeline length-prefixed frames.  Batches self-window (at most
-``window`` unanswered requests on the wire) and reassemble replies by
-correlation id, so one slow query does not stall the pipe behind it.
-Worker-side failures come back as the same exception types the
-in-process engine raises (rebuilt via :func:`repro.serving.pool
-.rebuild_error`); an admission rejection raises the typed
-:class:`Overloaded` carrying the server's in-flight count and capacity
-— callers distinguish "back off and retry" from "your query is wrong"
-by exception type alone.
+The conversation: connect, send the 4-byte ``RPW1`` preamble, read the
+server's ``HELLO`` (protocol-version checked), then pipeline
+length-prefixed frames.  Batches self-window (at most ``window``
+unanswered requests on the wire) and reassemble replies by correlation
+id, so one slow query does not stall the pipe behind it.  Worker-side
+failures come back as the same exception types the in-process engine
+raises (rebuilt via :func:`repro.serving.pool.rebuild_error`); an
+admission rejection raises the typed :class:`Overloaded` carrying the
+server's in-flight count and capacity — callers distinguish "back off
+and retry" from "your query is wrong" by exception type alone.
 
 >>> # doctest requires a running server; see docs/serving.md
 """
@@ -27,6 +31,8 @@ by exception type alone.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import json
 import socket
 import time
@@ -83,19 +89,6 @@ class RemoteResult:
         return self.ids is not None
 
 
-def _hello_or_raise(message: "wire.Message") -> "wire.Message":
-    if message.type != wire.MSG_HELLO:
-        raise ServingError(
-            f"server opened with frame type {message.type}, expected HELLO"
-        )
-    if message.version != wire.PROTOCOL_VERSION:
-        raise ServingError(
-            f"server speaks protocol version {message.version}, "
-            f"this client speaks {wire.PROTOCOL_VERSION}"
-        )
-    return message
-
-
 def _result_from(message: "wire.Message", query: str, key: str):
     """Map one reply frame to a RemoteResult or an exception object."""
     if message.type == wire.MSG_RESULT_IDS:
@@ -127,25 +120,9 @@ def _expect(message: "wire.Message", expected: int, request: str) -> "wire.Messa
     )
 
 
-_METRICS_FORMATS = {
-    "json": wire.METRICS_JSON,
-    "prometheus": wire.METRICS_PROMETHEUS,
-}
-
-
-def _metrics_format_code(format: object) -> int:
-    """Map a metrics format name to its wire code; ``ValueError`` if unknown."""
-    code = _METRICS_FORMATS.get(format) if isinstance(format, str) else None
-    if code is None:
-        raise ValueError(
-            f"unknown metrics format {format!r}; "
-            f"choose one of {sorted(_METRICS_FORMATS)}"
-        )
-    return code
-
-
 class _BatchState:
-    """Shared reply-correlation bookkeeping for both client flavours."""
+    """One batch's reply-correlation bookkeeping (the protocol's window
+    loop drives it)."""
 
     def __init__(
         self, requests: Sequence[tuple], ids: bool, trace: bool = False
@@ -216,10 +193,7 @@ class _BatchState:
     def _client_trace(self, seq: int) -> Trace:
         """The ``client`` tier trace: one round-trip span + server child."""
         trace = Trace("client")
-        sent = self.sent_at.get(seq)
-        duration = (
-            time.perf_counter() - sent if sent is not None else 0.0
-        )
+        duration = time.perf_counter() - self.sent_at[seq]  # seq was sent
         trace.add_span("request", offset=0.0, duration=duration)
         payload = self.traces.pop(seq, None)
         if payload is not None:
@@ -234,7 +208,186 @@ class _BatchState:
         return self.results
 
 
-class ServingClient:
+#: What an operation yields to be handed the next decoded reply frame.
+_READ = None
+
+
+def _operation(protocol):
+    """Make a generator method of :class:`_ClientProtocol` a client
+    operation: calling it hands the generator to the transport's ``_run``
+    (which returns the result, or an awaitable of it)."""
+
+    @functools.wraps(protocol)
+    def operation(self, *args, **kwargs):
+        return self._run(protocol(self, *args, **kwargs))
+
+    return operation
+
+
+class _ClientProtocol:
+    """The client side of one binary conversation, with no I/O.
+
+    Every operation is written once, here, as a generator: it yields the
+    bytes to send next, or :data:`_READ` to be sent the next decoded
+    reply frame, and returns its result or raises.  A transport subclass
+    supplies ``_run(operation)``, which drives one such generator over
+    its connection and closes the connection once the protocol has
+    marked the client closed — after :meth:`drain`, a failed handshake,
+    or any operation that ended with a reply still owed (a timeout, a
+    protocol error, an interrupt, a cancelled task): the late reply
+    would otherwise answer the next request, whose ``seq`` numbers start
+    at 0 again.  The next call then raises the typed "client is closed"
+    :class:`ServingError`.
+    """
+
+    def __init__(self, window: int) -> None:
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        self.window = window
+        self._closed = False
+        self.server_pid = 0
+        self.banner = ""
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ServingError("the client is closed")
+
+    # -- the conversation --------------------------------------------------
+
+    def _roundtrip(self, data: bytes):
+        """Send ``data``, return the reply frame."""
+        self._require_open()
+        try:
+            yield data
+            return (yield _READ)
+        except BaseException:
+            self._closed = True  # the reply may still be owed
+            raise
+
+    def _request(self, frame: bytes, expected: int, name: str):
+        """One operation round-trip: send ``frame``, check the reply type."""
+        reply = yield from self._roundtrip(wire.encode_framed(frame))
+        return _expect(reply, expected, name)
+
+    @_operation
+    def _handshake(self):
+        """Send the ``RPW1`` preamble, check the server's HELLO."""
+        hello = yield from self._roundtrip(wire.MAGIC)
+        if hello.type != wire.MSG_HELLO:
+            problem = f"server opened with frame type {hello.type}, expected HELLO"
+        elif hello.version != wire.PROTOCOL_VERSION:
+            problem = (
+                f"server speaks protocol version {hello.version}, "
+                f"this client speaks {wire.PROTOCOL_VERSION}"
+            )
+        else:
+            self.server_pid, self.banner = hello.pid, hello.banner
+            return
+        self._closed = True
+        raise ServingError(problem)
+
+    def _batch(self, requests, ids, return_errors, trace):
+        """Pipeline ``requests``, at most ``window`` unanswered at a time."""
+        self._require_open()
+        state = _BatchState(requests, ids, trace)
+        try:
+            for frame in state.frames():
+                yield frame
+                while len(state.pending) >= self.window:
+                    state.absorb((yield _READ))
+            while state.pending:
+                state.absorb((yield _READ))
+        finally:
+            if state.pending:
+                self._closed = True
+        return state.finish(return_errors)
+
+    # -- operations --------------------------------------------------------
+
+    @_operation
+    def evaluate(
+        self,
+        query: Union[str, object],
+        key: str,
+        ids: bool = False,
+        trace: bool = False,
+    ) -> RemoteResult:
+        """Evaluate one query over the wire; raises typed errors."""
+        results = yield from self._batch([(query, key)], ids, False, trace)
+        return results[0]
+
+    @_operation
+    def evaluate_batch(
+        self,
+        requests: Sequence[tuple],
+        ids: bool = False,
+        return_errors: bool = False,
+        trace: bool = False,
+    ) -> list:
+        """Pipeline ``(query, key)`` pairs; results come back in order.
+
+        At most ``window`` requests ride the wire unanswered.  With
+        ``return_errors=False`` (default) the first failing request (by
+        input order) raises after the batch drains; with ``True`` its
+        slot carries the exception object instead.  ``trace=True`` asks
+        the server for per-stage spans: each result's ``trace`` is the
+        cross-tier span tree (client → server → pool → worker → engine).
+        A batch that ends with replies still owed closes the client.
+        """
+        return (yield from self._batch(requests, ids, return_errors, trace))
+
+    @_operation
+    def ping(self, seq: int = 0) -> tuple[int, float]:
+        """Liveness probe; returns ``(server_pid, round_trip_seconds)``."""
+        started = time.perf_counter()
+        message = yield from self._request(
+            wire.encode_ping(seq), wire.MSG_PONG, "PING"
+        )
+        elapsed = time.perf_counter() - started
+        if message.seq != seq:
+            raise ServingError(
+                f"server answered PING {seq} with PONG {message.seq}"
+            )
+        return message.pid, elapsed
+
+    @_operation
+    def server_stats(self) -> dict:
+        """The server's STATS payload (server counters + pool counters)."""
+        message = yield from self._request(
+            wire.encode_stats_request(), wire.MSG_STATS_REPLY, "STATS"
+        )
+        return message.payload
+
+    @_operation
+    def server_metrics(self, format: str = "json") -> str:
+        """The server's METRICS exposition body as text.
+
+        ``format`` is ``"json"`` (the families document of
+        :func:`repro.telemetry.render_json`) or ``"prometheus"`` (the
+        classic text exposition format, scrape-ready); anything else is
+        a :class:`ValueError`, raised before anything is sent.
+        """
+        message = yield from self._request(
+            wire.encode_metrics_request(wire.metrics_format_code(format)),
+            wire.MSG_METRICS_REPLY, "METRICS",
+        )
+        return message.body
+
+    @_operation
+    def drain(self) -> int:
+        """Client-initiated graceful close; returns requests served here.
+
+        Sends ``DRAIN``, reads the server's ``DRAINED`` receipt (the
+        count of requests this connection was served), closes.
+        """
+        message = yield from self._request(
+            wire.encode_drain(), wire.MSG_DRAINED, "DRAIN"
+        )
+        self._closed = True
+        return message.served
+
+
+class ServingClient(_ClientProtocol):
     """A blocking-socket client for one :class:`XPathServer` connection.
 
     Parameters
@@ -257,167 +410,49 @@ class ServingClient:
         timeout: float = 30.0,
         window: int = DEFAULT_CLIENT_WINDOW,
     ) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.window = window
+        super().__init__(window)
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
-        self._closed = False
-        try:
-            self._sock.sendall(wire.MAGIC)
-            hello = _hello_or_raise(self._read_message())
-        except BaseException:
-            self.close()
-            raise
-        self.server_pid = hello.pid
-        self.banner = hello.banner
+        self._stream = self._sock.makefile("rb")  # header + frame in one recv
+        self._handshake()
 
-    # -- wire plumbing -----------------------------------------------------
+    def _run(self, operation):
+        """Drive one protocol operation over the socket."""
+        reply = None
+        try:
+            while True:
+                step = operation.send(reply)
+                if step is _READ:
+                    reply = self._read_message()
+                else:
+                    self._sock.sendall(step)
+                    reply = None
+        except StopIteration as done:
+            return done.value
+        finally:
+            operation.close()
+            if self._closed:
+                self.close()
 
     def _recv_exactly(self, size: int) -> bytes:
-        chunks = []
-        remaining = size
-        while remaining:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
-                raise ServingError(
-                    f"server closed the connection mid-frame "
-                    f"({size - remaining}/{size} byte(s) read)"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        data = self._stream.read(size)
+        if len(data) < size:
+            raise ServingError(
+                f"server closed the connection mid-frame "
+                f"({len(data)}/{size} byte(s) read)"
+            )
+        return data
 
     def _read_message(self) -> "wire.Message":
         length = wire.framed_length(self._recv_exactly(4))
         return wire.decode(self._recv_exactly(length))
 
-    def _send_frame(self, frame: bytes) -> None:
-        self._sock.sendall(wire.encode_framed(frame))
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(
-        self,
-        query: Union[str, object],
-        key: str,
-        ids: bool = False,
-        trace: bool = False,
-    ) -> RemoteResult:
-        """Evaluate one query over the wire; raises typed errors."""
-        return self.evaluate_batch([(query, key)], ids=ids, trace=trace)[0]
-
-    def evaluate_batch(
-        self,
-        requests: Sequence[tuple],
-        ids: bool = False,
-        return_errors: bool = False,
-        trace: bool = False,
-    ) -> list:
-        """Pipeline ``(query, key)`` pairs; results come back in order.
-
-        At most ``window`` requests ride the wire unanswered.  With
-        ``return_errors=False`` (default) the first failing request (by
-        input order) raises after the batch drains; with ``True`` its
-        slot carries the exception object instead.  ``trace=True`` asks
-        the server for per-stage spans: each result's ``trace`` is the
-        cross-tier span tree (client → server → pool → worker → engine).
-
-        A batch that ends with replies still owed — a socket timeout, a
-        protocol error, an interrupt — closes the client: the late
-        replies would otherwise answer the next batch, whose ``seq``
-        numbers start at 0 again.  The next call raises the typed
-        "client is closed" :class:`ServingError`.
-        """
-        self._require_open()
-        state = _BatchState(requests, ids, trace)
-        frames = state.frames()
-        exhausted = False
-        try:
-            while not exhausted or state.pending:
-                while not exhausted and len(state.pending) < self.window:
-                    frame = next(frames, None)
-                    if frame is None:
-                        exhausted = True
-                        break
-                    self._sock.sendall(frame)
-                if state.pending:
-                    state.absorb(self._read_message())
-                if state.drained:
-                    break
-        finally:
-            if state.pending:
-                # Interrupted (timeout, protocol error, Ctrl-C) with
-                # replies still owed: every batch numbers from seq 0, so
-                # the next one would take the late replies for its own.
-                self.close()
-        return state.finish(return_errors)
-
-    # -- operations --------------------------------------------------------
-
-    def _request(self, frame: bytes, expected: int, name: str) -> "wire.Message":
-        """One operation round-trip: send ``frame``, check the reply type."""
-        self._require_open()
-        self._send_frame(frame)
-        return _expect(self._read_message(), expected, name)
-
-    def ping(self, seq: int = 0) -> tuple[int, float]:
-        """Liveness probe; returns ``(server_pid, round_trip_seconds)``."""
-        started = time.perf_counter()
-        message = self._request(wire.encode_ping(seq), wire.MSG_PONG, "PING")
-        elapsed = time.perf_counter() - started
-        if message.seq != seq:
-            raise ServingError(
-                f"server answered PING {seq} with PONG {message.seq}"
-            )
-        return message.pid, elapsed
-
-    def server_stats(self) -> dict:
-        """The server's STATS payload (server counters + pool counters)."""
-        return self._request(
-            wire.encode_stats_request(), wire.MSG_STATS_REPLY, "STATS"
-        ).payload
-
-    def server_metrics(self, format: str = "json") -> str:
-        """The server's METRICS exposition body as text.
-
-        ``format`` is ``"json"`` (the families document of
-        :func:`repro.telemetry.render_json`) or ``"prometheus"`` (the
-        classic text exposition format, scrape-ready); anything else is
-        a :class:`ValueError`.
-        """
-        return self._request(
-            wire.encode_metrics_request(_metrics_format_code(format)),
-            wire.MSG_METRICS_REPLY, "METRICS",
-        ).body
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def drain(self) -> int:
-        """Client-initiated graceful close; returns requests served here.
-
-        Sends ``DRAIN``, reads the server's ``DRAINED`` receipt (the
-        count of requests this connection was served), closes.
-        """
-        served = self._request(
-            wire.encode_drain(), wire.MSG_DRAINED, "DRAIN"
-        ).served
-        self.close()
-        return served
-
     def close(self) -> None:
         """Close the socket (idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        try:
+        with contextlib.suppress(OSError):  # close is best-effort
+            self._stream.close()
             self._sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ServingError("the client is closed")
 
     def __enter__(self) -> "ServingClient":
         return self
@@ -427,25 +462,23 @@ class ServingClient:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
-        return f"<ServingClient {state} server_pid={getattr(self, 'server_pid', '?')}>"
+        return f"<ServingClient {state} server_pid={self.server_pid}>"
 
 
-class AsyncServingClient:
+class AsyncServingClient(_ClientProtocol):
     """An asyncio client for one :class:`XPathServer` connection.
 
-    Build with :meth:`connect`; the API mirrors :class:`ServingClient`
-    with every method a coroutine.  One instance belongs to one task at
-    a time (one connection is one ordered conversation) — run many
-    instances for concurrency, that is the point of the async flavour.
+    Build with :meth:`connect`; the API is :class:`ServingClient`'s with
+    every operation awaitable, and :meth:`aclose` for ``close``.  One
+    instance belongs to one task at a time (one connection is one
+    ordered conversation) — run many instances for concurrency, that is
+    the point of the async flavour.
     """
 
     def __init__(self, reader, writer, window: int = DEFAULT_CLIENT_WINDOW) -> None:
+        super().__init__(window)
         self._reader = reader
         self._writer = writer
-        self.window = window
-        self._closed = False
-        self.server_pid = 0
-        self.banner = ""
 
     @classmethod
     async def connect(
@@ -455,20 +488,34 @@ class AsyncServingClient:
         window: int = DEFAULT_CLIENT_WINDOW,
     ) -> "AsyncServingClient":
         """Open a connection, shake hands, return a ready client."""
-        if window < 1:
-            raise ValueError("window must be at least 1")
         reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, window=window)
         try:
-            writer.write(wire.MAGIC)
-            await writer.drain()
-            hello = _hello_or_raise(await client._read_message())
+            client = cls(reader, writer, window=window)
         except BaseException:
-            await client.aclose()
+            writer.close()
             raise
-        client.server_pid = hello.pid
-        client.banner = hello.banner
+        await client._handshake()
         return client
+
+    async def _run(self, operation):
+        """Drive one protocol operation over the stream."""
+        reply = None
+        try:
+            while True:
+                step = operation.send(reply)
+                if step is _READ:
+                    await self._writer.drain()
+                    reply = await self._read_message()
+                else:
+                    self._writer.write(step)
+                    reply = None
+        except StopIteration as done:
+            return done.value
+        finally:
+            operation.close()
+            if self._closed:
+                # Not awaited: this may be a task being cancelled.
+                self._writer.close()
 
     async def _read_message(self) -> "wire.Message":
         try:
@@ -481,113 +528,12 @@ class AsyncServingClient:
             ) from None
         return wire.decode(frame)
 
-    async def evaluate(
-        self,
-        query: Union[str, object],
-        key: str,
-        ids: bool = False,
-        trace: bool = False,
-    ) -> RemoteResult:
-        """Evaluate one query over the wire; raises typed errors."""
-        results = await self.evaluate_batch([(query, key)], ids=ids, trace=trace)
-        return results[0]
-
-    async def evaluate_batch(
-        self,
-        requests: Sequence[tuple],
-        ids: bool = False,
-        return_errors: bool = False,
-        trace: bool = False,
-    ) -> list:
-        """Pipeline ``(query, key)`` pairs; results come back in order.
-
-        Like :meth:`ServingClient.evaluate_batch`, any exit that leaves
-        replies owed (task cancellation included) closes the client.
-        """
-        self._require_open()
-        state = _BatchState(requests, ids, trace)
-        frames = state.frames()
-        exhausted = False
-        try:
-            while not exhausted or state.pending:
-                while not exhausted and len(state.pending) < self.window:
-                    frame = next(frames, None)
-                    if frame is None:
-                        exhausted = True
-                        break
-                    self._writer.write(frame)
-                await self._writer.drain()
-                if state.pending:
-                    state.absorb(await self._read_message())
-                if state.drained:
-                    break
-        finally:
-            if state.pending:
-                # As in ServingClient.evaluate_batch; closed without
-                # awaiting, because this may be a task being cancelled.
-                self._closed = True
-                self._writer.close()
-        return state.finish(return_errors)
-
-    async def _request(
-        self, frame: bytes, expected: int, name: str
-    ) -> "wire.Message":
-        """One operation round-trip: send ``frame``, check the reply type."""
-        self._require_open()
-        self._writer.write(wire.encode_framed(frame))
-        await self._writer.drain()
-        return _expect(await self._read_message(), expected, name)
-
-    async def ping(self, seq: int = 0) -> tuple[int, float]:
-        """Liveness probe; returns ``(server_pid, round_trip_seconds)``."""
-        started = time.perf_counter()
-        message = await self._request(
-            wire.encode_ping(seq), wire.MSG_PONG, "PING"
-        )
-        elapsed = time.perf_counter() - started
-        if message.seq != seq:
-            raise ServingError(
-                f"server answered PING {seq} with PONG {message.seq}"
-            )
-        return message.pid, elapsed
-
-    async def server_stats(self) -> dict:
-        """The server's STATS payload (server counters + pool counters)."""
-        message = await self._request(
-            wire.encode_stats_request(), wire.MSG_STATS_REPLY, "STATS"
-        )
-        return message.payload
-
-    async def server_metrics(self, format: str = "json") -> str:
-        """The server's METRICS exposition body; see :meth:`ServingClient.server_metrics`."""
-        message = await self._request(
-            wire.encode_metrics_request(_metrics_format_code(format)),
-            wire.MSG_METRICS_REPLY, "METRICS",
-        )
-        return message.body
-
-    async def drain(self) -> int:
-        """Client-initiated graceful close; returns requests served here."""
-        message = await self._request(
-            wire.encode_drain(), wire.MSG_DRAINED, "DRAIN"
-        )
-        await self.aclose()
-        return message.served
-
     async def aclose(self) -> None:
         """Close the connection (idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        try:
-            self._writer.close()
+        self._writer.close()
+        with contextlib.suppress(ConnectionError, OSError):  # racing close
             await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - racing close
-            pass
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ServingError("the client is closed")
 
     async def __aenter__(self) -> "AsyncServingClient":
         return self

@@ -48,6 +48,7 @@ machine and the operations guide.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import logging
 import multiprocessing
@@ -56,6 +57,7 @@ import sys
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
@@ -403,24 +405,10 @@ class _Conversation:
         return self.inflight.popleft()
 
 
-class _Ticket:
-    """A blocking call's exchanges, counted down on the loop as they settle."""
-
-    __slots__ = ("owed", "event")
-
-    def __init__(self, plan: list) -> None:
-        self.owed = len(plan)
-        self.event = threading.Event()  # set when owed hits 0
-        for _, exchange in plan:
-            exchange.on_done = self._done
-
-    def _done(self, exchange: _Exchange) -> None:
-        self.owed -= 1
-        if not self.owed:
-            self.event.set()
-
-    def wait(self, deadline: Optional[float]) -> None:
-        self.event.wait(
+def _result_by(answer: concurrent.futures.Future, deadline: Optional[float]):
+    """``answer``'s result, or None if ``deadline`` passes first."""
+    with contextlib.suppress(concurrent.futures.TimeoutError):
+        return answer.result(
             None if deadline is None else max(0.0, deadline - perf_counter())
         )
 
@@ -571,6 +559,9 @@ class ShardedPool:
         self._documents: "OrderedDict[str, _LazyDocument]" = OrderedDict()
         self._context = multiprocessing.get_context(self.start_method)
         self._pool: list[_Worker] = []
+        # Listening sockets bound on the loop (an XPathServer's), which
+        # the loop's teardown closes: a server cannot outlive its pool.
+        self._listeners: set = set()
         try:
             try:
                 # Forked before the loop thread exists; the readers go on
@@ -694,7 +685,10 @@ class ShardedPool:
                     (worker, _Exchange(wire.encode_drain()))
                     for worker in self._pool
                 ]
-                self._hand_over(plan, probe=True).wait(deadline)
+                _result_by(
+                    self._hand_over(partial(self._dispatch, plan, True)),
+                    deadline,
+                )
                 for worker, exchange in plan:
                     if isinstance(exchange.outcome, wire.Message):
                         acks[worker.index] = exchange.outcome.served
@@ -894,18 +888,35 @@ class ShardedPool:
         a permanently failed worker contributes a zeroed row with
         ``alive=False``.  Engine counters are per *process*: a restarted
         worker's counters restart from zero (the pool-side ``restarts``/
-        ``retries``/``timeouts`` totals persist across restarts).
+        ``retries``/``timeouts`` totals persist across restarts).  This
+        is :meth:`collect_stats`, handed to the pool's loop and waited
+        for.
         """
-        self._require_open()
+        stats = self._wait(self.collect_stats)
+        if isinstance(stats, Exception):
+            raise stats
+        return stats
+
+    def collect_stats(self, done: Callable) -> None:
+        """:meth:`stats`, called on the pool's own event loop.
+
+        One STATS exchange per worker slot; ``done`` runs on the loop
+        with the merged :class:`ServingStats`, or with the exception that
+        is the answer (it is the server's STATS/METRICS path).
+        """
+        if self._closed:
+            done(ServingError("the pool is closed"))
+            return
         plan = [  # a failed slot's exchange fails at once: a zeroed row
             (worker, _Exchange(wire.encode_stats_request()))
             for worker in self._pool
         ]
-        self._run(plan)
-        replies = {worker.index: exchange.outcome for worker, exchange in plan}
+        self._dispatch(plan, False, lambda _: done(self._merged_stats(plan)))
+
+    def _merged_stats(self, plan: list) -> ServingStats:
         per_worker = []
-        for worker in self._pool:
-            reply = replies.get(worker.index)
+        for worker, exchange in plan:
+            reply = exchange.outcome
             alive = isinstance(reply, wire.Message)
             payload = reply.payload if alive else dict(  # a failed slot: zeroes
                 worker=worker.index, pid=worker.process.pid or 0, served=0,
@@ -944,7 +955,10 @@ class ShardedPool:
         the merged engine counters).  Like :meth:`stats`, it talks to
         the workers.
         """
-        stats = self.stats()
+        return self._metric_families(self.stats())
+
+    def _metric_families(self, stats: ServingStats) -> list[dict]:
+        """:meth:`metric_families` from a snapshot already collected."""
         return self.metrics.snapshot() + [
             gauge_family(
                 "repro_pool_workers", "Worker process slots.", self.workers
@@ -1001,31 +1015,46 @@ class ShardedPool:
 
     def _run(self, plan: list, deadline: Optional[float] = None,
              probe: bool = False) -> None:
-        """Settle ``plan``'s ``(worker, exchange)`` pairs, or stop at ``deadline``.
+        """Settle ``plan``'s ``(worker, exchange)`` pairs, or stop at ``deadline``."""
+        self._wait(partial(self._dispatch, plan, probe), deadline)
 
-        Hands the exchanges to the loop (see :meth:`_enqueue`) and waits.
+    def _wait(self, start: Callable, deadline: Optional[float] = None):
+        """Run ``start(done)`` on the loop and wait for its ``done(value)``.
+
+        Returns ``value`` (None if ``deadline`` passed first).
         """
         self._require_off_loop()
         with self._lifecycle_lock:
             self._require_open()
-            if not plan:
-                return
-            ticket = self._hand_over(plan, probe)
-        ticket.wait(deadline)
+            answer = self._hand_over(start)
+        return _result_by(answer, deadline)
 
-    def _hand_over(self, plan: list, probe: bool) -> _Ticket:
-        ticket = _Ticket(plan)
-        self._loop.call_soon_threadsafe(self._enqueue, plan, probe)
-        return ticket
+    def _hand_over(self, start: Callable) -> concurrent.futures.Future:
+        answer = concurrent.futures.Future()
+        self._loop.call_soon_threadsafe(start, answer.set_result)
+        return answer
 
-    def _enqueue(self, plan: list, probe: bool) -> None:
-        """On the loop: take up a blocking call's exchanges and send them.
+    def _dispatch(self, plan: list, probe: bool, done: Callable) -> None:
+        """On the loop: take up ``plan``'s exchanges and send them; ``done``
+        runs once every one has settled.
 
         A worker that died idle is buried (and so restarted) first, even
         if its sentinel is not read yet.  A ``probe``'s exchange for a
         worker that is down fails at once instead of waiting for the
         restart.
         """
+        owed = len(plan)
+
+        def settled(exchange: _Exchange) -> None:
+            nonlocal owed
+            owed -= 1
+            if not owed:
+                done(None)
+
+        for _, exchange in plan:
+            exchange.on_done = settled
+        if not plan:
+            done(None)
         for worker in self._pool:
             if worker.conn is not None and not worker.process.is_alive():
                 self._died(worker)
@@ -1038,7 +1067,10 @@ class ShardedPool:
             self._flush(worker)
 
     def _teardown(self, graceful: bool) -> None:
-        """On the loop, last: let go of every pipe, fail what is owed, stop."""
+        """On the loop, last: close the listeners bound on it, let go of
+        every pipe, fail what is owed, stop."""
+        for listener in self._listeners:
+            listener.close()
         for worker in self._pool:
             if worker.respawn is not None:
                 worker.respawn.cancel()

@@ -119,7 +119,6 @@ from typing import Optional, Union
 
 from repro.errors import ReproError
 from repro.serving import wire
-from repro.serving.client import _metrics_format_code
 from repro.serving.pool import ServingError, ShardedPool
 from repro.telemetry.exposition import (
     gauge_family,
@@ -291,7 +290,8 @@ class XPathServer:
 
     The server runs on the pool's event loop, so the pool must outlive
     it: shut the server down before closing a pool it was given (the
-    pool stays open for blocking calls all along).
+    pool stays open for blocking calls all along).  A pool closed first
+    closes the listener and the connections with its loop.
     """
 
     def __init__(
@@ -332,10 +332,10 @@ class XPathServer:
         self._inflight = 0
         self._idle_event: Optional[asyncio.Event] = None
         # Counters live in a telemetry registry (incremented on the loop
-        # thread, read for STATS/METRICS on an executor thread — the
-        # registry's per-thread shards make that safe).  _inflight and
-        # _peak_inflight stay plain ints: they gate admission on the loop
-        # thread and are exposed as derived gauges.
+        # thread, read there for STATS/METRICS and by metric_families()
+        # on any thread — its per-thread shards make that safe).
+        # _inflight and _peak_inflight stay plain ints: they gate
+        # admission on the loop thread and are exposed as derived gauges.
         self.metrics = MetricsRegistry()
         self._connections_count = self.metrics.counter(
             "repro_server_connections_total",
@@ -402,6 +402,7 @@ class XPathServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
+        self._pool._listeners.add(self._server)
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         logger.info(
@@ -464,6 +465,7 @@ class XPathServer:
         # Python 3.12.1 on it waits for every client connection to close,
         # which the drain itself does last.)
         self._server.close()
+        self._pool._listeners.discard(self._server)
         if graceful:
             try:
                 await asyncio.wait_for(self._drain(), timeout)
@@ -562,9 +564,8 @@ class XPathServer:
 
     # -- operations --------------------------------------------------------
 
-    def _stats_payload(self) -> dict:
+    def _stats_payload(self, pool_stats) -> dict:
         """The STATS answer: server counters + the pool's merged counters."""
-        pool_stats = self._pool.stats()
         return {
             "server": {
                 "pid": os.getpid(),
@@ -602,6 +603,10 @@ class XPathServer:
         the whole process tree.  Waits for the pool, so call it from any
         thread but the server's event loop.
         """
+        return self._metric_families(self._pool.stats())
+
+    def _metric_families(self, pool_stats) -> list[dict]:
+        """:meth:`metric_families` from a pool snapshot already collected."""
         return self.metrics.snapshot() + [
             gauge_family(
                 "repro_server_inflight",
@@ -619,14 +624,7 @@ class XPathServer:
                 "repro_server_connections_active",
                 "Client connections currently open.", len(self._connections),
             ),
-        ] + self._pool.metric_families()
-
-    def _metrics_payload(self, format: int) -> str:
-        """Render the METRICS exposition body (off the event loop)."""
-        families = self.metric_families()
-        if format == wire.METRICS_PROMETHEUS:
-            return render_prometheus(families)
-        return render_json(families)
+        ] + self._pool._metric_families(pool_stats)
 
     # -- connections -------------------------------------------------------
 
@@ -868,14 +866,25 @@ class XPathServer:
         )
 
     async def _answer_collected(self, conn, metrics: Optional[int] = None) -> None:
-        """Answer STATS (METRICS in format ``metrics``), built off the loop."""
-        if metrics is None:
-            collect, encode = self._stats_payload, conn.encoder.stats
-        else:
-            collect = partial(self._metrics_payload, metrics)
-            encode = partial(conn.encoder.metrics, metrics)
+        """Answer STATS (METRICS in format ``metrics``) once the pool's
+        workers have reported, on the loop (:meth:`ShardedPool.collect_stats`)."""
+        collected = self._loop.create_future()  # cancelled with this task
+        self._pool.collect_stats(
+            lambda stats: collected.cancelled() or collected.set_result(stats)
+        )
         try:
-            data = encode(await self._loop.run_in_executor(None, collect))
+            pool_stats = await collected
+            if isinstance(pool_stats, Exception):
+                raise pool_stats
+            if metrics is None:
+                data = conn.encoder.stats(self._stats_payload(pool_stats))
+            else:
+                render = (
+                    render_prometheus if metrics == wire.METRICS_PROMETHEUS
+                    else render_json
+                )
+                families = self._metric_families(pool_stats)
+                data = conn.encoder.metrics(metrics, render(families))
         except ReproError as error:
             data = conn.encoder.error(error)
         except Exception as error:
@@ -910,7 +919,7 @@ class XPathServer:
                 raise ValueError("request must be a JSON object")
             op = request.get("op")
             if op == "metrics":
-                fmt = _metrics_format_code(request.get("format", "json"))
+                fmt = wire.metrics_format_code(request.get("format", "json"))
         except ValueError as error:
             await self._write(conn, _JsonEncoder.error(wire.WireError(str(error))))
             return

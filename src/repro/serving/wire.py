@@ -141,9 +141,11 @@ MSG_METRICS_REPLY = 18
 #: Protocol version a server advertises in its HELLO frame.
 PROTOCOL_VERSION = 1
 
-#: METRICS format codes (the u8 body of a METRICS request).
+#: METRICS format codes (the u8 body of a METRICS request), by the name
+#: a client or a JSON shim line asks for.
 METRICS_JSON = 0
 METRICS_PROMETHEUS = 1
+METRICS_FORMATS = {"json": METRICS_JSON, "prometheus": METRICS_PROMETHEUS}
 
 #: Upper bound on one length-prefixed frame crossing a byte stream
 #: (16 MiB ≈ a 4-million-id answer); larger lengths are a protocol error.
@@ -367,6 +369,16 @@ def encode_trace(seq: int, trace: dict[str, object]) -> bytes:
     """Encode one request's span tree (sent just before its result frame)."""
     data = json.dumps(trace, sort_keys=True).encode("utf-8")
     return _frame(MSG_TRACE, _U32.pack(seq), _U32.pack(len(data)), data)
+
+
+def metrics_format_code(format: object) -> int:
+    """Map a metrics format name to its wire code; ``ValueError`` if unknown."""
+    if isinstance(format, str) and format in METRICS_FORMATS:
+        return METRICS_FORMATS[format]
+    raise ValueError(
+        f"unknown metrics format {format!r}; "
+        f"choose one of {sorted(METRICS_FORMATS)}"
+    )
 
 
 def encode_metrics_request(format: int = METRICS_JSON) -> bytes:

@@ -9,7 +9,9 @@ suite does.
 """
 
 import asyncio
+import contextlib
 import json
+import os
 import secrets
 import socket
 import threading
@@ -800,6 +802,18 @@ class TestInterruptedBatch:
 
         asyncio.run(scenario())
 
+    def test_sync_client_closes_after_a_timed_out_operation(self, server):
+        """The same rule for one request: a STATS reply owed past the
+        timeout must not answer the next PING."""
+        server_obj, (host, port) = server
+        client = ServingClient(host, port, timeout=0.05)
+        with frozen_workers(server_obj.pool):  # STATS waits for the workers
+            with pytest.raises(TimeoutError):
+                client.server_stats()
+        with pytest.raises(ServingError, match="client is closed"):
+            client.ping()
+        client.close()
+
     def test_a_completed_batch_leaves_the_client_open(self, server):
         from repro.errors import XPathSyntaxError
 
@@ -1015,3 +1029,118 @@ class TestOneLoopThread:
         assert not pool._thread.is_alive()
         assert pool.closed
         assert not pool._pool[0].process.is_alive()
+
+    def test_operator_frames_start_no_thread(self, store):
+        """STATS and METRICS are answered on the pool's loop: no executor
+        thread appears beside ``repro-pool``, over either protocol."""
+        before = set(threading.enumerate())
+        pool = ShardedPool(store, workers=2)
+        try:
+            with XPathServer(pool) as address:
+                with ServingClient(*address) as client:
+                    assert client.server_stats()["pool"]["workers"] == 2
+                    body = client.server_metrics("prometheus")
+                    assert "repro_pool_workers 2" in body
+                (reply,) = json_roundtrip(*address, [{"op": "stats"}])
+                assert reply["stats"]["pool"]["workers"] == 2
+                started = set(threading.enumerate()) - before
+                assert [thread.name for thread in started] == ["repro-pool"]
+        finally:
+            pool.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_closing_the_pool_closes_a_server_listening_on_its_loop(self, store):
+        pool = ShardedPool(store, workers=1)
+        server = XPathServer(pool)
+        address = server.start_background()
+        pool.close()
+        started = time.monotonic()
+        try:
+            sock = socket.create_connection(address, timeout=1.0)
+        except ConnectionRefusedError:
+            pass
+        else:  # accepted by a listener still open: it must hang up, not hang
+            with sock:
+                sock.settimeout(1.0)
+                sock.sendall(wire.MAGIC)
+                assert sock.recv(1) == b""
+        server.shutdown()
+        assert time.monotonic() - started <= 1.0
+
+
+@contextlib.contextmanager
+def _client_over(transport, address):
+    """A connected client and the function that turns one of its calls
+    into the call's result (the identity for the blocking client)."""
+    if transport == "blocking":
+        with ServingClient(*address) as client:
+            yield client, lambda result: result
+        return
+    loop = asyncio.new_event_loop()
+    try:
+        client = loop.run_until_complete(AsyncServingClient.connect(*address))
+        try:
+            yield client, loop.run_until_complete
+        finally:
+            loop.run_until_complete(client.aclose())
+    finally:
+        loop.close()
+
+
+class TestTransportParity:
+    """Both clients run one protocol: every operation answers alike."""
+
+    @pytest.mark.parametrize("transport", ["blocking", "asyncio"])
+    def test_every_operation_over_each_transport(self, server, transport):
+        from repro.errors import XPathSyntaxError
+
+        _, address = server
+        with _client_over(transport, address) as (client, run):
+            assert client.server_pid == os.getpid()
+            pid, rtt = run(client.ping(seq=9))
+            assert pid == os.getpid() and 0 <= rtt < 5.0
+            stats = run(client.server_stats())
+            assert set(stats) == {"server", "pool"}
+            assert set(stats["server"]) == {
+                "pid", "served", "errors", "overloaded", "connections_total",
+                "connections_active", "inflight", "inflight_peak",
+                "max_inflight", "idle_closed", "aborted", "draining",
+            }
+            assert set(stats["pool"]) == {
+                "workers", "served", "restarts", "retries", "timeouts",
+                "rejected", "documents", "plan_hits", "plan_misses",
+            }
+            families = json.loads(run(client.server_metrics("json")))["families"]
+            assert "repro_pool_workers" in {family["name"] for family in families}
+            text = run(client.server_metrics("prometheus"))
+            assert "# TYPE repro_server_requests_total counter" in text
+            with pytest.raises(ValueError, match="bogus"):
+                run(client.server_metrics("bogus"))
+            results = run(client.evaluate_batch(
+                [("//b", "letters"), ("//b[", "letters"), ("count(//x)", "row")],
+                return_errors=True,
+            ))
+            assert results[0].ids == _expected_ids("//b", "letters")
+            assert isinstance(results[1], XPathSyntaxError)
+            assert results[2].value == 4.0
+            assert run(client.drain()) == 2
+            with pytest.raises(ServingError, match="client is closed"):
+                run(client.ping())
+
+    def test_a_window_below_one_is_refused_by_both_clients(self, server):
+        _, (host, port) = server
+        with pytest.raises(ValueError, match="window"):
+            ServingClient(host, port, window=0)
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                with pytest.raises(ValueError, match="window"):
+                    AsyncServingClient(reader, writer, window=0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            with pytest.raises(ValueError, match="window"):
+                await AsyncServingClient.connect(host, port, window=0)
+
+        asyncio.run(scenario())
