@@ -26,6 +26,7 @@ from repro.xmlmodel.idset import IdSet, pack_ids, unpack_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.fragments.classify import Classification
+    from repro.planner.plan import QueryPlan
     from repro.telemetry.trace import Trace
     from repro.xmlmodel.document import Document
     from repro.xmlmodel.nodes import XMLNode
@@ -46,7 +47,8 @@ class QueryResult:
         runs, the requested engine for explicit-engine runs.
     classification:
         The full Figure 1 :class:`~repro.fragments.classify.Classification`
-        of the query (computed once per query text via the plan cache).
+        of the query: its plan's, computed on first read and kept with the
+        plan (None for a pool reply, which carries no plan).
     cache_hit:
         True if the compiled plan (which doubles as the parse cache for
         explicit-engine runs) came from the engine's plan cache.
@@ -81,11 +83,11 @@ class QueryResult:
     __slots__ = (
         "query",
         "engine",
-        "classification",
         "cache_hit",
         "wall_time",
         "trace",
         "_document",
+        "_plan",
         "_value",
         "_ids",
         "_id_list",
@@ -99,7 +101,7 @@ class QueryResult:
         document: "Document",
         value=_UNSET,
         ids: Union[list[int], IdSet, bytes, None] = None,
-        classification: Optional["Classification"] = None,
+        plan: Optional["QueryPlan"] = None,
         cache_hit: bool = False,
         wall_time: float = 0.0,
         trace: Optional["Trace"] = None,
@@ -108,17 +110,22 @@ class QueryResult:
             raise ValueError("QueryResult needs a value or an id list")
         self.query = query
         self.engine = engine
-        self.classification = classification
         self.cache_hit = cache_hit
         self.wall_time = wall_time
         self.trace = trace
         self._document = document
+        self._plan = plan
         self._value = value
         # The ids as they arrived (a list, an IdSet, or packed int32
         # bytes) and the two forms built from them on first access.
         self._ids = ids
         self._id_list = ids if isinstance(ids, list) else None
         self._packed = ids if isinstance(ids, bytes) else None
+
+    @property
+    def classification(self) -> Optional["Classification"]:
+        """The query's Figure 1 classification, computed on first read."""
+        return None if self._plan is None else self._plan.classification
 
     # -- payload ---------------------------------------------------------------
 

@@ -29,6 +29,7 @@ functions, so each rule's wording exists in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.xpath.analysis import QueryFeatures, query_features
 from repro.xpath.ast import (
@@ -105,13 +106,54 @@ def _as_expr(query: XPathExpr | str) -> XPathExpr:
 
 def violations_core_xpath(query: XPathExpr | str, allow_negation: bool = True) -> list[str]:
     """Return the reasons ``query`` is not a Core XPath query (empty = member)."""
-    expr = _as_expr(query)
-    violations: list[str] = []
+    walk = _core_xpath_walk(_as_expr(query), allow_negation)
+    return [template.format(subject) for template, subject in walk]
+
+
+def _core_xpath_walk(
+    expr: XPathExpr, allow_negation: bool
+) -> Iterator[tuple[str, object]]:
+    """Definition 2.5's rule: yield each violation of ``expr``, in query order.
+
+    A violation is a message template and the subject it names, formatted
+    only by a caller that wants the words: :func:`is_core_xpath` stops at
+    the first one and formats nothing, :func:`violations_core_xpath`
+    formats them all, so the planner's boolean and :func:`classify`'s
+    reasons come from this one walk.  One explicit stack of
+    ``(node, is_condition)`` items, popped in query order; a step is never
+    a condition.
+    """
     if not _is_union_of_location_paths(expr):
-        violations.append("top-level expression must be a location path (or union of them)")
-        return violations
-    _collect_core_violations(expr, violations, allow_negation, toplevel=True)
-    return violations
+        yield "top-level expression must be a location path (or union of them)", None
+        return
+    stack: list[tuple[XPathExpr, bool]] = [(expr, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, condition = pop()
+        if condition:
+            if isinstance(node, BinaryOp) and node.op in ("and", "or"):
+                push((node.right, True))
+                push((node.left, True))
+            elif isinstance(node, FunctionCall) and node.name == "not" and len(node.args) == 1:
+                if not allow_negation:
+                    yield "the not() function is excluded (positive fragment)", None
+                push((node.args[0], True))
+            elif isinstance(node, LocationPath):
+                for location_step in reversed(node.steps):
+                    push((location_step, False))
+            else:
+                yield "condition {} is not built from and/or/not and location paths", node
+        elif isinstance(node, Step):
+            if node.axis not in CORE_AXES:
+                yield "axis {!r} is outside Core XPath", node.axis
+            for predicate in reversed(node.predicates):
+                push((predicate, True))
+        elif isinstance(node, LocationPath):
+            for location_step in reversed(node.steps):
+                push((location_step, False))
+        else:  # a union: the check above admitted nothing else
+            push((node.right, False))
+            push((node.left, False))
 
 
 def _is_union_of_location_paths(expr: XPathExpr) -> bool:
@@ -122,53 +164,9 @@ def _is_union_of_location_paths(expr: XPathExpr) -> bool:
     return False
 
 
-def _collect_core_violations(
-    expr: XPathExpr, violations: list[str], allow_negation: bool, toplevel: bool
-) -> None:
-    if isinstance(expr, BinaryOp) and expr.op == "|":
-        _collect_core_violations(expr.left, violations, allow_negation, toplevel)
-        _collect_core_violations(expr.right, violations, allow_negation, toplevel)
-        return
-    if isinstance(expr, LocationPath):
-        for location_step in expr.steps:
-            _collect_core_step_violations(location_step, violations, allow_negation)
-        return
-    violations.append(f"unexpected {type(expr).__name__} in a location-path position")
-
-
-def _collect_core_step_violations(
-    location_step: Step, violations: list[str], allow_negation: bool
-) -> None:
-    if location_step.axis not in CORE_AXES:
-        violations.append(f"axis {location_step.axis!r} is outside Core XPath")
-    for predicate in location_step.predicates:
-        _collect_core_condition_violations(predicate, violations, allow_negation)
-
-
-def _collect_core_condition_violations(
-    expr: XPathExpr, violations: list[str], allow_negation: bool
-) -> None:
-    if isinstance(expr, BinaryOp) and expr.op in ("and", "or"):
-        _collect_core_condition_violations(expr.left, violations, allow_negation)
-        _collect_core_condition_violations(expr.right, violations, allow_negation)
-        return
-    if isinstance(expr, FunctionCall) and expr.name == "not" and len(expr.args) == 1:
-        if not allow_negation:
-            violations.append("the not() function is excluded (positive fragment)")
-        _collect_core_condition_violations(expr.args[0], violations, allow_negation)
-        return
-    if isinstance(expr, LocationPath):
-        for location_step in expr.steps:
-            _collect_core_step_violations(location_step, violations, allow_negation)
-        return
-    violations.append(
-        f"condition {expr} is not built from and/or/not and location paths"
-    )
-
-
 def is_core_xpath(query: XPathExpr | str) -> bool:
-    """Definition 2.5 membership."""
-    return not violations_core_xpath(query)
+    """Definition 2.5 membership: the walk finds no violation (the planner's test)."""
+    return next(_core_xpath_walk(_as_expr(query), True), None) is None
 
 
 def is_positive_core_xpath(query: XPathExpr | str) -> bool:

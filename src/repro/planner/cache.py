@@ -1,9 +1,9 @@
 """An LRU cache of compiled query plans keyed by query text.
 
 Serving the same queries over and over is the expected production shape
-(the ROADMAP's "heavy traffic" north star), and parsing plus fragment
-classification is pure per-query work — so it is done once and memoised
-here.  The cache is a plain ordered-dict LRU with explicit hit / miss /
+(the ROADMAP's "heavy traffic" north star), and parsing plus the engine
+choice is pure per-query work — so it is done once and memoised here,
+with the Figure 1 classification once read.  The cache is a plain ordered-dict LRU with explicit hit / miss /
 eviction counters, sized in number of plans.
 """
 

@@ -1,9 +1,9 @@
-"""Query plans: one parse + fragment classification, many evaluations.
+"""Query plans: one parse and one fragment test, many evaluations.
 
 A :class:`QueryPlan` is the compiled form of an XPath query.  Building a
-plan parses the query and classifies it against the paper's fragment
-lattice (:func:`repro.fragments.classify`); the most specific fragment
-picks the primary evaluator:
+plan parses the query and asks Definition 2.5 one question — is it Core
+XPath? (:func:`repro.fragments.is_core_xpath`, a walk that stops at the
+first violation) — whose answer picks the primary evaluator:
 
 =====================  ==========  =====================================
 query fragment         engine      why
@@ -14,15 +14,20 @@ anything richer        ``cvt``     polynomial context-value tables for
                                    full XPath 1.0 (Proposition 2.7)
 =====================  ==========  =====================================
 
+The full Figure 1 classification is no part of building a plan:
+:attr:`QueryPlan.classification` computes it on first read.  An unknown
+function or a wrong arity is an error of the query (XPath 1.0 §3.2), so
+:func:`plan_query` raises :class:`~repro.errors.XPathTypeError` for it,
+with an evaluator's message, whether or not evaluation would reach it.
+
 ``cvt`` is the fallback of a ``core`` plan: if the Core evaluator
 rejects the query with :class:`~repro.errors.FragmentViolationError` —
-which can only happen if the classifier and the evaluator ever disagree
+which can only happen if the planner and the evaluator ever disagree
 on the fragment boundary — the plan silently retries with ``cvt``, which
 accepts all of XPath 1.0, so a plan's answer is always the full-XPath
 semantics.  ``naive`` is no link of the chain: it is the explicit
 ``engine="naive"`` oracle, exponential in the worst case (E8).
-Evaluation errors other than fragment violations (unknown functions,
-type errors) propagate unchanged.
+Evaluation errors other than fragment violations propagate unchanged.
 
 Plans hold no document state: the same plan object can be run against any
 number of documents, and per-document acceleration lives in the
@@ -41,6 +46,7 @@ nodes (or converts nodes to ids) only when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, MutableMapping, Optional
 
 from repro.errors import FragmentViolationError
@@ -52,14 +58,15 @@ from repro.fragments.classify import (
     DEFAULT_NESTING_BOUND,
     Classification,
     classify,
+    is_core_xpath,
 )
 from repro.telemetry.render import render_kv_block
 from repro.telemetry.trace import Trace, maybe_span
 from repro.xmlmodel.document import Document
 from repro.xmlmodel.idset import IdSet
 from repro.xmlmodel.nodes import XMLNode
-from repro.xpath.ast import XPathExpr
-from repro.xpath.functions import BOOLEAN, NODESET, static_type
+from repro.xpath.ast import FunctionCall, XPathExpr
+from repro.xpath.functions import BOOLEAN, NODESET, static_type, validate_call
 from repro.xpath.parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - the engine package imports this module
@@ -81,12 +88,14 @@ class QueryPlan:
         The parsed AST, shared by every run of this plan.
     classification:
         The full Figure 1 classification (fragments, combined complexity,
-        per-fragment violation reasons).
+        per-fragment violation reasons), computed on first read.
     engine:
         The auto-selected primary engine.
     fallbacks:
         Strictly more general engines tried in order if an evaluator
         rejects the query as outside its fragment.
+    nesting_bound:
+        The arithmetic-nesting bound :attr:`classification` uses.
 
     Examples
     --------
@@ -102,9 +111,14 @@ class QueryPlan:
 
     query: str
     expr: XPathExpr
-    classification: Classification
     engine: str
     fallbacks: tuple[str, ...]
+    nesting_bound: int = DEFAULT_NESTING_BOUND
+
+    @cached_property
+    def classification(self) -> Classification:
+        """The Figure 1 classification of :attr:`expr`, computed on first read."""
+        return classify(self.expr, self.nesting_bound)
 
     @property
     def engine_chain(self) -> tuple[str, ...]:
@@ -187,10 +201,7 @@ class QueryPlan:
             except FragmentViolationError:
                 if kind == chain[-1]:  # unreachable on auto: "cvt" accepts full XPath
                     raise
-        return QueryResult(
-            self.query, chain[0], document,
-            classification=self.classification, **payload,
-        )
+        return QueryResult(self.query, chain[0], document, plan=self, **payload)
 
     def _evaluate(
         self,
@@ -265,6 +276,8 @@ def plan_query(
     get the linear-time ``core`` engine; everything else gets the
     polynomial ``cvt`` engine, which is also the Core plans' one
     fallback.  ``naive`` is never planned: it runs only when asked for.
+    An unknown function or a wrong arity raises
+    :class:`~repro.errors.XPathTypeError`, whichever engine will run.
 
     ``trace`` (optional) records the compile stages as ``parse`` and
     ``plan`` spans.
@@ -277,15 +290,11 @@ def plan_query(
         expr = query
         text = expr.unparse()
     with maybe_span(trace, "plan"):
-        classification = classify(expr, nesting_bound)
-    if "Core XPath" in classification.fragments:
-        engine, fallbacks = "core", ("cvt",)
-    else:
-        engine, fallbacks = "cvt", ()
-    return QueryPlan(
-        query=text,
-        expr=expr,
-        classification=classification,
-        engine=engine,
-        fallbacks=fallbacks,
-    )
+        if is_core_xpath(expr):  # whose only calls are not(·)
+            engine, fallbacks = "core", ("cvt",)
+        else:
+            for node in expr.walk():  # pre-order, the order evaluation meets them
+                if isinstance(node, FunctionCall):
+                    validate_call(node)
+            engine, fallbacks = "cvt", ()
+    return QueryPlan(text, expr, engine, fallbacks, nesting_bound)

@@ -559,8 +559,9 @@ class ShardedPool:
         self._documents: "OrderedDict[str, _LazyDocument]" = OrderedDict()
         self._context = multiprocessing.get_context(self.start_method)
         self._pool: list[_Worker] = []
-        # Listening sockets bound on the loop (an XPathServer's), which
-        # the loop's teardown closes: a server cannot outlive its pool.
+        # One callback per server listening on the loop, which the loop's
+        # teardown calls: it closes the listener, aborts the connections
+        # and returns their handler tasks.  A server cannot outlive its pool.
         self._listeners: set = set()
         try:
             try:
@@ -907,8 +908,10 @@ class ShardedPool:
         if self._closed:
             done(ServingError("the pool is closed"))
             return
-        plan = [  # a failed slot's exchange fails at once: a zeroed row
-            (worker, _Exchange(wire.encode_stats_request()))
+        plan = [  # a failed or hung slot's exchange fails: a zeroed row
+            (worker, _Exchange(
+                wire.encode_stats_request(), timeout=self.request_timeout
+            ))
             for worker in self._pool
         ]
         self._dispatch(plan, False, lambda _: done(self._merged_stats(plan)))
@@ -997,8 +1000,8 @@ class ShardedPool:
     def _drive(self) -> None:
         """The loop thread: run the loop until :meth:`_teardown` stops it.
 
-        Whatever a server left on the loop (connection tasks) is
-        cancelled and run out before the loop closes.
+        Whatever a server still left on the loop (a slow write, a drain
+        in progress) is cancelled and run out before the loop closes.
         """
         loop = self._loop
         asyncio.set_event_loop(loop)
@@ -1067,10 +1070,11 @@ class ShardedPool:
             self._flush(worker)
 
     def _teardown(self, graceful: bool) -> None:
-        """On the loop, last: close the listeners bound on it, let go of
-        every pipe, fail what is owed, stop."""
-        for listener in self._listeners:
-            listener.close()
+        """On the loop, last: close the servers bound on it, let go of
+        every pipe, fail what is owed, and stop once the aborted
+        connections' handlers have ended (Python 3.11's stream protocol
+        logs a cancelled handler as an error)."""
+        handlers = [task for abandon in list(self._listeners) for task in abandon()]
         for worker in self._pool:
             if worker.respawn is not None:
                 worker.respawn.cancel()
@@ -1082,7 +1086,12 @@ class ShardedPool:
                 worker.conn.close()
                 worker.conn = None
             self._strand(worker)
-        self._loop.stop()
+        if handlers:
+            asyncio.gather(*handlers, return_exceptions=True).add_done_callback(
+                lambda _: self._loop.stop()
+            )
+        else:
+            self._loop.stop()
 
     def _watch(self, worker: _Worker) -> None:
         conn, process = worker.conn, worker.process

@@ -236,7 +236,7 @@ class _Connection:
 
     __slots__ = (
         "reader", "writer", "peer", "encoder", "lock", "backlog", "pending",
-        "answers", "flushed", "served", "errors", "closing",
+        "answers", "flushed", "served", "errors", "closing", "handler",
     )
 
     def __init__(self, reader, writer) -> None:
@@ -254,6 +254,7 @@ class _Connection:
         self.served = 0
         self.errors = 0
         self.closing = False
+        self.handler = asyncio.current_task()  # the task serving this client
 
 
 class XPathServer:
@@ -402,7 +403,7 @@ class XPathServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
-        self._pool._listeners.add(self._server)
+        self._pool._listeners.add(self._abandon)
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         logger.info(
@@ -465,7 +466,7 @@ class XPathServer:
         # Python 3.12.1 on it waits for every client connection to close,
         # which the drain itself does last.)
         self._server.close()
-        self._pool._listeners.discard(self._server)
+        self._pool._listeners.discard(self._abandon)
         if graceful:
             try:
                 await asyncio.wait_for(self._drain(), timeout)
@@ -479,6 +480,16 @@ class XPathServer:
         for task in flushing:
             task.cancel()
         await asyncio.gather(*flushing, return_exceptions=True)
+
+    def _abandon(self) -> list:
+        """The pool's loop is closing under this server: close the listener,
+        abort every connection and return their handlers, which end on the
+        EOF of their aborted transport (so none has to be cancelled)."""
+        self._server.close()
+        connections = list(self._connections)
+        for conn in connections:
+            self._close_connection(conn, abort=True)
+        return [conn.handler for conn in connections]
 
     async def _stopped(self, graceful: bool, timeout: float) -> None:
         """Wait for the one stopping task every shutdown() caller shares."""
@@ -669,8 +680,9 @@ class XPathServer:
                 )
         finally:
             # Flush what this connection is still owed before closing
-            # (unless the server is draining, which flushes for us).
-            if conn.pending and not self._draining:
+            # (unless the server is draining, which flushes for us, or
+            # the connection is closed already).
+            if conn.pending and not self._draining and not conn.closing:
                 try:
                     await asyncio.wait_for(
                         conn.flushed.wait(), self.write_timeout

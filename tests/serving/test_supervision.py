@@ -7,6 +7,9 @@ test additionally kills a live worker from outside, mid-batch, the way
 an OOM killer would.
 """
 
+import concurrent.futures
+import contextlib
+import logging
 import os
 import signal
 import socket
@@ -17,6 +20,7 @@ import pytest
 from repro.planner import evaluate_many_ids
 from repro.serving import (
     ServingClient,
+    ServingError,
     ServingTimeout,
     ShardedPool,
     WorkerCrashed,
@@ -338,3 +342,38 @@ class TestForkedWorkersHoldNoServerSockets:
             server.shutdown(graceful=True)
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection((host, port), timeout=2.0)
+
+
+class TestStatsDeadline:
+    def test_a_stopped_worker_costs_stats_one_timeout_and_its_row(self, store):
+        """STATS exchanges carry ``request_timeout``, as queries do: a
+        SIGSTOPped worker answers as a dead row and is replaced."""
+        with ShardedPool(store, workers=2, warm=False, request_timeout=1.0) as pool:
+            victim = pool._pool[1].process.pid
+            os.kill(victim, signal.SIGSTOP)
+            waiter = concurrent.futures.ThreadPoolExecutor(1)
+            try:  # a bounded wait: without the deadline stats() never returns
+                stats = waiter.submit(pool.stats).result(timeout=2.0)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(victim, signal.SIGCONT)
+                waiter.shutdown()
+            assert [row.alive for row in stats.per_worker] == [True, False]
+            assert stats.timeouts == 1
+            assert pool.evaluate("count(//x)", "row").value == 4.0
+
+
+class TestCloseUnderAConnectedClient:
+    def test_closing_the_pool_logs_no_error_and_closes_the_client(self, store, caplog):
+        """The served connection is aborted and its handler ends on EOF;
+        a cancelled handler is an ERROR from asyncio on Python 3.11."""
+        pool = ShardedPool(store, workers=1, warm=False)
+        server = XPathServer(pool)
+        host, port = server.start_background()
+        with ServingClient(host, port) as client:
+            assert client.evaluate("count(//x)", "row").value == 4.0
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                pool.close()
+            assert not [r for r in caplog.records if r.name == "asyncio"]
+            with pytest.raises(ServingError, match="closed the connection"):
+                client.ping()
